@@ -33,7 +33,7 @@ from .exact_core import (
     poly_root_check,
     scalar_arith,
 )
-from .nullspace import RationalMatrix, available_backends, default_backend, kernel_basis, rref
+from .nullspace import RationalMatrix, kernel_basis, rref
 from .usl2 import (
     E_ORDER,
     F_ORDER,

@@ -1,9 +1,7 @@
-"""Pure-Python exact row reduction: the reference elimination kernel.
+"""Exact row reduction: the library's one elimination kernel.
 
 Fraction-preserving Gaussian elimination with eager normalization and
-deterministic pivoting (lowest column index, then lowest row index).  The
-compiled backend mirrors this loop structure exactly and must produce
-bit-identical results.
+deterministic pivoting (lowest column index, then lowest row index).
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .errors import InvalidInputError, ResourceCapError
 from .exact_core import format_scalar
+from .usl2 import BRACKET
 
 GEN_RANK = {"f": 0, "h": 1, "e": 2}
 RANK_GEN = {0: "f", 1: "h", 2: "e"}
@@ -26,14 +27,6 @@ GEN_CHARGE = {"f": -1, "h": 0, "e": 1}
 
 # normalized invariant bilinear form
 _PAIRING = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}
-_FIN_BRACKET = {
-    ("e", "f"): ("h", 1),
-    ("f", "e"): ("h", -1),
-    ("h", "e"): ("e", 2),
-    ("e", "h"): ("e", -2),
-    ("h", "f"): ("f", -2),
-    ("f", "h"): ("f", 2),
-}
 
 DEFAULT_MAX_WEIGHT_DIM = 20000
 MAX_DIM_ENV_VAR = "ADMZ_MAX_WEIGHT_DIM"
@@ -69,16 +62,23 @@ def monomial_alpha_weight(mono) -> int:
 
 
 def resolve_max_dim(explicit=None) -> int:
-    """Weight-space dimension cap: explicit arg, else env var, else default."""
-    if explicit is not None:
-        return int(explicit)
+    """Weight-space dimension cap: explicit arg, else env var, else default.
+
+    A cap below 1 is invalid input, not a cap that every weight space exceeds.
+    """
     env = os.environ.get(MAX_DIM_ENV_VAR)
-    if env:
+    if explicit is not None:
+        cap = int(explicit)
+    elif env:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError as exc:
             raise InvalidInputError(f"bad {MAX_DIM_ENV_VAR} value {env!r}") from exc
-    return DEFAULT_MAX_WEIGHT_DIM
+    else:
+        return DEFAULT_MAX_WEIGHT_DIM
+    if cap < 1:
+        raise InvalidInputError(f"weight-space dimension cap must be at least 1, got {cap}")
+    return cap
 
 
 def bracket_modes(x: Mode, y: Mode, level) -> tuple[list[tuple[Mode, Fraction]], Fraction]:
@@ -87,7 +87,7 @@ def bracket_modes(x: Mode, y: Mode, level) -> tuple[list[tuple[Mode, Fraction]],
     gx, gy = mode_gen(x), mode_gen(y)
     m, n = mode_degree(x), mode_degree(y)
     modes: list[tuple[Mode, Fraction]] = []
-    br = _FIN_BRACKET.get((gx, gy))
+    br = BRACKET.get((gx, gy))
     if br is not None:
         bg, bc = br
         modes.append((mode(bg, m + n), Fraction(bc)))

@@ -20,7 +20,7 @@ from .errors import (
     NotAdmissibleError,
     ResourceCapError,
 )
-from .exact_core import format_scalar, parse_scalar, poly_root_check
+from .exact_core import format_scalar, parse_scalar
 from .verify import (
     POMOC_S_VALUES,
     suite_algebra,
@@ -56,6 +56,12 @@ def classify(level, fmt, max_dim):
     lv = zhu.level_from_string(level)
     report = zhu.classify_category_O(lv, max_dim)
     wm = weight_modules.classify_weight_modules(lv, max_dim)
+    for sample in wm["families"][2]["verified_samples"]:
+        if not sample["agrees"]:
+            raise ConsistencyError(
+                f"dense sample r={sample['r']}, mu={sample['mu']}: T-membership "
+                f"({sample['in_T']}) and Q-annihilation ({sample['q_annihilates']}) disagree"
+            )
     data = report.to_dict()
     data["families"] = wm["families"]
     if fmt == "json":
@@ -99,12 +105,10 @@ def singular(level, method, max_dim):
     if method == "both":
         p2a = zhu.compute_p2(lv, zhu.NULLSPACE_ROUTE, max_dim)
         p2b = zhu.compute_p2(lv, zhu.MFF_ROUTE, max_dim)
-        from .exact_core import poly_proportional
-
-        const = poly_proportional(p2a, p2b)
+        const = zhu.route_constant(p2a, p2b)
         click.echo(f"p2 via nullspace = {p2a.to_text()}")
         click.echo(f"p2 via mff       = {p2b.to_text()}")
-        if const is None or const == 0:
+        if const is None:
             click.echo("routes DISAGREE")
             raise ConsistencyError("p2 routes are not proportional")
         click.echo(f"routes proportional, constant {format_scalar(const)}")
@@ -120,16 +124,9 @@ def zhu_poly(level, fmt, max_dim):
     S = zhu.set_S(lv)
     p1 = zhu.compute_p1(lv, max_dim)
     p2 = zhu.compute_p2(lv, zhu.NULLSPACE_ROUTE, max_dim)
-    roots1, cof1 = poly_root_check(p1, S)
-    roots2, cof2 = poly_root_check(p2, [-r for r in S])
-    ok = (
-        cof1.degree == 0
-        and cof2.degree == 0
-        and len(roots1) == len(S)
-        and len(roots2) == len(S)
-        and all(m == 1 for m in roots1.values())
-        and all(m == 1 for m in roots2.values())
-    )
+    roots1, ok1 = zhu.simple_roots(p1, S)
+    roots2, ok2 = zhu.simple_roots(p2, [-r for r in S])
+    ok = ok1 and ok2
     if fmt == "json":
         click.echo(
             json.dumps(
@@ -148,8 +145,8 @@ def zhu_poly(level, fmt, max_dim):
     else:
         click.echo(f"p1 = {p1.to_text()}")
         click.echo(f"p2 = {p2.to_text()}")
-        click.echo("p1 roots = S:      " + ("yes" if ok else "NO"))
-        click.echo("p2 roots = -S:     " + ("yes" if ok else "NO"))
+        click.echo("p1 roots = S:      " + ("yes" if ok1 else "NO"))
+        click.echo("p2 roots = -S:     " + ("yes" if ok2 else "NO"))
     if not ok:
         raise ConsistencyError("classifying-polynomial roots do not match S")
 

@@ -24,12 +24,36 @@ def parse_scalar(text: str) -> Fraction:
     text = text.strip()
     if not _SCALAR_RE.match(text):
         raise InvalidInputError(f"not an exact rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise InvalidInputError(f"zero denominator in {text!r}") from exc
 
 
 def format_scalar(x: Fraction) -> str:
     """Render as "num/den", denominator omitted when 1."""
     return str(x)
+
+
+def format_terms(terms) -> str:
+    """Render nonzero (coefficient, body) pairs as a signed sum, e.g. ``-h^2 + 2*h - 1/2``.
+
+    The first sign is attached ("-body"), later ones are spaced ("+ body",
+    "- body"); the magnitude is written as a "mag*" prefix unless it is 1,
+    and an empty body (a constant term) is written as the magnitude alone.
+    """
+    parts = []
+    for coeff, body in terms:
+        mag = abs(coeff)
+        if not body:
+            body = format_scalar(mag)
+        elif mag != 1:
+            body = f"{format_scalar(mag)}*{body}"
+        if not parts:
+            parts.append(body if coeff > 0 else "-" + body)
+        else:
+            parts.append(("+ " if coeff > 0 else "- ") + body)
+    return " ".join(parts) or "0"
 
 
 def scalar_arith(a: Fraction, b: Fraction, op: str) -> Fraction:
@@ -170,24 +194,11 @@ class HPoly:
         return HPoly(quot), rem
 
     def to_text(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for power in range(self.degree, -1, -1):
-            c = self.coeffs[power]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if power == 0:
-                body = format_scalar(mag)
-            else:
-                hpart = "h" if power == 1 else f"h^{power}"
-                body = hpart if mag == 1 else f"{format_scalar(mag)}*{hpart}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+        return format_terms(
+            (self.coeffs[power], "" if power == 0 else "h" if power == 1 else f"h^{power}")
+            for power in range(self.degree, -1, -1)
+            if self.coeffs[power]
+        )
 
 
 _TERM_RE = re.compile(

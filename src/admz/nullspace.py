@@ -1,35 +1,16 @@
 """Exact sparse linear algebra over the rationals: RREF and kernel bases.
 
-Two interchangeable elimination backends implement the same algorithm with
-the same deterministic pivot choice (lowest column index, then lowest row
-index): a pure-Python Fraction kernel and a compiled integer-pair kernel.
-The compiled one is selected at import when present; ADMZ_PURE_PYTHON=1
-forces the fallback.  Outputs are bit-identical either way (the arithmetic
-is exact and the elimination order is fixed).
+Both are read off one dense Fraction elimination (`_gauss_py.rref_rows`)
+with a deterministic pivot choice (lowest column index, then lowest row
+index), so equal inputs give identical outputs.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
 from . import _gauss_py
 from .errors import InvalidInputError
-
-try:
-    from . import _gauss_cy
-except ImportError:  # compiled kernel not built; pure fallback
-    _gauss_cy = None
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("python", "cython") if _gauss_cy is not None else ("python",)
-
-
-def default_backend() -> str:
-    if _gauss_cy is not None and not os.environ.get("ADMZ_PURE_PYTHON"):
-        return "cython"
-    return "python"
 
 
 class RationalMatrix:
@@ -102,40 +83,15 @@ class RationalMatrix:
         return f"RationalMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
 
 
-def _resolve_backend(backend) -> str:
-    if backend is None:
-        return default_backend()
-    if backend not in ("python", "cython"):
-        raise InvalidInputError(f"unknown backend {backend!r}")
-    if backend == "cython" and _gauss_cy is None:
-        raise InvalidInputError("cython backend requested but not built")
-    return backend
-
-
-def _rref_dense(m: RationalMatrix, backend) -> tuple[list[list[Fraction]], list[int]]:
-    name = _resolve_backend(backend)
-    if name == "cython":
-        rows = []
-        for i in range(m.nrows):
-            flat = [0, 1] * m.ncols
-            rows.append(flat)
-        for (r, c), v in m.entries.items():
-            rows[r][2 * c] = v.numerator
-            rows[r][2 * c + 1] = v.denominator
-        pivots = _gauss_cy.rref_pairs(rows, m.ncols)
-        frows = [
-            [Fraction(row[2 * j], row[2 * j + 1]) for j in range(m.ncols)]
-            for row in rows
-        ]
-        return frows, pivots
+def _rref_dense(m: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
     rows = m.to_rows()
     pivots = _gauss_py.rref_rows(rows, m.ncols)
     return rows, pivots
 
 
-def rref(m: RationalMatrix, backend=None) -> tuple[RationalMatrix, int]:
+def rref(m: RationalMatrix) -> tuple[RationalMatrix, int]:
     """Canonical reduced row echelon form and rank, exact."""
-    rows, pivots = _rref_dense(m, backend)
+    rows, pivots = _rref_dense(m)
     entries = {}
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
@@ -144,13 +100,13 @@ def rref(m: RationalMatrix, backend=None) -> tuple[RationalMatrix, int]:
     return RationalMatrix(m.nrows, m.ncols, entries), len(pivots)
 
 
-def kernel_basis(m: RationalMatrix, backend=None) -> list[tuple[Fraction, ...]]:
+def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Deterministic exact basis of the right kernel.
 
     One vector per free column, ascending; each vector scaled so its first
     nonzero coordinate is 1.
     """
-    rows, pivots = _rref_dense(m, backend)
+    rows, pivots = _rref_dense(m)
     pivot_set = set(pivots)
     basis = []
     for free in range(m.ncols):

@@ -19,12 +19,12 @@ import re
 from fractions import Fraction
 
 from .errors import InvalidInputError
-from .exact_core import HPoly, format_scalar
+from .exact_core import HPoly, format_terms
 
 GENERATORS = ("e", "h", "f")
 
 # [x, y] as (generator, integer coefficient); absent pairs bracket to zero.
-_BRACKET = {
+BRACKET = {
     ("e", "f"): ("h", 1),
     ("f", "e"): ("h", -1),
     ("h", "e"): ("e", 2),
@@ -81,7 +81,7 @@ def _left_mul(order: Order, g: str, mono: tuple[int, int, int]) -> tuple:
     for m2, c2 in _left_mul(order, g, rest):
         for m3, c3 in _left_mul(order, head, m2):
             acc[m3] = acc.get(m3, 0) + c2 * c3
-    br = _BRACKET.get((g, head))
+    br = BRACKET.get((g, head))
     if br is not None:
         bg, bc = br
         for m2, c2 in _left_mul(order, bg, rest):
@@ -237,30 +237,14 @@ class FinElement:
         return FinElement(target, out)
 
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        g1, g2, g3 = _LETTERS[self.order]
-        parts = []
-        for mono in sorted(self.terms, reverse=True):
-            coeff = self.terms[mono]
-            factors = []
-            for g, exp in zip((g1, g2, g3), mono):
-                if exp == 1:
-                    factors.append(g)
-                elif exp > 1:
-                    factors.append(f"{g}^{exp}")
-            mag = abs(coeff)
-            if not factors:
-                body = format_scalar(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = format_scalar(mag) + "*" + "*".join(factors)
-            if not parts:
-                parts.append(body if coeff > 0 else "-" + body)
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(parts)
+        letters = _LETTERS[self.order]
+        return format_terms(
+            (
+                self.terms[mono],
+                "*".join(g if exp == 1 else f"{g}^{exp}" for g, exp in zip(letters, mono) if exp),
+            )
+            for mono in sorted(self.terms, reverse=True)
+        )
 
 
 def fin_product(x: FinElement, y: FinElement) -> FinElement:

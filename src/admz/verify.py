@@ -9,14 +9,13 @@ reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from . import affine
 from .affine import bracket_modes, mode, vacuum_module
 from .errors import AdmzError
-from .exact_core import HPoly, poly_proportional
+from .exact_core import HPoly
 from .usl2 import (
     E_ORDER,
     F_ORDER,
@@ -28,7 +27,7 @@ from .usl2 import (
     project_cartan,
     verify_pomoc_identity,
 )
-from .zhu import MFF_ROUTE, NULLSPACE_ROUTE, classify_category_O, compute_p2, level_from_string
+from .zhu import CheckResult, build_report, check_report, level_from_string
 
 DEFAULT_SEED = 20230817
 
@@ -44,13 +43,6 @@ POMOC_S_VALUES = (
     Fraction(-4, 3),
     Fraction(11, 4),
 )
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
 
 
 def _random_fin(rng: random.Random, order, max_terms=4, max_exp=3) -> FinElement:
@@ -218,19 +210,20 @@ def suite_lemmas(max_n: int = 5, s_values=POMOC_S_VALUES) -> list[CheckResult]:
 
 
 def suite_classification(levels, max_dim=None) -> list[CheckResult]:
+    """One row per level: every pipeline invariant, failures named in the detail."""
     results = []
     for text in levels:
         name = f"classification[{text}]"
         try:
-            lv = level_from_string(text)
-            classify_category_O(lv, max_dim)
-            p2a = compute_p2(lv, NULLSPACE_ROUTE, max_dim)
-            p2b = compute_p2(lv, MFF_ROUTE, max_dim)
-            const = poly_proportional(p2a, p2b)
-            if const is None or const == 0:
-                results.append(CheckResult(name, False, "p2 routes not proportional"))
-            else:
-                results.append(CheckResult(name, True, f"routes agree up to {const}"))
+            report = build_report(level_from_string(text), max_dim)
+            failed = [r.detail for r in check_report(report) if not r.passed]
         except AdmzError as exc:
             results.append(CheckResult(name, False, str(exc)))
+            continue
+        if failed:
+            results.append(CheckResult(name, False, "; ".join(failed)))
+        else:
+            results.append(
+                CheckResult(name, True, f"routes agree up to {report.p2_route_constant}")
+            )
     return results

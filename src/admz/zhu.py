@@ -5,7 +5,9 @@ the admissible h-value set S, the weight box P^k, the vacuum singular vector
 (by an exact nullspace search), its image Q in U(sl2), the closed-form
 substitute for Q^T modulo the lowering ideal (the "mff" route), the
 classifying polynomials p1/p2 by both routes, and the assembled
-category-O / weight-module report.  Every step is exact and cross-checked.
+category-O / weight-module report.  Every step is exact.  The cross-checks
+on a finished report are the named entries of INVARIANTS, which the pipeline,
+`verify` and the CLI all share.
 """
 
 from __future__ import annotations
@@ -265,6 +267,31 @@ def _is_nonneg_int(r: Fraction) -> bool:
     return r.denominator == 1 and r.numerator >= 0
 
 
+def route_constant(p2: HPoly, p2_mff: HPoly):
+    """Route-agreement verdict: the nonzero c with p2 == c * p2_mff, else None."""
+    return poly_proportional(p2, p2_mff) or None
+
+
+def simple_roots(poly: HPoly, expected) -> tuple[dict, bool]:
+    """Root-set verdict: the roots of poly among `expected`, with multiplicity,
+    and whether they are exactly the distinct values of `expected`, each simple,
+    leaving a constant cofactor."""
+    roots, cofactor = poly_root_check(poly, expected)
+    ok = (
+        cofactor.degree == 0
+        and len(roots) == len(set(expected))
+        and all(mult == 1 for mult in roots.values())
+    )
+    return roots, ok
+
+
+@dataclass
+class CheckResult:
+    name: str
+    passed: bool
+    detail: str = ""
+
+
 @dataclass
 class ClassificationReport:
     """Everything the pipeline produces for one admissible level."""
@@ -275,10 +302,14 @@ class ClassificationReport:
     p2: HPoly
     p1: HPoly
     p2_mff: HPoly
-    p2_route_constant: Fraction
     singular_vector: VermaVector
     Q: FinElement
     families: list
+
+    @functools.cached_property
+    def p2_route_constant(self):
+        """c with p2 == c * p2_mff, or None when the two p2 routes disagree."""
+        return route_constant(self.p2, self.p2_mff)
 
     def to_dict(self) -> dict:
         return {
@@ -295,64 +326,85 @@ class ClassificationReport:
         }
 
 
-def classify_category_O(lv: AdmissibleLevel, max_dim=None) -> ClassificationReport:
-    """Run the full pipeline with every internal cross-check enabled."""
-    S = set_S(lv)
-    if len(S) != (lv.l + 1) * lv.N:
-        raise ConsistencyError("invariant S-size: |S| != (l+1)N")
-    Pk = enumerate_Pk(lv)
-    if {w.h_value for w in Pk} != set(S):
-        raise ConsistencyError("invariant Pk-h-values: h-values of P^k differ from S")
-    for w in Pk:
-        if w.level_value != lv.k:
-            raise ConsistencyError("invariant Pk-level: weight has wrong level")
-
-    v_sing = singular_vector_nullspace(lv, max_dim)
-    Q = compute_Q(lv, max_dim)
-    if Q.ad_weight() != 2 * lv.N:
-        raise ConsistencyError("invariant Q-adjoint-weight: expected 2N")
+def _spans_adjoint_module(Q: FinElement, N: int) -> bool:
+    """(ad e)Q = 0, (ad f)^{2N} Q != 0 and (ad f)^{2N+1} Q = 0."""
     if not fin_ad("e", Q).is_zero():
-        raise ConsistencyError("invariant adjoint-module: (ad e)Q != 0")
-    x = Q
-    for _ in range(2 * lv.N):
-        x = fin_ad("f", x)
-    if x.is_zero():
-        raise ConsistencyError("invariant adjoint-module: (ad f)^{2N} Q == 0")
-    if not fin_ad("f", x).is_zero():
-        raise ConsistencyError("invariant adjoint-module: (ad f)^{2N+1} Q != 0")
+        return False
+    for _ in range(2 * N):
+        Q = fin_ad("f", Q)
+    return not Q.is_zero() and fin_ad("f", Q).is_zero()
 
-    p2 = compute_p2(lv, NULLSPACE_ROUTE, max_dim)
-    p2_mff = compute_p2(lv, MFF_ROUTE, max_dim)
-    const = poly_proportional(p2, p2_mff)
-    if const is None or const == 0:
-        raise ConsistencyError("invariant p2-route-agreement: routes not proportional")
-    p1 = compute_p1(lv, max_dim)
 
-    if p2.degree != (lv.l + 1) * lv.N:
-        raise ConsistencyError("invariant p2-degree: deg p2 != (l+1)N")
-    roots2, cofactor2 = poly_root_check(p2, [-r for r in S])
-    if cofactor2.degree != 0 or any(mult != 1 for mult in roots2.values()) or len(
-        roots2
-    ) != len(S):
-        raise ConsistencyError("invariant p2-roots: root multiset is not {-r : r in S}")
-    roots1, cofactor1 = poly_root_check(p1, S)
-    if cofactor1.degree != 0 or any(mult != 1 for mult in roots1.values()) or len(
-        roots1
-    ) != len(S):
-        raise ConsistencyError("invariant p1-roots: root multiset is not S")
-    for r in S:
-        if (p1(r) == 0) != (p2(-r) == 0):
-            raise ConsistencyError("invariant p1-p2-mirror: root correspondence broken")
+# Post-hoc invariants of a ClassificationReport, in the order the pipeline
+# checks them: (name, predicate, what is wrong when the predicate is false).
+# Checks that must pass before a value can exist (S-distinct,
+# kernel-dimension, singular-annihilation, nonzero projections, the descent)
+# run where that value is computed instead.
+INVARIANTS = (
+    ("S-size", lambda r: len(r.S) == (r.level.l + 1) * r.level.N, "|S| != (l+1)N"),
+    (
+        "Pk-h-values",
+        lambda r: {w.h_value for w in r.Pk} == set(r.S),
+        "h-values of P^k differ from S",
+    ),
+    (
+        "Pk-level",
+        lambda r: all(w.level_value == r.level.k for w in r.Pk),
+        "weight has wrong level",
+    ),
+    ("Q-adjoint-weight", lambda r: r.Q.ad_weight() == 2 * r.level.N, "expected 2N"),
+    (
+        "adjoint-module",
+        lambda r: _spans_adjoint_module(r.Q, r.level.N),
+        "need (ad e)Q = 0, (ad f)^{2N} Q != 0 and (ad f)^{2N+1} Q = 0",
+    ),
+    (
+        "p2-route-agreement",
+        lambda r: r.p2_route_constant is not None,
+        "routes not proportional",
+    ),
+    ("p2-degree", lambda r: r.p2.degree == (r.level.l + 1) * r.level.N, "deg p2 != (l+1)N"),
+    (
+        "p2-roots",
+        lambda r: simple_roots(r.p2, [-s for s in r.S])[1],
+        "root multiset is not {-r : r in S}",
+    ),
+    ("p1-roots", lambda r: simple_roots(r.p1, r.S)[1], "root multiset is not S"),
+    (
+        "p1-p2-mirror",
+        lambda r: all((r.p1(s) == 0) == (r.p2(-s) == 0) for s in r.S),
+        "root correspondence broken",
+    ),
+)
 
+
+def check_report(report: ClassificationReport):
+    """Run INVARIANTS in order, yielding one CheckResult each."""
+    for name, holds, failure in INVARIANTS:
+        ok = holds(report)
+        yield CheckResult(name, ok, "" if ok else f"invariant {name}: {failure}")
+
+
+def build_report(lv: AdmissibleLevel, max_dim=None) -> ClassificationReport:
+    """Compute every pipeline value for one level, before the post-hoc invariants."""
+    S = set_S(lv)
     return ClassificationReport(
         level=lv,
         S=S,
-        Pk=Pk,
-        p2=p2,
-        p1=p1,
-        p2_mff=p2_mff,
-        p2_route_constant=const,
-        singular_vector=v_sing,
-        Q=Q,
+        Pk=enumerate_Pk(lv),
+        singular_vector=singular_vector_nullspace(lv, max_dim),
+        Q=compute_Q(lv, max_dim),
+        p2=compute_p2(lv, NULLSPACE_ROUTE, max_dim),
+        p2_mff=compute_p2(lv, MFF_ROUTE, max_dim),
+        p1=compute_p1(lv, max_dim),
         families=module_families(lv, S),
     )
+
+
+def classify_category_O(lv: AdmissibleLevel, max_dim=None) -> ClassificationReport:
+    """Run the full pipeline; raise ConsistencyError on the first failed invariant."""
+    report = build_report(lv, max_dim)
+    for result in check_report(report):
+        if not result.passed:
+            raise ConsistencyError(result.detail)
+    return report

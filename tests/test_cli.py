@@ -5,8 +5,10 @@ import json
 import pytest
 
 import admz.zhu as zhu_mod
+from admz import weight_modules
 from admz.cli import main
 from admz.errors import ConsistencyError
+from admz.exact_core import HPoly
 
 
 def run_cli(capsys, argv):
@@ -137,3 +139,66 @@ def test_env_var_cap(capsys, monkeypatch):
         capsys, ["classify", "--level", "-2/3", "--max-dim", "20000"]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--level", "1/0"],
+        ["check-dense", "--level", "-1/2", "--r", "1/0", "--mu", "1/3"],
+        ["check-dense", "--level", "-1/2", "--r", "-1/2", "--mu", "1/0"],
+    ],
+)
+def test_zero_denominator_is_invalid_input(capsys, argv):
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert "zero denominator" in err
+
+
+def test_zero_denominator_level_is_a_verify_fail_row(capsys):
+    code, out, _ = run_cli(
+        capsys, ["verify", "--suite", "classification", "--levels", "1,1/0"]
+    )
+    assert code == 1
+    assert "[PASS] classification[1]" in out
+    assert "[FAIL] classification[1/0]  (zero denominator in '1/0')" in out
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_non_positive_cap_is_invalid_input(capsys, monkeypatch, cap):
+    code, _, err = run_cli(capsys, ["classify", "--level", "1", "--max-dim", cap])
+    assert code == 2
+    assert "at least 1" in err
+    monkeypatch.setenv("ADMZ_MAX_WEIGHT_DIM", cap)
+    code, _, err = run_cli(capsys, ["classify", "--level", "1"])
+    assert code == 2
+    assert "at least 1" in err
+
+
+def test_classify_fails_on_dense_disagreement(capsys, monkeypatch):
+    real = weight_modules.q_annihilates_E
+    monkeypatch.setattr(
+        weight_modules, "q_annihilates_E", lambda *args: not real(*args)
+    )
+    code, out, err = run_cli(capsys, ["classify", "--level", "-1/2"])
+    assert code == 1
+    assert out == ""
+    assert "dense sample r=1, mu=1/3" in err
+
+
+def test_zhu_poly_verdict_per_polynomial(capsys, monkeypatch):
+    real = zhu_mod.compute_p1
+
+    def p1_with_moved_root(lv, max_dim=None):
+        quot, rem = real(lv, max_dim).divmod_linear(1)
+        assert rem == 0
+        return quot * HPoly.linear(-7)
+
+    monkeypatch.setattr(zhu_mod, "compute_p1", p1_with_moved_root)
+    code, out, _ = run_cli(capsys, ["zhu-poly", "--level", "-1/2"])
+    assert code == 1
+    assert "p1 roots = S:      NO" in out
+    assert "p2 roots = -S:     yes" in out
+    code, out, _ = run_cli(capsys, ["zhu-poly", "--level", "-1/2", "--format", "json"])
+    assert code == 1
+    assert json.loads(out)["roots_match"] is False

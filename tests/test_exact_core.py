@@ -40,7 +40,7 @@ def test_scalar_parse_format():
     assert parse_scalar("7") == F(7)
     assert format_scalar(F(-3, 4)) == "-3/4"
     assert format_scalar(F(5)) == "5"
-    for bad in ("0.5", "1e3", "", "1/0x", "one"):
+    for bad in ("0.5", "1e3", "", "1/0x", "one", "1/0", "-3/00"):
         with pytest.raises(InvalidInputError):
             parse_scalar(bad)
 

@@ -1,0 +1,117 @@
+"""The invariant registry: each entry is caught by the pipeline, by `verify`
+and by `check_report` when it breaks in an otherwise valid report."""
+
+import dataclasses
+import re
+from fractions import Fraction
+
+import pytest
+
+import admz.verify as verify_mod
+import admz.zhu as zhu_mod
+from admz.affine import AffineWeight
+from admz.errors import ConsistencyError
+from admz.exact_core import HPoly
+from admz.usl2 import E_ORDER, FinElement
+from admz.zhu import INVARIANTS, build_report, check_report, classify_category_O, level_from_string
+
+LEVEL = "-1/2"  # S = {1, 0, -1/2, -3/2}, N = 2
+
+
+def move_root(p: HPoly, old, new) -> HPoly:
+    quot, rem = p.divmod_linear(old)
+    assert rem == 0
+    return quot * HPoly.linear(-Fraction(new))
+
+
+def first_weight_off_level(Pk):
+    w = Pk[0]
+    return [AffineWeight(w.lambda0 + 1, w.lambda1), *Pk[1:]]
+
+
+# invariant -> (change to a valid report, every invariant that change breaks).
+# A root-set change also breaks p1-p2-mirror, which the two root-set checks
+# imply; and deg p2 is fixed once p2 has exactly the simple roots -S.
+BREAKAGES = {
+    "S-size": (lambda r: {"S": r.S + r.S[:1]}, {"S-size"}),
+    "Pk-h-values": (lambda r: {"Pk": r.Pk[1:]}, {"Pk-h-values"}),
+    "Pk-level": (lambda r: {"Pk": first_weight_off_level(r.Pk)}, {"Pk-level"}),
+    "Q-adjoint-weight": (
+        lambda r: {"Q": r.Q + FinElement.one(E_ORDER)},
+        {"Q-adjoint-weight"},
+    ),
+    "adjoint-module": (
+        lambda r: {"Q": r.Q + FinElement.monomial(E_ORDER, (r.level.N + 1, 0, 1))},
+        {"adjoint-module"},
+    ),
+    "p2-route-agreement": (
+        lambda r: {"p2_mff": r.p2_mff + HPoly.one()},
+        {"p2-route-agreement"},
+    ),
+    "p2-degree": (
+        lambda r: {"p2": r.p2 * HPoly.h(), "p2_mff": r.p2_mff * HPoly.h()},
+        {"p2-degree", "p2-roots"},
+    ),
+    "p2-roots": (
+        lambda r: {"p2": move_root(r.p2, -1, 7), "p2_mff": move_root(r.p2_mff, -1, 7)},
+        {"p2-roots", "p1-p2-mirror"},
+    ),
+    "p1-roots": (lambda r: {"p1": move_root(r.p1, 1, 7)}, {"p1-roots", "p1-p2-mirror"}),
+    "p1-p2-mirror": (
+        lambda r: {"p1": move_root(r.p1, 0, 7)},
+        {"p1-roots", "p1-p2-mirror"},
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def valid_report():
+    return build_report(level_from_string(LEVEL))
+
+
+def broken(report, invariant):
+    change, _ = BREAKAGES[invariant]
+    return dataclasses.replace(report, **change(report))
+
+
+def test_every_invariant_has_a_breakage():
+    assert [name for name, _, _ in INVARIANTS] == list(BREAKAGES)
+
+
+def test_valid_report_passes_every_invariant(valid_report):
+    results = list(check_report(valid_report))
+    assert [r.name for r in results] == list(BREAKAGES)
+    assert all(r.passed and not r.detail for r in results)
+
+
+@pytest.mark.parametrize("invariant", list(BREAKAGES))
+def test_check_report_names_the_broken_invariants(valid_report, invariant):
+    failed = {r.name for r in check_report(broken(valid_report, invariant)) if not r.passed}
+    assert invariant in failed
+    assert failed == BREAKAGES[invariant][1]
+
+
+@pytest.mark.parametrize("invariant", list(BREAKAGES))
+def test_pipeline_raises_on_first_broken_invariant(valid_report, monkeypatch, invariant):
+    report = broken(valid_report, invariant)
+    monkeypatch.setattr(zhu_mod, "build_report", lambda lv, max_dim=None: report)
+    first = next(name for name, _, _ in INVARIANTS if name in BREAKAGES[invariant][1])
+    with pytest.raises(ConsistencyError, match=f"^invariant {re.escape(first)}:"):
+        classify_category_O(level_from_string(LEVEL))
+
+
+@pytest.mark.parametrize("invariant", list(BREAKAGES))
+def test_verify_names_every_broken_invariant(valid_report, monkeypatch, invariant):
+    report = broken(valid_report, invariant)
+    monkeypatch.setattr(verify_mod, "build_report", lambda lv, max_dim=None: report)
+    (row,) = verify_mod.suite_classification([LEVEL])
+    assert not row.passed
+    assert set(re.findall(r"invariant ([\w-]+):", row.detail)) == BREAKAGES[invariant][1]
+
+
+def test_verify_reads_route_constant_from_report(valid_report, monkeypatch):
+    report = dataclasses.replace(valid_report, p2_mff=valid_report.p2_mff * 3)
+    monkeypatch.setattr(verify_mod, "build_report", lambda lv, max_dim=None: report)
+    (row,) = verify_mod.suite_classification([LEVEL])
+    assert row.passed
+    assert row.detail == f"routes agree up to {valid_report.p2_route_constant / 3}"

@@ -1,4 +1,4 @@
-"""Exact RREF and kernel bases, including backend parity."""
+"""Exact RREF and kernel bases, checked against sympy on random and real systems."""
 
 import random
 from fractions import Fraction
@@ -7,12 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admz.nullspace import (
-    RationalMatrix,
-    available_backends,
-    kernel_basis,
-    rref,
-)
+from admz.affine import mode, operator_matrix, weight_space_basis
+from admz.nullspace import RationalMatrix, kernel_basis, rref
+from admz.zhu import level_from_string, singular_position
 
 F = Fraction
 
@@ -82,13 +79,32 @@ def test_rref_matches_sympy_oracle():
                 assert sympy.Rational(ours[i][j].numerator, ours[i][j].denominator) == sred[i, j]
 
 
-@pytest.mark.skipif(len(available_backends()) < 2, reason="compiled backend not built")
-def test_backend_parity():
-    rng = random.Random(123)
-    for _ in range(25):
-        m = random_matrix(rng, rng.randint(1, 10), rng.randint(1, 10), density=0.5)
-        assert rref(m, backend="python") == rref(m, backend="cython")
-        assert kernel_basis(m, backend="python") == kernel_basis(m, backend="cython")
+def singular_system(lv) -> RationalMatrix:
+    """The stacked e(0)/f(1) system whose kernel is the vacuum singular vector."""
+    d, w = singular_position(lv)
+    b0 = weight_space_basis(lv.k, d, w)
+    return RationalMatrix.vstack(
+        operator_matrix(mode("e", 0), b0, weight_space_basis(lv.k, d, w + 1), lv.k),
+        operator_matrix(mode("f", 1), b0, weight_space_basis(lv.k, d - 1, w - 1), lv.k),
+    )
+
+
+def first_entry_one(vec):
+    first = next(x for x in vec if x)
+    return [x / first for x in vec]
+
+
+@pytest.mark.parametrize("level", ["1", "-1/2", "1/2", "-4/3", "-2/3", "-5/4", "3/2"])
+def test_kernel_matches_sympy_on_singular_systems(level):
+    sympy = pytest.importorskip("sympy")
+    m = singular_system(level_from_string(level))
+    ours = kernel_basis(m)
+    theirs = sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.to_rows()]
+    ).nullspace()
+    assert len(ours) == 1 and len(theirs) == 1
+    oracle = [F(int(x.p), int(x.q)) for x in first_entry_one(list(theirs[0]))]
+    assert list(ours[0]) == oracle
 
 
 small_entry = st.fractions(min_value=-5, max_value=5, max_denominator=4)
