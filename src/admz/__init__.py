@@ -24,14 +24,11 @@ from .errors import (
 )
 from .exact_core import (
     HPoly,
-    Scalar,
     format_scalar,
     parse_hpoly,
     parse_scalar,
-    poly_mul,
     poly_proportional,
     poly_root_check,
-    scalar_arith,
 )
 from .nullspace import RationalMatrix, kernel_basis, rref
 from .usl2 import (
@@ -43,8 +40,6 @@ from .usl2 import (
     Order,
     fin_ad,
     fin_product,
-    fin_reorder,
-    fin_transpose,
     parse_fin,
     project_cartan,
     verify_pomoc_identity,

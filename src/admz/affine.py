@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .errors import InvalidInputError, ResourceCapError
 from .exact_core import format_scalar
+from .nullspace import RationalMatrix
 from .usl2 import BRACKET
 
 GEN_RANK = {"f": 0, "h": 1, "e": 2}
@@ -79,6 +80,11 @@ def resolve_max_dim(explicit=None) -> int:
     if cap < 1:
         raise InvalidInputError(f"weight-space dimension cap must be at least 1, got {cap}")
     return cap
+
+
+def cap_exceeded(delta_deg: int, alpha_wt: int, cap: int) -> ResourceCapError:
+    """The error for a weight space W(delta_deg, alpha_wt) larger than cap."""
+    return ResourceCapError(f"weight space W({delta_deg},{alpha_wt}) exceeds cap {cap}")
 
 
 def bracket_modes(x: Mode, y: Mode, level) -> tuple[list[tuple[Mode, Fraction]], Fraction]:
@@ -320,9 +326,7 @@ class VacuumModule:
                 if charge == alpha_wt:
                     out.append(tuple(stack))
                     if len(out) > cap:
-                        raise ResourceCapError(
-                            f"weight space W({delta_deg},{alpha_wt}) exceeds cap {cap}"
-                        )
+                        raise cap_exceeded(delta_deg, alpha_wt, cap)
                 return
             for i in range(start, len(modes)):
                 d, r = modes[i]
@@ -357,8 +361,6 @@ def weight_space_basis(level, delta_deg: int, alpha_wt: int, max_dim=None) -> li
 
 def operator_matrix(md: Mode, from_basis, to_basis, level):
     """Exact matrix of a single mode between enumerated weight-space bases."""
-    from .nullspace import RationalMatrix
-
     module = vacuum_module(Fraction(level))
     index = {monomial: i for i, monomial in enumerate(to_basis)}
     entries: dict = {}

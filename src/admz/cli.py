@@ -17,7 +17,6 @@ from . import weight_modules, zhu
 from .errors import (
     ConsistencyError,
     InvalidInputError,
-    NotAdmissibleError,
     ResourceCapError,
 )
 from .exact_core import format_scalar, parse_scalar
@@ -55,17 +54,9 @@ def classify(level, fmt, max_dim):
     """Full classification report for one admissible level."""
     lv = zhu.level_from_string(level)
     report = zhu.classify_category_O(lv, max_dim)
-    wm = weight_modules.classify_weight_modules(lv, max_dim)
-    for sample in wm["families"][2]["verified_samples"]:
-        if not sample["agrees"]:
-            raise ConsistencyError(
-                f"dense sample r={sample['r']}, mu={sample['mu']}: T-membership "
-                f"({sample['in_T']}) and Q-annihilation ({sample['q_annihilates']}) disagree"
-            )
-    data = report.to_dict()
-    data["families"] = wm["families"]
+    families = weight_modules.classify_weight_modules(report, max_dim)
     if fmt == "json":
-        click.echo(json.dumps(data, indent=2))
+        click.echo(json.dumps({**report.to_dict(), "families": families}, indent=2))
         return
     click.echo(f"level k = {lv} (p={lv.p}, q={lv.q}, t={lv.t}, N={lv.N}, l={lv.l})")
     click.echo("S = {" + ", ".join(format_scalar(r) for r in report.S) + "}")
@@ -79,7 +70,7 @@ def classify(level, fmt, max_dim):
         f"   [proportional, constant {format_scalar(report.p2_route_constant)}]"
     )
     click.echo("irreducible weight modules:")
-    for fam in data["families"]:
+    for fam in families:
         rs = ", ".join(fam["r_values"]) or "(empty)"
         click.echo(f"  {fam['modules']}: {fam['condition']}; r in {{{rs}}}")
 
@@ -213,9 +204,6 @@ def main(argv=None):
         sys.exit(EXIT_INVALID)
     except click.ClickException as exc:
         exc.show()
-        sys.exit(EXIT_INVALID)
-    except NotAdmissibleError as exc:
-        click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INVALID)
     except InvalidInputError as exc:
         click.echo(f"error: {exc}", err=True)

@@ -14,8 +14,6 @@ from fractions import Fraction
 
 from .errors import InvalidInputError
 
-Scalar = Fraction
-
 _SCALAR_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
@@ -54,21 +52,6 @@ def format_terms(terms) -> str:
         else:
             parts.append(("+ " if coeff > 0 else "- ") + body)
     return " ".join(parts) or "0"
-
-
-def scalar_arith(a: Fraction, b: Fraction, op: str) -> Fraction:
-    """Exact rational arithmetic; op is one of add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise InvalidInputError("division by zero")
-        return a / b
-    raise InvalidInputError(f"unknown scalar op {op!r}")
 
 
 class HPoly:
@@ -234,10 +217,6 @@ def parse_hpoly(text: str) -> HPoly:
     for p, c in coeff_map.items():
         out[p] = c
     return HPoly(out)
-
-
-def poly_mul(a: HPoly, b: HPoly) -> HPoly:
-    return a * b
 
 
 def poly_root_check(p: HPoly, candidates) -> tuple[dict[Fraction, int], HPoly]:

@@ -96,25 +96,18 @@ def _mono_word(order: Order, mono: tuple[int, int, int]):
 
 
 @functools.lru_cache(maxsize=None)
-def _mono_mul(order: Order, m1: tuple[int, int, int], m2: tuple[int, int, int]) -> tuple:
-    """Straightened product of two basis monomials (integer coefficients)."""
+def _mono_mul(order: Order, word_order: Order, m1: tuple, m2: tuple) -> tuple:
+    """Straighten (m1 read as a word in word_order) * (m2 in order's basis)
+    into order's basis (integer coefficients).
+
+    With word_order == order this is the product of two basis monomials; with
+    m2 = (0, 0, 0) it rewrites m1 from word_order into order.
+    """
     acc = {m2: 1}
-    for g in reversed(_mono_word(order, m1)):
+    for g in reversed(_mono_word(word_order, m1)):
         nxt: dict[tuple[int, int, int], int] = {}
         for m, cm in acc.items():
             for m3, c3 in _left_mul(order, g, m):
-                nxt[m3] = nxt.get(m3, 0) + cm * c3
-        acc = nxt
-    return tuple((m, v) for m, v in acc.items() if v)
-
-
-@functools.lru_cache(maxsize=None)
-def _mono_reorder(src: Order, mono: tuple[int, int, int], tgt: Order) -> tuple:
-    acc = {(0, 0, 0): 1}
-    for g in reversed(_mono_word(src, mono)):
-        nxt: dict[tuple[int, int, int], int] = {}
-        for m, cm in acc.items():
-            for m3, c3 in _left_mul(tgt, g, m):
                 nxt[m3] = nxt.get(m3, 0) + cm * c3
         acc = nxt
     return tuple((m, v) for m, v in acc.items() if v)
@@ -232,7 +225,7 @@ class FinElement:
             return self
         out: dict[tuple[int, int, int], Fraction] = {}
         for mono, coeff in self.terms.items():
-            for m2, c2 in _mono_reorder(self.order, mono, target):
+            for m2, c2 in _mono_mul(target, self.order, mono, (0, 0, 0)):
                 out[m2] = out.get(m2, Fraction(0)) + coeff * c2
         return FinElement(target, out)
 
@@ -255,23 +248,15 @@ def fin_product(x: FinElement, y: FinElement) -> FinElement:
     for m1, c1 in x.terms.items():
         for m2, c2 in y.terms.items():
             c12 = c1 * c2
-            for m3, c3 in _mono_mul(x.order, m1, m2):
+            for m3, c3 in _mono_mul(x.order, x.order, m1, m2):
                 out[m3] = out.get(m3, Fraction(0)) + c12 * c3
     return FinElement(x.order, out)
-
-
-def fin_transpose(x: FinElement) -> FinElement:
-    return x.transpose()
 
 
 def fin_ad(g: str, x: FinElement) -> FinElement:
     """ad g (x) = g*x - x*g, straightened."""
     ge = FinElement.generator(g, x.order)
     return fin_product(ge, x) - fin_product(x, ge)
-
-
-def fin_reorder(x: FinElement, target: Order) -> FinElement:
-    return x.reorder(target)
 
 
 MOD_N_MINUS = "mod_n_minus"
@@ -304,32 +289,28 @@ def project_cartan(x: FinElement, side: str) -> HPoly:
     return HPoly(out)
 
 
+def p_factor(s) -> FinElement:
+    """p_s = ef + (s-1)h - s(s-1) in E_ORDER, one factor of the closed-form
+    product behind the classifying polynomial."""
+    s = Fraction(s)
+    return FinElement(
+        E_ORDER,
+        {(1, 0, 1): Fraction(1), (0, 1, 0): s - 1, (0, 0, 0): -s * (s - 1)},
+    )
+
+
 def pomoc_sides(N: int, s) -> tuple[FinElement, FinElement]:
     """Both sides of the f^N transport identity for p_s = ef + (s-1)(h-s).
 
-    Left: f^N * p_s.  Right: (ef + (-N-1+s)(h-s+N)) * f^N.  These are equal
-    in U(sl2); the right side is what lets f^N move through a p-factor in
-    the classifying-polynomial product.
+    Left: f^N * p_s.  Right: p_{s-N} * f^N = (ef + (-N-1+s)(h-s+N)) * f^N.
+    These are equal in U(sl2); the right side is what lets f^N move through
+    a p-factor in the classifying-polynomial product.
     """
     s = Fraction(s)
     if N < 1:
         raise InvalidInputError("N must be a positive integer")
-    p = FinElement(
-        E_ORDER,
-        {(1, 0, 1): Fraction(1), (0, 1, 0): s - 1, (0, 0, 0): -s * (s - 1)},
-    )
     f_n = FinElement.monomial(E_ORDER, (0, 0, N))
-    lhs = fin_product(f_n, p)
-    shifted = FinElement(
-        E_ORDER,
-        {
-            (1, 0, 1): Fraction(1),
-            (0, 1, 0): s - N - 1,
-            (0, 0, 0): (s - N - 1) * (-(s - N)),
-        },
-    )
-    rhs = fin_product(shifted, f_n)
-    return lhs, rhs
+    return fin_product(f_n, p_factor(s)), fin_product(p_factor(s - N), f_n)
 
 
 def verify_pomoc_identity(N: int, it_plus_j) -> bool:

@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInputError
+from .errors import ConsistencyError, InvalidInputError
 from .exact_core import format_scalar
 from .usl2 import _LETTERS, FinElement
-from .zhu import AdmissibleLevel, compute_Q, module_families, set_S
+from .zhu import AdmissibleLevel, ClassificationReport, compute_Q, set_S
 
 
 @dataclass(frozen=True)
@@ -91,41 +91,50 @@ def q_annihilates_E(lv: AdmissibleLevel, params: DenseParams, max_dim=None) -> b
     return all(act_element_on_E(Q, params, i).coefficient == 0 for i in indices)
 
 
-def is_T_member(lv: AdmissibleLevel, params: DenseParams) -> bool:
-    """(r,mu) in T: r in S minus Z+, mu not in Z, r-mu not in Z."""
+def is_T_member(lv: AdmissibleLevel, params: DenseParams, S=None) -> bool:
+    """(r,mu) in T: r in S minus Z+, mu not in Z, r-mu not in Z.
+
+    S is set_S(lv), computed here when the caller does not already hold it.
+    """
     if params.mu.denominator == 1 or (params.r - params.mu).denominator == 1:
         return False
     r = params.r
     if r.denominator == 1 and r.numerator >= 0:
         return False
-    return r in set(set_S(lv))
+    return r in set(set_S(lv) if S is None else S)
 
 
-def classify_weight_modules(lv: AdmissibleLevel, max_dim=None) -> dict:
-    """The three weight-module families, with verified dense samples."""
-    S = set_S(lv)
-    families = module_families(lv, S)
+def classify_weight_modules(report: ClassificationReport, max_dim=None) -> list[dict]:
+    """The report's three weight-module families, the dense one carrying
+    verified samples.
+
+    Each irreducible (r, mu) with r in report.S and mu in {1/3, 1/4} is
+    tested both ways, by T-membership and by Q-annihilation of E(r,mu); the
+    first sample where the two disagree raises ConsistencyError.  Returns new
+    family dicts; report.families is left as it is.
+    """
+    lv = report.level
     samples = []
-    sample_mus = (Fraction(1, 3), Fraction(1, 4))
-    for r in S:
-        for mu in sample_mus:
+    for r in report.S:
+        for mu in (Fraction(1, 3), Fraction(1, 4)):
             params = DenseParams(r=r, mu=mu)
             if not params.is_irreducible:
                 continue
-            member = is_T_member(lv, params)
+            member = is_T_member(lv, params, report.S)
             annihilates = q_annihilates_E(lv, params, max_dim)
+            if member != annihilates:
+                raise ConsistencyError(
+                    f"dense sample r={format_scalar(r)}, mu={format_scalar(mu)}: "
+                    f"T-membership ({member}) and Q-annihilation ({annihilates}) disagree"
+                )
             samples.append(
                 {
                     "r": format_scalar(r),
                     "mu": format_scalar(mu),
                     "in_T": member,
                     "q_annihilates": annihilates,
-                    "agrees": member == annihilates,
+                    "agrees": True,
                 }
             )
-    families[2]["verified_samples"] = samples
-    return {
-        "level": lv.to_dict(),
-        "S": [format_scalar(r) for r in S],
-        "families": families,
-    }
+    *fixed, dense = report.families
+    return [*fixed, {**dense, "verified_samples": samples}]

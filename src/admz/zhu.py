@@ -8,6 +8,11 @@ classifying polynomials p1/p2 by both routes, and the assembled
 category-O / weight-module report.  Every step is exact.  The cross-checks
 on a finished report are the named entries of INVARIANTS, which the pipeline,
 `verify` and the CLI all share.
+
+The singular vector and Q live in one cache keyed on the level alone, so a
+level is solved once per process whatever the weight-space cap.  The cap is
+checked on every call, against the dimensions the solve recorded, so a
+call's outcome does not depend on what was solved before it.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .usl2 import (
     FinElement,
     fin_ad,
     fin_product,
+    p_factor,
     project_cartan,
 )
 
@@ -108,14 +114,41 @@ def singular_position(lv: AdmissibleLevel) -> tuple[int, int]:
     return lv.q * lv.N, lv.N
 
 
-@functools.lru_cache(maxsize=None)
-def _singular_cached(p: int, q: int, max_dim: int) -> VermaVector:
-    lv = admissible_params(p, q)
+@dataclass(frozen=True)
+class _Solved:
+    """One level's solve: v, Q = F([v]) and ((d, w), dimension) of the three
+    weight spaces the kernel search enumerates, in enumeration order."""
+
+    v: VermaVector
+    Q: FinElement
+    dims: tuple
+
+
+# The one per-level solve cache, keyed on (p, q) alone.
+_SOLVED: dict[tuple[int, int], _Solved] = {}
+
+
+def _solve(lv: AdmissibleLevel, max_dim) -> _Solved:
+    """Solve lv once per process; check the caller's cap on every call.
+
+    A hit raises the ResourceCapError a cold solve under this cap would: the
+    first of the three spaces, in enumeration order, that exceeds the cap.
+    """
+    cap = affine.resolve_max_dim(max_dim)
+    solved = _SOLVED.get((lv.p, lv.q))
+    if solved is None:
+        solved = _SOLVED[lv.p, lv.q] = _solve_cold(lv, cap)
+    for (d, w), dim in solved.dims:
+        if dim > cap:
+            raise affine.cap_exceeded(d, w, cap)
+    return solved
+
+
+def _solve_cold(lv: AdmissibleLevel, cap: int) -> _Solved:
     module = vacuum_module(lv.k)
     d, w = singular_position(lv)
-    basis0 = module.weight_space_basis(d, w, max_dim)
-    basis_e = module.weight_space_basis(d, w + 1, max_dim)
-    basis_f = module.weight_space_basis(d - 1, w - 1, max_dim)
+    spaces = ((d, w), (d, w + 1), (d - 1, w - 1))
+    basis0, basis_e, basis_f = (module.weight_space_basis(*dw, cap) for dw in spaces)
     m_e = affine.operator_matrix(mode("e", 0), basis0, basis_e, lv.k)
     m_f = affine.operator_matrix(mode("f", 1), basis0, basis_f, lv.k)
     stacked = RationalMatrix.vstack(m_e, m_f)
@@ -133,12 +166,13 @@ def _singular_cached(p: int, q: int, max_dim: int) -> VermaVector:
             raise ConsistencyError(
                 "invariant singular-annihilation: solver output not singular"
             )
-    return v
+    dims = tuple(zip(spaces, map(len, (basis0, basis_e, basis_f))))
+    return _Solved(v=v, Q=zhu_image_F(v), dims=dims)
 
 
 def singular_vector_nullspace(lv: AdmissibleLevel, max_dim=None) -> VermaVector:
     """The unique singular vector in W(qN, N), first support monomial scaled to 1."""
-    return _singular_cached(lv.p, lv.q, affine.resolve_max_dim(max_dim))
+    return _solve(lv, max_dim).v
 
 
 def zhu_image_F(v: VermaVector) -> FinElement:
@@ -161,15 +195,9 @@ def zhu_image_F(v: VermaVector) -> FinElement:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _q_cached(p: int, q: int, max_dim: int) -> FinElement:
-    lv = admissible_params(p, q)
-    return zhu_image_F(_singular_cached(p, q, max_dim))
-
-
 def compute_Q(lv: AdmissibleLevel, max_dim=None) -> FinElement:
     """Q = F([v_sing]) in U(sl2), E_ORDER."""
-    return _q_cached(lv.p, lv.q, affine.resolve_max_dim(max_dim))
+    return _solve(lv, max_dim).Q
 
 
 def mff_epsilon(lv: AdmissibleLevel) -> FinElement:
@@ -178,16 +206,7 @@ def mff_epsilon(lv: AdmissibleLevel) -> FinElement:
     out = FinElement.monomial(E_ORDER, (lv.N, 0, 0))
     for i in range(1, lv.l + 1):
         for j in range(1, lv.N + 1):
-            s = i * lv.t + j
-            factor = FinElement(
-                E_ORDER,
-                {
-                    (1, 0, 1): Fraction(1),
-                    (0, 1, 0): s - 1,
-                    (0, 0, 0): -s * (s - 1),
-                },
-            )
-            out = fin_product(factor, out)
+            out = fin_product(p_factor(i * lv.t + j), out)
     return out
 
 
@@ -237,7 +256,7 @@ def compute_p1(lv: AdmissibleLevel, max_dim=None) -> HPoly:
     return poly
 
 
-def module_families(lv: AdmissibleLevel, S) -> list[dict]:
+def module_families(S) -> list[dict]:
     """The three weight-module families with their parameter conditions."""
     s_dense = [r for r in S if not _is_nonneg_int(r)]
     s_text = [format_scalar(r) for r in S]
@@ -397,7 +416,7 @@ def build_report(lv: AdmissibleLevel, max_dim=None) -> ClassificationReport:
         p2=compute_p2(lv, NULLSPACE_ROUTE, max_dim),
         p2_mff=compute_p2(lv, MFF_ROUTE, max_dim),
         p1=compute_p1(lv, max_dim),
-        families=module_families(lv, S),
+        families=module_families(S),
     )
 
 

@@ -36,8 +36,7 @@ ALL_LEVELS = A1_LEVELS + ("-1/2",) + A3_LEVELS
 
 
 def _cold_caches():
-    zhu._singular_cached.cache_clear()
-    zhu._q_cached.cache_clear()
+    zhu._SOLVED.clear()
     affine.vacuum_module.cache_clear()
 
 

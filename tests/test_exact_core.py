@@ -12,27 +12,11 @@ from admz.exact_core import (
     format_scalar,
     parse_hpoly,
     parse_scalar,
-    poly_mul,
     poly_proportional,
     poly_root_check,
-    scalar_arith,
 )
 
 F = Fraction
-
-
-def test_scalar_arith_examples():
-    assert scalar_arith(F(1, 2), F(1, 3), "add") == F(5, 6)
-    # t = k + 2 at k = -1/2
-    assert scalar_arith(F(-1, 2), F(2), "add") == F(3, 2)
-    # lowest terms on construction
-    assert F(2, 4) == F(1, 2)
-    assert scalar_arith(F(3), F(2), "div") == F(3, 2)
-
-
-def test_scalar_division_by_zero():
-    with pytest.raises(InvalidInputError):
-        scalar_arith(F(1), F(0), "div")
 
 
 def test_scalar_parse_format():
@@ -45,17 +29,17 @@ def test_scalar_parse_format():
             parse_scalar(bad)
 
 
-def test_poly_mul_examples():
+def test_hpoly_product_examples():
     h = HPoly.h()
     assert h * (h + HPoly.one()) == HPoly([0, 1, 1])
     assert (HPoly.zero() * h).is_zero()
     # degree additivity
     a = HPoly([1, 2, 3])
     b = HPoly([F(1, 2), 0, 0, 1])
-    assert poly_mul(a, b).degree == a.degree + b.degree
+    assert (a * b).degree == a.degree + b.degree
 
 
-def test_poly_mul_s_product_for_half_integer_level():
+def test_hpoly_s_product_for_half_integer_level():
     # expansion of prod_{r in S} (h - r) for k = -1/2, S = {1, 0, -1/2, -3/2},
     # cross-checked against sympy below and frozen here:
     # h^4 + h^3 - 5/4 h^2 - 3/4 h

@@ -16,8 +16,6 @@ from admz.usl2 import (
     FinElement,
     fin_ad,
     fin_product,
-    fin_reorder,
-    fin_transpose,
     monomial_weight,
     parse_fin,
     pomoc_sides,
@@ -81,8 +79,8 @@ def test_product_rejects_mixed_orders():
 def test_transpose_examples():
     e2f = fin_product(fin_product(gen("e"), gen("e")), gen("f"))
     ef2 = fin_product(fin_product(gen("e"), gen("f")), gen("f"))
-    assert fin_transpose(e2f) == ef2
-    assert fin_transpose(gen("h")) == gen("h")
+    assert e2f.transpose() == ef2
+    assert gen("h").transpose() == gen("h")
 
 
 def test_transpose_antiautomorphism_random():
@@ -91,10 +89,10 @@ def test_transpose_antiautomorphism_random():
         order = rng.choice((F_ORDER, E_ORDER))
         x = rand_elem(rng, order)
         y = rand_elem(rng, order)
-        assert fin_transpose(fin_product(x, y)) == fin_product(
-            fin_transpose(y), fin_transpose(x)
+        assert fin_product(x, y).transpose() == fin_product(
+            y.transpose(), x.transpose()
         )
-        assert fin_transpose(fin_transpose(x)) == x
+        assert x.transpose().transpose() == x
 
 
 # -- fin_ad ------------------------------------------------------------------
@@ -129,14 +127,14 @@ def test_ad_derivation_random():
         )
 
 
-# -- fin_reorder ---------------------------------------------------------------
+# -- reorder -------------------------------------------------------------------
 
 
 def test_reorder_examples():
     fe = mono(F_ORDER, 1, 0, 1)
-    assert fin_reorder(fe, E_ORDER) == FinElement(E_ORDER, {(1, 0, 1): 1, (0, 1, 0): -1})
+    assert fe.reorder(E_ORDER) == FinElement(E_ORDER, {(1, 0, 1): 1, (0, 1, 0): -1})
     hb = mono(F_ORDER, 0, 3, 0, F(5, 2))
-    assert fin_reorder(hb, E_ORDER) == FinElement(E_ORDER, {(0, 3, 0): F(5, 2)})
+    assert hb.reorder(E_ORDER) == FinElement(E_ORDER, {(0, 3, 0): F(5, 2)})
 
 
 def test_reorder_involution_random():
@@ -145,7 +143,7 @@ def test_reorder_involution_random():
         order = rng.choice((F_ORDER, E_ORDER))
         other = E_ORDER if order is F_ORDER else F_ORDER
         x = rand_elem(rng, order)
-        assert fin_reorder(fin_reorder(x, other), order) == x
+        assert x.reorder(other).reorder(order) == x
 
 
 def test_associativity_random():

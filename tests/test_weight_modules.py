@@ -15,7 +15,7 @@ from admz.weight_modules import (
     is_T_member,
     q_annihilates_E,
 )
-from admz.zhu import compute_Q, level_from_string, set_S
+from admz.zhu import classify_category_O, compute_Q, level_from_string, set_S
 from oracles import lagrange_fit
 
 F = Fraction
@@ -153,14 +153,13 @@ def test_biconditional_on_grid():
 
 
 def test_classify_weight_modules_families():
-    lv = level_from_string("-4/3")
-    report = classify_weight_modules(lv)
-    fams = report["families"]
+    report = classify_category_O(level_from_string("-4/3"))
+    fams = classify_weight_modules(report)
     assert [f["family"] for f in fams] == ["highest_weight", "lowest_weight", "dense"]
     assert fams[0]["r_values"] == ["0", "-2/3", "-4/3"]
     assert fams[2]["r_values"] == ["-2/3", "-4/3"]
     assert all(s["agrees"] for s in fams[2]["verified_samples"])
 
-    lv1 = level_from_string("1")
-    fams1 = classify_weight_modules(lv1)["families"]
+    assert "verified_samples" not in report.families[2]
+    fams1 = classify_weight_modules(classify_category_O(level_from_string("1")))
     assert fams1[2]["r_values"] == []

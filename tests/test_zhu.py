@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from admz import zhu as zhu_mod
 from admz.affine import VermaVector, act_mode, mode, parse_verma, weight_space_basis
 from admz.errors import InvalidInputError, NotAdmissibleError, ResourceCapError
 from admz.exact_core import HPoly, parse_hpoly, poly_proportional, poly_root_check
@@ -134,6 +135,31 @@ def test_singular_resource_cap():
     lv = level_from_string("-2/3")
     with pytest.raises(ResourceCapError):
         singular_vector_nullspace(lv, max_dim=7)
+
+
+def test_level_solved_once_whatever_the_cap(monkeypatch):
+    calls = []
+    monkeypatch.setattr(zhu_mod, "_SOLVED", {})
+    monkeypatch.setattr(zhu_mod, "kernel_basis", lambda m: calls.append(m) or kernel_basis(m))
+    lv = level_from_string("-5/4")
+    vs = [singular_vector_nullspace(lv, cap) for cap in (20000, 20000, 19999)]
+    assert len(calls) == 1
+    assert vs[0] == vs[1] == vs[2]
+
+
+def test_cap_checked_after_the_level_is_solved(monkeypatch):
+    monkeypatch.setattr(zhu_mod, "_SOLVED", {})
+    lv = level_from_string("-2/3")
+    with pytest.raises(ResourceCapError) as cold:
+        singular_vector_nullspace(lv, max_dim=7)
+    assert str(cold.value) == "weight space W(9,3) exceeds cap 7"
+    singular_vector_nullspace(lv)
+    with pytest.raises(ResourceCapError) as warm:
+        singular_vector_nullspace(lv, max_dim=7)
+    assert str(warm.value) == str(cold.value)
+    with pytest.raises(ResourceCapError) as warm:
+        compute_Q(lv, 7)
+    assert str(warm.value) == str(cold.value)
 
 
 # -- Zhu image ---------------------------------------------------------------------
