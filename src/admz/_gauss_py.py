@@ -1,7 +1,9 @@
-"""Exact row reduction: the library's one elimination kernel.
+"""Exact row reduction: the dense Fraction reference behind `nullspace.rref`.
 
 Fraction-preserving Gaussian elimination with eager normalization and
-deterministic pivoting (lowest column index, then lowest row index).
+deterministic pivoting (lowest column index, then lowest row index).  It is
+the small reference oracle that tests compare the modular kernel against;
+`nullspace.kernel_basis` does not use it.
 """
 
 from __future__ import annotations

@@ -175,9 +175,9 @@ def check_dense(level, r_text, mu_text, max_dim):
     type=click.Choice(["algebra", "lemmas", "classification"]),
     required=True,
 )
-@click.option("--max-n", type=int, default=5, show_default=True)
+@click.option("--max-n", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--levels", default="1,-1/2", show_default=True, help="Comma-separated levels.")
-@click.option("--samples", type=int, default=120, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=120, show_default=True)
 @_max_dim_option
 def verify(suite, max_n, levels, samples, max_dim):
     """Run an invariant suite; exit 0 iff all checks pass."""
@@ -187,6 +187,8 @@ def verify(suite, max_n, levels, samples, max_dim):
         results = suite_lemmas(max_n=max_n, s_values=POMOC_S_VALUES)
     else:
         level_list = [s.strip() for s in levels.split(",") if s.strip()]
+        if not level_list:
+            raise InvalidInputError(f"--levels names no level: {levels!r}")
         results = suite_classification(level_list, max_dim)
     failed = [r for r in results if not r.passed]
     for r in results:

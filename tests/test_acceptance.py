@@ -2,16 +2,21 @@
 
 Every check is exact (no tolerances anywhere); the stated runtime bounds are
 asserted with a cold per-level cache.  Run with `pytest tests/test_acceptance.py -v -s`
-to see one line per criterion.
+to see one line per criterion.  The heaviest levels are marked `slow` and run
+with `pytest -m slow`.
 """
 
+import json
 import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
+
 from admz import affine, zhu
 from admz.affine import VermaVector, act_mode, mode, operator_matrix, weight_space_basis
+from admz.cli import main
 from admz.exact_core import poly_proportional, poly_root_check
 from admz.nullspace import RationalMatrix, kernel_basis
 from admz.usl2 import E_ORDER, FinElement, fin_ad, fin_product
@@ -33,6 +38,10 @@ F = Fraction
 A1_LEVELS = ("1", "2", "3")
 A3_LEVELS = ("1/2", "-4/3", "-2/3")
 ALL_LEVELS = A1_LEVELS + ("-1/2",) + A3_LEVELS
+# 544x362 and 588x381 systems; each is classified cold within COLD_CLASSIFY_S
+LADDER_LEVELS = ("-1/3", "5/2")
+CERTIFIED_LEVELS = ALL_LEVELS + LADDER_LEVELS
+COLD_CLASSIFY_S = 10.0
 
 
 def _cold_caches():
@@ -106,23 +115,43 @@ def test_A3_fractional_levels():
             assert time.monotonic() - t0 < 60.0
 
 
+def check_singular(lv):
+    v = singular_vector_nullspace(lv)
+    assert act_mode(mode("e", 0), v).is_zero(), lv
+    assert act_mode(mode("f", 1), v).is_zero(), lv
+
+
+def check_route_agreement(lv):
+    c = poly_proportional(compute_p2(lv, NULLSPACE_ROUTE), compute_p2(lv, MFF_ROUTE))
+    assert c is not None and c != 0, lv
+
+
+def check_adjoint_structure(lv):
+    Q = compute_Q(lv)
+    assert fin_ad("e", Q).is_zero(), lv
+    assert fin_ad("h", Q) == Q * (2 * lv.N), lv
+    x = Q
+    for _ in range(2 * lv.N):
+        x = fin_ad("f", x)
+    assert not x.is_zero(), lv
+    assert fin_ad("f", x).is_zero(), lv
+
+
 def test_A4_singular_certificates():
     with criterion("A4 singular-vector certificates"):
-        for text in ALL_LEVELS:
-            lv = level_from_string(text)
-            v = singular_vector_nullspace(lv)
-            assert act_mode(mode("e", 0), v).is_zero(), text
-            assert act_mode(mode("f", 1), v).is_zero(), text
+        _cold_caches()
+        for text in LADDER_LEVELS:
+            t0 = time.monotonic()
+            zhu.classify_category_O(level_from_string(text))
+            assert time.monotonic() - t0 < COLD_CLASSIFY_S, text
+        for text in CERTIFIED_LEVELS:
+            check_singular(level_from_string(text))
 
 
 def test_A5_cross_route_oracle():
     with criterion("A5 p2 route agreement"):
-        for text in ALL_LEVELS:
-            lv = level_from_string(text)
-            c = poly_proportional(
-                compute_p2(lv, NULLSPACE_ROUTE), compute_p2(lv, MFF_ROUTE)
-            )
-            assert c is not None and c != 0, text
+        for text in CERTIFIED_LEVELS:
+            check_route_agreement(level_from_string(text))
 
 
 def test_A6_dense_biconditional():
@@ -143,16 +172,25 @@ def test_A6_dense_biconditional():
 
 def test_A7_adjoint_module_structure():
     with criterion("A7 adjoint module structure of Q"):
-        for text in ALL_LEVELS:
-            lv = level_from_string(text)
-            Q = compute_Q(lv)
-            assert fin_ad("e", Q).is_zero(), text
-            assert fin_ad("h", Q) == Q * (2 * lv.N), text
-            x = Q
-            for _ in range(2 * lv.N):
-                x = fin_ad("f", x)
-            assert not x.is_zero(), text
-            assert fin_ad("f", x).is_zero(), text
+        for text in CERTIFIED_LEVELS:
+            check_adjoint_structure(level_from_string(text))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("text", ["7/2", "1/3"])
+def test_heavy_level_classify(capsys, text):
+    """`admz classify` at a 1161- or 3183-column system, then A4/A5/A7."""
+    with criterion(f"classify k={text} with A4/A5/A7 certificates"):
+        _cold_caches()
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--level", text, "--format", "json"])
+        assert exc.value.code == 0
+        lv = level_from_string(text)
+        data = json.loads(capsys.readouterr().out)
+        assert len(data["S"]) == len(set_S(lv))
+        check_singular(lv)
+        check_route_agreement(lv)
+        check_adjoint_structure(lv)
 
 
 def test_A8_axiom_suites():

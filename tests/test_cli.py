@@ -164,6 +164,23 @@ def test_zero_denominator_level_is_a_verify_fail_row(capsys):
     assert "[FAIL] classification[1/0]  (zero denominator in '1/0')" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "algebra", "--samples", "-1"],
+        ["--suite", "algebra", "--samples", "0"],
+        ["--suite", "lemmas", "--max-n", "-1"],
+        ["--suite", "lemmas", "--max-n", "0"],
+        ["--suite", "classification", "--levels", ",,,"],
+    ],
+)
+def test_verify_that_checks_nothing_is_invalid_input(capsys, argv):
+    code, out, err = run_cli(capsys, ["verify", *argv])
+    assert code == 2
+    assert "[PASS]" not in out
+    assert err
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_non_positive_cap_is_invalid_input(capsys, monkeypatch, cap):
     code, _, err = run_cli(capsys, ["classify", "--level", "1", "--max-dim", cap])

@@ -1,14 +1,20 @@
-"""Exact RREF and kernel bases, checked against sympy on random and real systems."""
+"""Exact RREF and kernel bases, checked against sympy on random and real systems.
+
+The modular kernel is also checked against a basis read off the Fraction
+RREF, including systems that need several primes, an unlucky prime and a
+failed certificate.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from admz import nullspace
 from admz.affine import mode, operator_matrix, weight_space_basis
-from admz.nullspace import RationalMatrix, kernel_basis, rref
+from admz.nullspace import RationalMatrix, kernel_basis, primes, rref
 from admz.zhu import level_from_string, singular_position
 
 F = Fraction
@@ -134,3 +140,114 @@ def test_rref_properties_hypothesis(nrows, ncols, data):
     stacked = RationalMatrix.vstack(m, red)
     red2, rank2 = rref(stacked)
     assert rank2 == rank
+
+
+# -- the modular kernel against the Fraction RREF ------------------------------
+
+
+def reference_basis(m):
+    """The canonical kernel basis read off the Fraction RREF oracle."""
+    red, rank = rref(m)
+    rows = red.to_rows()[:rank]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+    basis = []
+    for free in range(m.ncols):
+        if free in pivots:
+            continue
+        vec = [F(0)] * m.ncols
+        vec[free] = F(1)
+        for row, p in zip(rows, pivots):
+            vec[p] = -row[free]
+        basis.append(tuple(first_entry_one(vec)))
+    return basis
+
+
+@st.composite
+def low_rank_matrices(draw, entries):
+    """A product of an n x r and an r x m matrix: kernels of dimension >= m - r,
+    zero rows and columns when an entry strategy draws zeros, 0 x n and n x 0."""
+    nrows = draw(st.integers(min_value=0, max_value=6))
+    ncols = draw(st.integers(min_value=0, max_value=6))
+    rank = draw(st.integers(min_value=0, max_value=min(nrows, ncols)))
+    left = [[draw(entries) for _ in range(rank)] for _ in range(nrows)]
+    right = [[draw(entries) for _ in range(ncols)] for _ in range(rank)]
+    cells = {}
+    for i in range(nrows):
+        for j in range(ncols):
+            v = sum((left[i][t] * right[t][j] for t in range(rank)), F(0))
+            if v:
+                cells[(i, j)] = v
+    return RationalMatrix(nrows, ncols, cells)
+
+
+sparse_entry = st.one_of(st.just(F(0)), small_entry)
+big = st.integers(min_value=2**100, max_value=2**140)
+big_entry = st.one_of(
+    st.just(F(0)),
+    small_entry,
+    st.builds(lambda n, d, s: F(s * n, d), big, big, st.sampled_from((1, -1))),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(low_rank_matrices(sparse_entry))
+@example(RationalMatrix(0, 4))
+@example(RationalMatrix(3, 0))
+@example(RationalMatrix(3, 3))
+def test_kernel_matches_rref_oracle(m):
+    assert kernel_basis(m) == reference_basis(m)
+
+
+@settings(deadline=None, max_examples=60)
+@given(low_rank_matrices(big_entry))
+def test_kernel_matches_rref_oracle_big_entries(m):
+    assert kernel_basis(m) == reference_basis(m)
+
+
+def count_primes(monkeypatch, limit=40):
+    """Record the primes the kernel solver tries; fail instead of looping on."""
+    used = []
+    kernel_mod = nullspace._kernel_mod
+
+    def counting(rows, ncols, p):
+        used.append(p)
+        assert len(used) <= limit, f"no certified basis after {limit} primes"
+        return kernel_mod(rows, ncols, p)
+
+    monkeypatch.setattr(nullspace, "_kernel_mod", counting)
+    return used
+
+
+def test_big_entries_need_several_primes(monkeypatch):
+    a, b = F(2**101 + 3, 2**103 - 1), F(-(3**70), 2**107 + 1)
+    m = RationalMatrix.from_rows([[a, b, 0], [0, a, b]])
+    used = count_primes(monkeypatch)
+    basis = kernel_basis(m)
+    assert basis == reference_basis(m) == [(F(1), -a / b, (a / b) ** 2)]
+    assert len(used) >= 3
+
+
+def test_unlucky_prime_is_discarded(monkeypatch):
+    p0 = next(primes())
+    # mod p0 the rank drops: [[p0]] has nullity 1 there and 0 over Q
+    assert len(nullspace._kernel_mod([{0: p0}], 1, p0)[1]) == 1
+    used = count_primes(monkeypatch)
+    assert kernel_basis(RationalMatrix.from_rows([[p0]])) == []
+    assert len(used) == 2
+    # same nullity mod p0, but the pivot moves right: column 0 looks free
+    assert nullspace._kernel_mod([{0: p0, 1: 1}], 2, p0)[0] == (1,)
+    m = RationalMatrix.from_rows([[p0, 1]])
+    assert kernel_basis(m) == reference_basis(m) == [(F(1), F(-p0))]
+
+
+def test_failed_certificate_adds_a_prime(monkeypatch):
+    p0 = next(primes())
+    x = p0 + 5
+    m = RationalMatrix.from_rows([[1, -x]])
+    # one prime lifts the kernel vector (x, 1) to (5, 1), which m rejects
+    pivots, kernel = nullspace._kernel_mod(nullspace._integer_rows(m), 2, p0)
+    lifted = nullspace._reconstruct(kernel[0], p0)
+    assert lifted == [F(5), F(1)] and any(m.matvec(lifted))
+    used = count_primes(monkeypatch)
+    assert kernel_basis(m) == [(F(1), F(1, x))]
+    assert len(used) == 2
