@@ -2,9 +2,10 @@
 
 Generators e, h, f with [h,f] = -2f, [h,e] = 2e, [e,f] = h.  Elements are
 finite maps from exponent triples to rational coefficients; F_ORDER means the
-basis f^a h^b e^c, E_ORDER the basis e^a h^b f^c.  Straightening works by
-repeated adjacent transpositions of a single generator through a basis
-monomial, memoized per (order, generator, monomial).
+basis f^a h^b e^c, E_ORDER the basis e^a h^b f^c.  `straighten` is the one
+fold of a word of generators into a basis: products, reordering and the Zhu
+image all use it.  Its step moves one generator through a basis monomial by
+adjacent transpositions, memoized per (order, generator, monomial).
 
 The two orders exist because the two Cartan projections are coefficient
 filters in their natural basis: mod U(g)n_- keeps the pure-h terms of the
@@ -32,9 +33,6 @@ BRACKET = {
     ("h", "f"): ("f", -2),
     ("f", "h"): ("f", 2),
 }
-
-_AD_WEIGHT = {"e": 2, "h": 0, "f": -2}
-
 
 class Order(enum.Enum):
     """PBW monomial order tag."""
@@ -89,28 +87,33 @@ def _left_mul(order: Order, g: str, mono: tuple[int, int, int]) -> tuple:
     return tuple((m, v) for m, v in acc.items() if v)
 
 
-def _mono_word(order: Order, mono: tuple[int, int, int]):
+def monomial_word(order: Order, mono: tuple[int, int, int]) -> tuple[str, ...]:
+    """The basis monomial as its word of generators, left to right."""
     g1, g2, g3 = _LETTERS[order]
     a, b, c = mono
     return (g1,) * a + (g2,) * b + (g3,) * c
 
 
-@functools.lru_cache(maxsize=None)
-def _mono_mul(order: Order, word_order: Order, m1: tuple, m2: tuple) -> tuple:
-    """Straighten (m1 read as a word in word_order) * (m2 in order's basis)
-    into order's basis (integer coefficients).
+def straighten(order: Order, word, acc=None) -> dict:
+    """The product g_1 * ... * g_n * acc for word = (g_1, ..., g_n), in
+    order's basis with integer coefficients.
 
-    With word_order == order this is the product of two basis monomials; with
-    m2 = (0, 0, 0) it rewrites m1 from word_order into order.
+    acc maps basis monomials of order to integers and defaults to 1.
     """
-    acc = {m2: 1}
-    for g in reversed(_mono_word(word_order, m1)):
+    acc = {(0, 0, 0): 1} if acc is None else acc
+    for g in reversed(word):
         nxt: dict[tuple[int, int, int], int] = {}
         for m, cm in acc.items():
             for m3, c3 in _left_mul(order, g, m):
                 nxt[m3] = nxt.get(m3, 0) + cm * c3
         acc = nxt
-    return tuple((m, v) for m, v in acc.items() if v)
+    return {m: v for m, v in acc.items() if v}
+
+
+@functools.lru_cache(maxsize=None)
+def _mono_mul(order: Order, m1: tuple, m2: tuple) -> tuple:
+    """Product of two basis monomials in order's basis (integer coefficients)."""
+    return tuple(straighten(order, monomial_word(order, m1), {m2: 1}).items())
 
 
 class FinElement:
@@ -225,7 +228,7 @@ class FinElement:
             return self
         out: dict[tuple[int, int, int], Fraction] = {}
         for mono, coeff in self.terms.items():
-            for m2, c2 in _mono_mul(target, self.order, mono, (0, 0, 0)):
+            for m2, c2 in straighten(target, monomial_word(self.order, mono)).items():
                 out[m2] = out.get(m2, Fraction(0)) + coeff * c2
         return FinElement(target, out)
 
@@ -248,7 +251,7 @@ def fin_product(x: FinElement, y: FinElement) -> FinElement:
     for m1, c1 in x.terms.items():
         for m2, c2 in y.terms.items():
             c12 = c1 * c2
-            for m3, c3 in _mono_mul(x.order, x.order, m1, m2):
+            for m3, c3 in _mono_mul(x.order, m1, m2):
                 out[m3] = out.get(m3, Fraction(0)) + c12 * c3
     return FinElement(x.order, out)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, InvalidInputError
 from .exact_core import format_scalar
-from .usl2 import _LETTERS, FinElement
+from .usl2 import FinElement, monomial_word
 from .zhu import AdmissibleLevel, ClassificationReport, compute_Q, set_S
 
 
@@ -62,15 +62,11 @@ def act_element_on_E(u: FinElement, params: DenseParams, i: int) -> EActionResul
     if w % 2:
         raise InvalidInputError("odd ad-weight cannot occur in U(sl2)")
     shift = -w // 2
-    letters = _LETTERS[u.order]
     total = Fraction(0)
     for mono, coeff in u.terms.items():
-        word = []
-        for g, exp in zip(letters, mono):
-            word.extend([g] * exp)
         acc = coeff
         idx = i
-        for g in reversed(word):
+        for g in reversed(monomial_word(u.order, mono)):
             c, idx = act_generator_on_E(g, params, idx)
             if c == 0:
                 acc = Fraction(0)

@@ -9,10 +9,10 @@ category-O / weight-module report.  Every step is exact.  The cross-checks
 on a finished report are the named entries of INVARIANTS, which the pipeline,
 `verify` and the CLI all share.
 
-The singular vector and Q live in one cache keyed on the level alone, so a
-level is solved once per process whatever the weight-space cap.  The cap is
-checked on every call, against the dimensions the solve recorded, so a
-call's outcome does not depend on what was solved before it.
+The singular vector, Q and the descent (ad f)^N Q (made on first use) live in
+one record per level, cached on the level alone: a level is solved once per
+process whatever the weight-space cap.  The cap is checked on every call
+against the recorded dimensions, so no call's outcome depends on earlier ones.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from math import gcd
 
 from . import affine
 from .affine import AffineWeight, VermaVector, mode, vacuum_module
-from .errors import ConsistencyError, InvalidInputError, NotAdmissibleError
+from .errors import ConsistencyError, InvalidInputError, NotAdmissibleError, ResourceCapError
 from .exact_core import HPoly, format_scalar, parse_scalar, poly_proportional, poly_root_check
 from .nullspace import RationalMatrix, kernel_basis
 from .usl2 import (
@@ -36,6 +36,7 @@ from .usl2 import (
     fin_product,
     p_factor,
     project_cartan,
+    straighten,
 )
 
 NULLSPACE_ROUTE = "nullspace"
@@ -123,6 +124,11 @@ class _Solved:
     Q: FinElement
     dims: tuple
 
+    @functools.cached_property
+    def descent(self) -> FinElement:
+        """(ad f)^N Q, the weight-0 element that p1 and p2 both project."""
+        return descend_to_weight_zero(self.Q)
+
 
 # The one per-level solve cache, keyed on (p, q) alone.
 _SOLVED: dict[tuple[int, int], _Solved] = {}
@@ -137,7 +143,10 @@ def _solve(lv: AdmissibleLevel, max_dim) -> _Solved:
     cap = affine.resolve_max_dim(max_dim)
     solved = _SOLVED.get((lv.p, lv.q))
     if solved is None:
-        solved = _SOLVED[lv.p, lv.q] = _solve_cold(lv, cap)
+        try:
+            solved = _SOLVED[lv.p, lv.q] = _solve_cold(lv, cap)
+        except RecursionError as exc:
+            raise ResourceCapError(f"level {lv}: weight search exceeds recursion limit") from exc
     for (d, w), dim in solved.dims:
         if dim > cap:
             raise affine.cap_exceeded(d, w, cap)
@@ -178,21 +187,15 @@ def singular_vector_nullspace(lv: AdmissibleLevel, max_dim=None) -> VermaVector:
 def zhu_image_F(v: VermaVector) -> FinElement:
     """Image of a Verma vector in U(sl2): reverse each monomial and apply
     the sign (-1)^(i_1+...+i_n) with x(-i-1) carrying index i."""
-    out = FinElement.zero(E_ORDER)
+    out: dict[tuple[int, int, int], Fraction] = {}
     for mono, coeff in v.terms.items():
-        isum = 0
-        for d, _ in mono:
-            if d >= 0:
-                raise InvalidInputError("zhu_image_F requires mode degrees <= -1")
-            isum += -d - 1
-        sign = -1 if isum % 2 else 1
-        word = FinElement.one(E_ORDER)
-        for md in mono:  # reversed product: a_n ... a_1
-            word = fin_product(
-                FinElement.generator(affine.mode_gen(md), E_ORDER), word
-            )
-        out = out + word * (coeff * sign)
-    return out
+        if any(d >= 0 for d, _ in mono):
+            raise InvalidInputError("zhu_image_F requires mode degrees <= -1")
+        scale = -coeff if sum(-d - 1 for d, _ in mono) % 2 else coeff
+        word = [affine.mode_gen(md) for md in reversed(mono)]
+        for m, c in straighten(E_ORDER, word).items():
+            out[m] = out.get(m, Fraction(0)) + scale * c
+    return FinElement(E_ORDER, out)
 
 
 def compute_Q(lv: AdmissibleLevel, max_dim=None) -> FinElement:
@@ -211,17 +214,15 @@ def mff_epsilon(lv: AdmissibleLevel) -> FinElement:
 
 
 def descend_to_weight_zero(x: FinElement) -> FinElement:
-    """Apply ad e (weight < 0) or ad f (weight > 0) until ad-weight is zero.
+    """(ad f)^n x, of ad-weight 0, for x homogeneous of ad-weight 2n >= 0.
 
-    The power is chosen at run time from the element's actual weight, which
-    sidesteps the transpose/weight sign ambiguity in the source conventions.
-    """
+    The transpose turns ad f into -ad e, so (ad e)^n x^T = (-1)^n ((ad f)^n x)^T:
+    one descent serves both projections."""
     w = x.ad_weight()
-    if w is None:
-        raise InvalidInputError("descend_to_weight_zero requires a homogeneous element")
-    while w != 0:
-        x = fin_ad("e" if w < 0 else "f", x)
-        w += 2 if w < 0 else -2
+    if w is None or w < 0:
+        raise InvalidInputError("descend_to_weight_zero requires a homogeneous weight >= 0")
+    for _ in range(w // 2):
+        x = fin_ad("f", x)
         if x.is_zero():
             raise ConsistencyError("adjoint descent hit zero before weight 0")
     return x
@@ -230,12 +231,12 @@ def descend_to_weight_zero(x: FinElement) -> FinElement:
 def compute_p2(lv: AdmissibleLevel, route: str = NULLSPACE_ROUTE, max_dim=None) -> HPoly:
     """Classifying polynomial p2 (defined up to a nonzero constant).
 
-    nullspace route: transpose Q, descend to ad-weight 0, project mod U(g)n_-.
+    nullspace route: (ad e)^N Q^T = (-1)^N ((ad f)^N Q)^T, read off the level's
+    one descent (the one p1 projects), projected mod U(g)n_-.
     mff route: straighten f^N * (closed-form product) and project the same way.
     """
     if route == NULLSPACE_ROUTE:
-        qt = compute_Q(lv, max_dim).transpose()
-        u = descend_to_weight_zero(qt)
+        u = _solve(lv, max_dim).descent.transpose() * (-1) ** lv.N
     elif route == MFF_ROUTE:
         f_n = FinElement.monomial(E_ORDER, (0, 0, lv.N))
         u = fin_product(f_n, mff_epsilon(lv))
@@ -248,9 +249,8 @@ def compute_p2(lv: AdmissibleLevel, route: str = NULLSPACE_ROUTE, max_dim=None) 
 
 
 def compute_p1(lv: AdmissibleLevel, max_dim=None) -> HPoly:
-    """Classifying polynomial p1: descend Q itself, project mod U(g)n_+."""
-    u = descend_to_weight_zero(compute_Q(lv, max_dim))
-    poly = project_cartan(u, MOD_N_PLUS)
+    """Classifying polynomial p1: (ad f)^N Q projected mod U(g)n_+."""
+    poly = project_cartan(_solve(lv, max_dim).descent, MOD_N_PLUS)
     if poly.is_zero():
         raise ConsistencyError("p1 projected to the zero polynomial")
     return poly

@@ -8,7 +8,11 @@ polynomials are recovered by Lagrange interpolation.
 
 from fractions import Fraction
 
-from admz.usl2 import _LETTERS, FinElement
+from admz.usl2 import FinElement, Order
+
+# Letters of a PBW basis monomial (a, b, c), left to right, per order tag:
+# F is f^a h^b e^c, E is e^a h^b f^c.
+LETTERS = {Order.F: ("f", "h", "e"), Order.E: ("e", "h", "f")}
 
 
 def act_word_lowest_weight(word, mu, start=0):
@@ -60,7 +64,7 @@ def act_word_highest_weight(word, mu, start=0):
 
 
 def _element_words(x: FinElement):
-    letters = _LETTERS[x.order]
+    letters = LETTERS[x.order]
     for mono, coeff in x.terms.items():
         word = []
         for g, exp in zip(letters, mono):

@@ -164,6 +164,30 @@ def test_zero_denominator_level_is_a_verify_fail_row(capsys):
     assert "[FAIL] classification[1/0]  (zero denominator in '1/0')" in out
 
 
+# levels whose weight-space search recurses past the interpreter's limit
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--level", "1200"],
+        ["zhu-poly", "--level", "1200"],
+        ["singular", "--level", "997", "--method", "nullspace"],
+    ],
+)
+def test_recursion_limit_is_a_resource_cap(capsys, argv):
+    code, _, err = run_cli(capsys, argv)
+    assert code == 3
+    assert err.startswith(f"error: level {argv[2]}: ") and err.count("\n") == 1
+
+
+def test_recursion_limit_level_is_a_verify_fail_row(capsys):
+    code, out, _ = run_cli(
+        capsys, ["verify", "--suite", "classification", "--levels", "1,1200"]
+    )
+    assert code == 1
+    assert "[PASS] classification[1]" in out
+    assert "[FAIL] classification[1200]  (level 1200: " in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

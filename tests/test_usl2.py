@@ -20,9 +20,10 @@ from admz.usl2 import (
     parse_fin,
     pomoc_sides,
     project_cartan,
+    straighten,
     verify_pomoc_identity,
 )
-from oracles import eval_mod_n_minus, eval_mod_n_plus
+from oracles import act_word_lowest_weight, eval_mod_n_minus, eval_mod_n_plus
 
 F = Fraction
 
@@ -66,6 +67,28 @@ def test_product_f2_e2_cartan_part():
     assert kept == {(0, 2, 0): F(2), (0, 1, 0): F(2)}
     for mu in (F(0), F(1), F(-5, 3), F(7, 2)):
         assert eval_mod_n_minus(prod, mu) == 2 * mu * (mu + 1)
+
+
+def test_straighten_matches_generator_products():
+    # reference: the word built one fin_product per generator
+    rng = random.Random(17)
+    for order in (F_ORDER, E_ORDER):
+        for _ in range(60):
+            word = [rng.choice("efh") for _ in range(rng.randint(0, 7))]
+            acc = {
+                (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-3, 3)
+                for _ in range(rng.randint(1, 3))
+            }
+            expected = FinElement.one(order)
+            for g in word:
+                expected = fin_product(expected, gen(g, order))
+            got = FinElement(order, straighten(order, word))
+            assert got == expected
+            assert FinElement(order, straighten(order, word, acc)) == fin_product(
+                expected, FinElement(order, acc)
+            )
+            mu = F(rng.randint(-9, 9), rng.randint(1, 4))
+            assert eval_mod_n_minus(got, mu) == act_word_lowest_weight(word, mu).get(0, 0)
 
 
 def test_product_rejects_mixed_orders():

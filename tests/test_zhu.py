@@ -1,15 +1,31 @@
 """The classification pipeline: parameters, S, P^k, singular vectors, Q, p1/p2."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from admz import zhu as zhu_mod
-from admz.affine import VermaVector, act_mode, mode, parse_verma, weight_space_basis
+from admz.affine import (
+    VermaVector,
+    act_mode,
+    mode,
+    mode_gen,
+    parse_verma,
+    weight_space_basis,
+)
 from admz.errors import InvalidInputError, NotAdmissibleError, ResourceCapError
 from admz.exact_core import HPoly, parse_hpoly, poly_proportional, poly_root_check
 from admz.nullspace import RationalMatrix, kernel_basis
-from admz.usl2 import E_ORDER, FinElement, fin_ad, fin_product, parse_fin
+from admz.usl2 import (
+    E_ORDER,
+    MOD_N_MINUS,
+    FinElement,
+    fin_ad,
+    fin_product,
+    parse_fin,
+    project_cartan,
+)
 from admz.zhu import (
     MFF_ROUTE,
     NULLSPACE_ROUTE,
@@ -178,6 +194,32 @@ def test_zhu_image_examples():
     assert got == FinElement(E_ORDER, {(1, 0, 1): -1, (0, 1, 0): 1})
 
 
+def _zhu_image_by_products(v):
+    """Reference: one fin_product per generator of each reversed monomial."""
+    out = FinElement.zero(E_ORDER)
+    for mono, coeff in v.terms.items():
+        word = FinElement.one(E_ORDER)
+        for md in mono:
+            word = fin_product(FinElement.generator(mode_gen(md), E_ORDER), word)
+        out = out + word * (coeff * (-1) ** sum(-d - 1 for d, _ in mono))
+    return out
+
+
+def test_zhu_image_matches_per_generator_products():
+    rng = random.Random(5)
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            length = rng.randint(0, 6)
+            mono = tuple(sorted((rng.randint(-3, -1), rng.randint(0, 2)) for _ in range(length)))
+            terms[mono] = F(rng.randint(-5, 5), rng.randint(1, 4))
+        v = VermaVector(F(rng.randint(-3, 3), rng.randint(1, 3)), terms)
+        assert zhu_image_F(v) == _zhu_image_by_products(v)
+    for text in ("1", "-1/2", "1/2", "-4/3", "-2/3", "-1/3", "5/2"):
+        v = singular_vector_nullspace(level_from_string(text))
+        assert zhu_image_F(v) == _zhu_image_by_products(v), text
+
+
 def test_zhu_image_rejects_nonnegative_modes():
     with pytest.raises(InvalidInputError):
         zhu_image_F(VermaVector(F(1), {(mode("e", 0),): F(1)}))
@@ -263,6 +305,35 @@ def test_routes_proportional_all_levels():
         lv = level_from_string(text)
         c = poly_proportional(compute_p2(lv, NULLSPACE_ROUTE), compute_p2(lv, MFF_ROUTE))
         assert c is not None and c != 0
+
+
+@pytest.mark.parametrize(
+    "text", ["1", "2", "3", "-1/2", "1/2", "-4/3", "-2/3", "-1/3", "5/2", "7"]
+)
+def test_nullspace_p2_is_the_descent_of_Q_transpose(text):
+    # reference: descend Q^T by ad e on its own, then project mod U(g)n_-
+    lv = level_from_string(text)
+    x = compute_Q(lv).transpose()
+    for _ in range(lv.N):
+        x = fin_ad("e", x)
+    assert compute_p2(lv, NULLSPACE_ROUTE) == project_cartan(x, MOD_N_MINUS)
+
+
+def test_one_descent_per_level(monkeypatch):
+    calls = []
+    descend = zhu_mod.descend_to_weight_zero
+    monkeypatch.setattr(zhu_mod, "_SOLVED", {})
+    monkeypatch.setattr(zhu_mod, "descend_to_weight_zero", lambda x: calls.append(x) or descend(x))
+    lv = level_from_string("-1/2")
+    classify_category_O(lv)
+    compute_p1(lv)
+    compute_p2(lv, NULLSPACE_ROUTE)
+    assert len(calls) == 1
+    calls.clear()
+    lv = level_from_string("-4/3")
+    singular_vector_nullspace(lv)
+    compute_Q(lv)
+    assert calls == []
 
 
 def test_p1_p2_degree_and_mirror():
