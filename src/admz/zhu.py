@@ -9,14 +9,31 @@ category-O / weight-module report.  Every step is exact.  The cross-checks
 on a finished report are the named entries of INVARIANTS, which the pipeline,
 `verify` and the CLI all share.
 
-The singular vector, Q and the descent (ad f)^N Q (made on first use) live in
-one record per level, cached on the level alone: a level is solved once per
-process whatever the weight-space cap.  The cap is checked on every call
-against the recorded dimensions, so no call's outcome depends on earlier ones.
+The singular vector and Q live in one record per level, cached on the level
+alone: a level is solved once per process whatever the weight-space cap.  The
+cap is checked on every call against the recorded dimensions, so no call's
+outcome depends on earlier ones.
+
+p1 and the nullspace-route p2 are read off the coefficients of
+Q = sum q_abc e^a h^b f^c by evaluation, with no adjoint descent.  The
+projection of a weight-0 element mod U(g)n_+ (mod U(g)n_-) is the scalar by
+which it acts on a highest (lowest) weight vector of weight h.  On a highest
+weight vector v every term of (ad f)^N Q = sum_j binom(N,j) f^(N-j) Q (-f)^j
+with j < N vanishes, since Q f^j v would have weight above v's; likewise on a
+lowest weight vector for (ad e)^N Q^T.  What is left gives (Humphreys,
+Introduction to Lie Algebras and Representation Theory, sections 21 and 26.2)
+
+    p1(h) = (-1)^N sum q_abc (h-2a)^b prod_{i=1..a} i(h-i+1)
+    p2(h) = prod_{m=1..N} m(h+m-1) * sum_b q_{N,b,0} h^b
+
+A RecursionError in a recursive stage (the weight search, or the U(sl2)
+straightening of the mff route or of an invariant) becomes a ResourceCapError
+naming the level and the stage.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +47,6 @@ from .nullspace import RationalMatrix, kernel_basis
 from .usl2 import (
     E_ORDER,
     MOD_N_MINUS,
-    MOD_N_PLUS,
     FinElement,
     fin_ad,
     fin_product,
@@ -118,20 +134,28 @@ def singular_position(lv: AdmissibleLevel) -> tuple[int, int]:
 @dataclass(frozen=True)
 class _Solved:
     """One level's solve: v, Q = F([v]) and ((d, w), dimension) of the three
-    weight spaces the kernel search enumerates, in enumeration order."""
+    weight spaces the kernel search enumerates, in enumeration order.
+
+    p1 and p2 are evaluations of Q's coefficients (see the module
+    docstring), so nothing else derived from Q is kept."""
 
     v: VermaVector
     Q: FinElement
     dims: tuple
 
-    @functools.cached_property
-    def descent(self) -> FinElement:
-        """(ad f)^N Q, the weight-0 element that p1 and p2 both project."""
-        return descend_to_weight_zero(self.Q)
-
 
 # The one per-level solve cache, keyed on (p, q) alone.
 _SOLVED: dict[tuple[int, int], _Solved] = {}
+
+
+@contextlib.contextmanager
+def _recursion_cap(lv: AdmissibleLevel, stage: str):
+    """Turn the interpreter's recursion limit, hit by the recursive U(sl2)
+    straightening or the weight search, into a ResourceCapError."""
+    try:
+        yield
+    except RecursionError as exc:
+        raise ResourceCapError(f"level {lv}: {stage} exceeds recursion limit") from exc
 
 
 def _solve(lv: AdmissibleLevel, max_dim) -> _Solved:
@@ -143,10 +167,8 @@ def _solve(lv: AdmissibleLevel, max_dim) -> _Solved:
     cap = affine.resolve_max_dim(max_dim)
     solved = _SOLVED.get((lv.p, lv.q))
     if solved is None:
-        try:
+        with _recursion_cap(lv, "weight search"):
             solved = _SOLVED[lv.p, lv.q] = _solve_cold(lv, cap)
-        except RecursionError as exc:
-            raise ResourceCapError(f"level {lv}: weight search exceeds recursion limit") from exc
     for (d, w), dim in solved.dims:
         if dim > cap:
             raise affine.cap_exceeded(d, w, cap)
@@ -207,17 +229,20 @@ def mff_epsilon(lv: AdmissibleLevel) -> FinElement:
     """Closed form of the projected singular element:
     prod_{i=1..l, j=1..N} (ef + (it+j-1)h - (it+j)(it+j-1)) * e^N."""
     out = FinElement.monomial(E_ORDER, (lv.N, 0, 0))
-    for i in range(1, lv.l + 1):
-        for j in range(1, lv.N + 1):
-            out = fin_product(p_factor(i * lv.t + j), out)
+    with _recursion_cap(lv, "mff route"):
+        for i in range(1, lv.l + 1):
+            for j in range(1, lv.N + 1):
+                out = fin_product(p_factor(i * lv.t + j), out)
     return out
 
 
 def descend_to_weight_zero(x: FinElement) -> FinElement:
     """(ad f)^n x, of ad-weight 0, for x homogeneous of ad-weight 2n >= 0.
 
-    The transpose turns ad f into -ad e, so (ad e)^n x^T = (-1)^n ((ad f)^n x)^T:
-    one descent serves both projections."""
+    The pipeline does not call this: p1 and p2 are evaluations of Q (see
+    the module docstring).  It is the reference the tests project, by
+    project_cartan, to check those evaluations.  The transpose turns ad f
+    into -ad e, so (ad e)^n x^T = (-1)^n ((ad f)^n x)^T."""
     w = x.ad_weight()
     if w is None or w < 0:
         raise InvalidInputError("descend_to_weight_zero requires a homogeneous weight >= 0")
@@ -231,26 +256,50 @@ def descend_to_weight_zero(x: FinElement) -> FinElement:
 def compute_p2(lv: AdmissibleLevel, route: str = NULLSPACE_ROUTE, max_dim=None) -> HPoly:
     """Classifying polynomial p2 (defined up to a nonzero constant).
 
-    nullspace route: (ad e)^N Q^T = (-1)^N ((ad f)^N Q)^T, read off the level's
-    one descent (the one p1 projects), projected mod U(g)n_-.
-    mff route: straighten f^N * (closed-form product) and project the same way.
+    nullspace route: (ad e)^N Q^T projected mod U(g)n_-, i.e. its scalar on
+    a lowest weight vector w, which is (-1)^N Q^T e^N w.  Only the e^N h^b
+    terms of Q reach w, and f^N e^N w = prod_{m=1..N} (-m(h+m-1)) w, so
+    p2(h) = prod_{m=1..N} m(h+m-1) * sum_b q_{N,b,0} h^b.
+    mff route: straighten f^N * (closed-form product) and project mod U(g)n_-.
     """
     if route == NULLSPACE_ROUTE:
-        u = _solve(lv, max_dim).descent.transpose() * (-1) ** lv.N
+        Q = _solve(lv, max_dim).Q
+        top = {b: q for (a, b, c), q in Q.terms.items() if a == lv.N and c == 0}
+        poly = HPoly([top.get(b, 0) for b in range(max(top, default=-1) + 1)])
+        for m in range(1, lv.N + 1):
+            poly = poly * HPoly.linear(m * (m - 1), m)
     elif route == MFF_ROUTE:
         f_n = FinElement.monomial(E_ORDER, (0, 0, lv.N))
-        u = fin_product(f_n, mff_epsilon(lv))
+        with _recursion_cap(lv, "mff route"):
+            poly = project_cartan(fin_product(f_n, mff_epsilon(lv)), MOD_N_MINUS)
     else:
         raise InvalidInputError(f"unknown p2 route {route!r}")
-    poly = project_cartan(u, MOD_N_MINUS)
     if poly.is_zero():
         raise ConsistencyError(f"p2 via {route} projected to the zero polynomial")
     return poly
 
 
 def compute_p1(lv: AdmissibleLevel, max_dim=None) -> HPoly:
-    """Classifying polynomial p1: (ad f)^N Q projected mod U(g)n_+."""
-    poly = project_cartan(_solve(lv, max_dim).descent, MOD_N_PLUS)
+    """Classifying polynomial p1: (ad f)^N Q projected mod U(g)n_+, i.e. its
+    scalar on a highest weight vector v, which is (-1)^N Q f^N v.  Q has
+    ad-weight 2N, so a = c + N in every term and e^a h^b f^(c+N) v =
+    (h-2a)^b prod_{i=1..a} i(h-i+1) v, giving
+    p1(h) = (-1)^N sum q_abc (h-2a)^b prod_{i=1..a} i(h-i+1).
+    """
+    by_a: dict[int, dict[int, Fraction]] = {}
+    for (a, b, _), q in _solve(lv, max_dim).Q.terms.items():
+        by_a.setdefault(a, {})[b] = q
+    poly, ea_fa = HPoly.zero(), HPoly.one()  # e^a f^a v = ea_fa(h) v
+    for a in range(max(by_a, default=-1) + 1):
+        if a:
+            ea_fa = ea_fa * HPoly.linear(a * (1 - a), a)
+        if a in by_a:
+            # sum_b q_ab (h-2a)^b by Horner
+            shifted, row = HPoly.zero(), by_a[a]
+            for b in range(max(row), -1, -1):
+                shifted = shifted * HPoly.linear(-2 * a) + HPoly.constant(row.get(b, 0))
+            poly = poly + shifted * ea_fa
+    poly = poly * (-1) ** lv.N
     if poly.is_zero():
         raise ConsistencyError("p1 projected to the zero polynomial")
     return poly
@@ -357,7 +406,7 @@ def _spans_adjoint_module(Q: FinElement, N: int) -> bool:
 # Post-hoc invariants of a ClassificationReport, in the order the pipeline
 # checks them: (name, predicate, what is wrong when the predicate is false).
 # Checks that must pass before a value can exist (S-distinct,
-# kernel-dimension, singular-annihilation, nonzero projections, the descent)
+# kernel-dimension, singular-annihilation, nonzero projections)
 # run where that value is computed instead.
 INVARIANTS = (
     ("S-size", lambda r: len(r.S) == (r.level.l + 1) * r.level.N, "|S| != (l+1)N"),
@@ -400,7 +449,8 @@ INVARIANTS = (
 def check_report(report: ClassificationReport):
     """Run INVARIANTS in order, yielding one CheckResult each."""
     for name, holds, failure in INVARIANTS:
-        ok = holds(report)
+        with _recursion_cap(report.level, f"invariant {name}"):
+            ok = holds(report)
         yield CheckResult(name, ok, "" if ok else f"invariant {name}: {failure}")
 
 

@@ -7,6 +7,7 @@ polynomials are recovered by Lagrange interpolation.
 """
 
 from fractions import Fraction
+from math import comb
 
 from admz.usl2 import FinElement, Order
 
@@ -72,18 +73,28 @@ def _element_words(x: FinElement):
         yield word, coeff
 
 
-def eval_mod_n_minus(x: FinElement, mu) -> Fraction:
-    """Lowest-weight evaluation of the mod-U(g)n_- projection at h = mu."""
-    total = Fraction(0)
+def _ad_power_words(x: FinElement, g: str, n: int):
+    """(ad g)^n x = sum_j binom(n, j) (-1)^j g^(n-j) x g^j, word by word,
+    never straightened."""
     for word, coeff in _element_words(x):
+        for j in range(n + 1):
+            yield [g] * (n - j) + word + [g] * j, coeff * comb(n, j) * (-1) ** j
+
+
+def eval_mod_n_minus(x: FinElement, mu, ad_e=0) -> Fraction:
+    """Lowest-weight evaluation at h = mu of the mod-U(g)n_- projection of
+    (ad e)^ad_e x."""
+    total = Fraction(0)
+    for word, coeff in _ad_power_words(x, "e", ad_e):
         total += coeff * act_word_lowest_weight(word, mu).get(0, Fraction(0))
     return total
 
 
-def eval_mod_n_plus(x: FinElement, mu) -> Fraction:
-    """Highest-weight evaluation of the mod-U(g)n_+ projection at h = mu."""
+def eval_mod_n_plus(x: FinElement, mu, ad_f=0) -> Fraction:
+    """Highest-weight evaluation at h = mu of the mod-U(g)n_+ projection of
+    (ad f)^ad_f x."""
     total = Fraction(0)
-    for word, coeff in _element_words(x):
+    for word, coeff in _ad_power_words(x, "f", ad_f):
         total += coeff * act_word_highest_weight(word, mu).get(0, Fraction(0))
     return total
 

@@ -188,6 +188,47 @@ def test_recursion_limit_level_is_a_verify_fail_row(capsys):
     assert "[FAIL] classification[1200]  (level 1200: " in out
 
 
+def _overflow(*args):
+    raise RecursionError("maximum recursion depth exceeded")
+
+
+# a U(sl2) product that recurses past the interpreter's limit, as the MFF
+# route's f^N * e^N and the adjoint-module invariant do from about k = 600
+@pytest.mark.parametrize(
+    "product, argv, stage",
+    [
+        ("fin_product", ["classify", "--level", "-1/2"], "mff route"),
+        ("fin_product", ["singular", "--level", "-1/2", "--method", "mff"], "mff route"),
+        ("fin_ad", ["classify", "--level", "-1/2"], "invariant adjoint-module"),
+    ],
+)
+def test_usl2_recursion_limit_is_a_resource_cap(capsys, monkeypatch, product, argv, stage):
+    monkeypatch.setattr(zhu_mod, product, _overflow)
+    code, _, err = run_cli(capsys, argv)
+    assert code == 3
+    assert err == f"error: level -1/2: {stage} exceeds recursion limit\n"
+
+
+def test_usl2_recursion_limit_is_a_verify_fail_row(capsys, monkeypatch):
+    monkeypatch.setattr(zhu_mod, "fin_ad", _overflow)
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "classification", "--levels", "-1/2"])
+    assert code == 1
+    assert (
+        "[FAIL] classification[-1/2]  "
+        "(level -1/2: invariant adjoint-module exceeds recursion limit)" in out
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("command", ["classify", "zhu-poly"])
+def test_level_600_never_exits_1(capsys, command):
+    # the real straightening at k = 600 may or may not overflow, depending on
+    # stack depth and on what the product caches hold; either way it is not
+    # a property violation
+    code, _, err = run_cli(capsys, [command, "--level", "600"])
+    assert code in (0, 3), err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -20,6 +20,7 @@ from admz.nullspace import RationalMatrix, kernel_basis
 from admz.usl2 import (
     E_ORDER,
     MOD_N_MINUS,
+    MOD_N_PLUS,
     FinElement,
     fin_ad,
     fin_product,
@@ -41,6 +42,7 @@ from admz.zhu import (
     singular_vector_nullspace,
     zhu_image_F,
 )
+from oracles import eval_mod_n_minus, eval_mod_n_plus
 
 F = Fraction
 
@@ -319,20 +321,47 @@ def test_nullspace_p2_is_the_descent_of_Q_transpose(text):
     assert compute_p2(lv, NULLSPACE_ROUTE) == project_cartan(x, MOD_N_MINUS)
 
 
-def test_one_descent_per_level(monkeypatch):
+@pytest.mark.parametrize(
+    "text",
+    ["1", "2", "3", "-1/2", "1/2", "-4/3", "-2/3", "-1/3", "5/2", "7"]
+    + [pytest.param("30", marks=pytest.mark.slow)],
+)
+def test_p1_is_the_descent_of_Q_projected_mod_n_plus(text):
+    # reference: descend Q by ad f on its own, then project mod U(g)n_+
+    lv = level_from_string(text)
+    x = compute_Q(lv)
+    for _ in range(lv.N):
+        x = fin_ad("f", x)
+    assert zhu_mod.descend_to_weight_zero(compute_Q(lv)) == x
+    assert compute_p1(lv) == project_cartan(x, MOD_N_PLUS)
+
+
+@pytest.mark.parametrize(
+    "text", ["1", "2", "3", "-1/2", "1/2", "-4/3", "-2/3", "-1/3", "5/2", "7", "30"]
+)
+def test_p1_p2_match_the_module_oracles(text):
+    # a third check, sharing no code with the descent or the evaluation: the
+    # unstraightened words of (ad f)^N Q and (ad e)^N Q^T act generator by
+    # generator on a highest and a lowest weight module
+    lv = level_from_string(text)
+    Q = compute_Q(lv)
+    p1, p2 = compute_p1(lv), compute_p2(lv, NULLSPACE_ROUTE)
+    for mu in (F(0), F(1, 3), F(-7, 2), F(5), F(-11, 4)):
+        assert p1(mu) == eval_mod_n_plus(Q, mu, ad_f=lv.N)
+        assert p2(mu) == eval_mod_n_minus(Q.transpose(), mu, ad_e=lv.N)
+
+
+def test_pipeline_makes_no_adjoint_descent(monkeypatch):
     calls = []
     descend = zhu_mod.descend_to_weight_zero
     monkeypatch.setattr(zhu_mod, "_SOLVED", {})
     monkeypatch.setattr(zhu_mod, "descend_to_weight_zero", lambda x: calls.append(x) or descend(x))
-    lv = level_from_string("-1/2")
-    classify_category_O(lv)
-    compute_p1(lv)
-    compute_p2(lv, NULLSPACE_ROUTE)
-    assert len(calls) == 1
-    calls.clear()
-    lv = level_from_string("-4/3")
-    singular_vector_nullspace(lv)
-    compute_Q(lv)
+    for text in ("-1/2", "2"):
+        lv = level_from_string(text)
+        classify_category_O(lv)
+        compute_p1(lv)
+        compute_p2(lv, NULLSPACE_ROUTE)
+        compute_p2(lv, MFF_ROUTE)
     assert calls == []
 
 
