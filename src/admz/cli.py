@@ -33,7 +33,10 @@ EXIT_RESOURCE = 3
 
 _level_option = click.option("--level", required=True, help='Exact level "p/q".')
 _max_dim_option = click.option(
-    "--max-dim", type=int, default=None, help="Weight-space dimension cap."
+    "--max-dim",
+    type=int,
+    default=None,
+    help="Weight-space dimension cap; also bounds the mff route's product.",
 )
 _format_option = click.option(
     "--format", "fmt", type=click.Choice(["text", "json"]), default="text"
@@ -91,7 +94,7 @@ def singular(level, method, max_dim):
         v = zhu.singular_vector_nullspace(lv, max_dim)
         click.echo(f"v_sing = {v.to_text()}")
     if method in ("mff", "both"):
-        eps = zhu.mff_epsilon(lv)
+        eps = zhu.mff_epsilon(lv, max_dim)
         click.echo(f"projected closed form = {eps.to_text()}")
     if method == "both":
         p2a = zhu.compute_p2(lv, zhu.NULLSPACE_ROUTE, max_dim)

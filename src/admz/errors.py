@@ -22,5 +22,6 @@ class ConsistencyError(AdmzError, RuntimeError):
 
 
 class ResourceCapError(AdmzError, RuntimeError):
-    """A weight-space dimension exceeded the configured cap, or a level's
-    recursion exceeded the interpreter's limit (CLI exit code 3)."""
+    """A weight-space dimension or the mff route's predicted product size
+    exceeded the configured cap, or a level's recursion exceeded the
+    interpreter's limit (CLI exit code 3)."""

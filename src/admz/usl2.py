@@ -1,11 +1,23 @@
-"""U(sl2) with exact PBW straightening in two monomial orders.
+"""U(sl2) with exact PBW products in two monomial orders.
 
 Generators e, h, f with [h,f] = -2f, [h,e] = 2e, [e,f] = h.  Elements are
 finite maps from exponent triples to rational coefficients; F_ORDER means the
-basis f^a h^b e^c, E_ORDER the basis e^a h^b f^c.  `straighten` is the one
-fold of a word of generators into a basis: products, reordering and the Zhu
-image all use it.  Its step moves one generator through a basis monomial by
-adjacent transpositions, memoized per (order, generator, monomial).
+basis f^a h^b e^c, E_ORDER the basis e^a h^b f^c.
+
+Every product runs through one closed-form kernel on integer coefficients.
+An E_ORDER operand is grouped as sum e^a P_ac(h) f^c, its denominators are
+cleared once, and f^c e^a' in the middle is expanded by Kostant's formula
+(Humphreys, Introduction to Lie Algebras and Representation Theory, 26.2)
+
+    f^c e^a = sum_j binom(a,j) binom(c,j) j! e^(a-j) prod_{i<j} (-h-a-c+2j-i) f^(c-j)
+
+followed by the shifts P(h) e^m = e^m P(h+2m) and f^m P(h) = P(h+2m) f^m.
+F_ORDER products go through the Chevalley involution e <-> f, h -> -h, an
+automorphism that maps the F_ORDER monomial (a,b,c) to (-1)^b times the
+E_ORDER monomial (a,b,c).  `straighten` folds a word of generators into a
+basis through the same kernel, one run of equal generators at a time;
+reordering and the Zhu image use it.  Nothing recurses and nothing is cached
+between calls.
 
 The two orders exist because the two Cartan projections are coefficient
 filters in their natural basis: mod U(g)n_- keeps the pure-h terms of the
@@ -15,9 +27,10 @@ E_ORDER expansion, mod U(g)n_+ those of the F_ORDER expansion.
 from __future__ import annotations
 
 import enum
-import functools
+import itertools
 import re
 from fractions import Fraction
+from math import comb, factorial, lcm
 
 from .errors import InvalidInputError
 from .exact_core import HPoly, format_terms
@@ -53,40 +66,6 @@ def monomial_weight(order: Order, mono: tuple[int, int, int]) -> int:
     return 2 * (c - a) if order is Order.F else 2 * (a - c)
 
 
-@functools.lru_cache(maxsize=None)
-def _left_mul(order: Order, g: str, mono: tuple[int, int, int]) -> tuple:
-    """Straighten g * (basis monomial) into the order's basis.
-
-    Returns a tuple of (monomial, integer coefficient) pairs; all structure
-    constants are integers, so no rational arithmetic happens here.
-    """
-    a, b, c = mono
-    g1, g2, g3 = _LETTERS[order]
-    if g == g1:
-        return (((a + 1, b, c), 1),)
-    if g == g2 and a == 0:
-        return (((0, b + 1, c), 1),)
-    if g == g3 and a == 0 and b == 0:
-        return (((0, 0, c + 1), 1),)
-    # g has to move past the first letter of mono: g*x = x*g + [g,x]
-    if a > 0:
-        head, rest = g1, (a - 1, b, c)
-    elif b > 0:
-        head, rest = g2, (a, b - 1, c)
-    else:
-        head, rest = g3, (a, b, c - 1)
-    acc: dict[tuple[int, int, int], int] = {}
-    for m2, c2 in _left_mul(order, g, rest):
-        for m3, c3 in _left_mul(order, head, m2):
-            acc[m3] = acc.get(m3, 0) + c2 * c3
-    br = BRACKET.get((g, head))
-    if br is not None:
-        bg, bc = br
-        for m2, c2 in _left_mul(order, bg, rest):
-            acc[m2] = acc.get(m2, 0) + bc * c2
-    return tuple((m, v) for m, v in acc.items() if v)
-
-
 def monomial_word(order: Order, mono: tuple[int, int, int]) -> tuple[str, ...]:
     """The basis monomial as its word of generators, left to right."""
     g1, g2, g3 = _LETTERS[order]
@@ -94,26 +73,131 @@ def monomial_word(order: Order, mono: tuple[int, int, int]) -> tuple[str, ...]:
     return (g1,) * a + (g2,) * b + (g3,) * c
 
 
+# -- the integer kernel --------------------------------------------------------
+# An integer-coefficient element of E_ORDER is grouped as {(a, c): P}, the sum
+# of e^a P(h) f^c, with P the list of its h-coefficients in ascending powers.
+
+
+def _group(terms: dict) -> dict:
+    out: dict[tuple[int, int], list[int]] = {}
+    for (a, b, c), v in terms.items():
+        poly = out.setdefault((a, c), [])
+        if len(poly) <= b:
+            poly.extend([0] * (b + 1 - len(poly)))
+        poly[b] += v
+    return out
+
+
+def _ungroup(groups: dict) -> dict:
+    return {(a, b, c): v for (a, c), poly in groups.items() for b, v in enumerate(poly) if v}
+
+
+def _shift(poly: list, s: int) -> list:
+    """P(h + s), by Taylor shift."""
+    if not s:
+        return poly
+    out = list(poly)
+    for i in range(len(out) - 1):
+        for k in range(len(out) - 2, i - 1, -1):
+            out[k] += s * out[k + 1]
+    return out
+
+
+def _pmul(p: list, q: list) -> list:
+    if len(p) == 1 and p[0] == 1:
+        return q
+    if len(q) == 1 and q[0] == 1:
+        return p
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+    return out
+
+
+def _kostant(a: int, c: int) -> list:
+    """The h-polynomials K_j, j = 0..min(a, c), of f^c e^a = sum_j e^(a-j) K_j f^(c-j):
+    K_j = binom(a,j) binom(c,j) j! prod_{i<j} (-h-a-c+2j-i)."""
+    out = []
+    for j in range(min(a, c) + 1):
+        poly = [comb(a, j) * comb(c, j) * factorial(j)]
+        for i in range(j):
+            poly = _pmul(poly, [2 * j - a - c - i, -1])
+        out.append(poly)
+    return out
+
+
+def _kernel(xg: dict, yg: dict) -> dict:
+    """(sum e^a P f^c) * (sum e^a' R f^c') on grouped integer elements:
+    f^c e^a' by Kostant's formula, then P(h) e^m = e^m P(h+2m) and
+    f^m R(h) = R(h+2m) f^m."""
+    out: dict[tuple[int, int], list[int]] = {}
+    for (a, c), P in xg.items():
+        for (a2, c2), R in yg.items():
+            for j, K in enumerate(_kostant(a2, c)):
+                m, n = a2 - j, c - j
+                poly = _pmul(_pmul(_shift(P, 2 * m), K), _shift(R, 2 * n))
+                acc = out.setdefault((a + m, n + c2), [])
+                if len(acc) < len(poly):
+                    acc.extend([0] * (len(poly) - len(acc)))
+                for i, v in enumerate(poly):
+                    acc[i] += v
+    return out
+
+
+def product_terms(xs: dict, ys: dict) -> int:
+    """How many PBW terms `_kernel` forms for a product, before any merging,
+    from the operands' shapes {(a, c): deg P} of their groups e^a P(h) f^c.
+
+    The pair (a, c), (a', c') gives, for j = 0..min(c, a'), a polynomial of
+    degree deg P + j + deg R."""
+    total = 0
+    for (_, c), d in xs.items():
+        for (a2, _), d2 in ys.items():
+            n = min(c, a2) + 1
+            total += n * (d + d2 + 1) + n * (n - 1) // 2
+    return total
+
+
+def _theta(terms: dict) -> dict:
+    """The Chevalley involution e <-> f, h -> -h: F_ORDER monomial (a, b, c)
+    maps to (-1)^b times E_ORDER monomial (a, b, c), and back."""
+    return {m: -v if m[1] % 2 else v for m, v in terms.items()}
+
+
+def _int_product(order: Order, x: dict, y: dict) -> dict:
+    """x * y for integer-coefficient elements of order's basis."""
+    if order is Order.F:
+        x, y = _theta(x), _theta(y)
+    out = _ungroup(_kernel(_group(x), _group(y)))
+    return _theta(out) if order is Order.F else out
+
+
 def straighten(order: Order, word, acc=None) -> dict:
     """The product g_1 * ... * g_n * acc for word = (g_1, ..., g_n), in
     order's basis with integer coefficients.
 
-    acc maps basis monomials of order to integers and defaults to 1.
+    acc maps basis monomials of order to integers and defaults to 1.  Each
+    run of equal generators multiplies in as one basis monomial.
     """
     acc = {(0, 0, 0): 1} if acc is None else acc
-    for g in reversed(word):
-        nxt: dict[tuple[int, int, int], int] = {}
-        for m, cm in acc.items():
-            for m3, c3 in _left_mul(order, g, m):
-                nxt[m3] = nxt.get(m3, 0) + cm * c3
-        acc = nxt
+    for g, run in itertools.groupby(reversed(word)):
+        power = [0, 0, 0]
+        power[_LETTERS[order].index(g)] = len(list(run))
+        acc = _int_product(order, {tuple(power): 1}, acc)
     return {m: v for m, v in acc.items() if v}
 
 
-@functools.lru_cache(maxsize=None)
-def _mono_mul(order: Order, m1: tuple, m2: tuple) -> tuple:
-    """Product of two basis monomials in order's basis (integer coefficients)."""
-    return tuple(straighten(order, monomial_word(order, m1), {m2: 1}).items())
+def _integral(x: "FinElement") -> tuple[dict, int]:
+    """(terms, D) with integer terms and x = terms / D."""
+    den = lcm(*(c.denominator for c in x.terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in x.terms.items()}, den
+
+
+def _rational(order: Order, terms: dict, den: int) -> "FinElement":
+    """The FinElement terms / D."""
+    return FinElement(order, {m: Fraction(v, den) for m, v in terms.items() if v})
 
 
 class FinElement:
@@ -247,19 +331,18 @@ def fin_product(x: FinElement, y: FinElement) -> FinElement:
     """Product straightened into the shared PBW order."""
     if x.order is not y.order:
         raise InvalidInputError("mixed PBW order tags in product")
-    out: dict[tuple[int, int, int], Fraction] = {}
-    for m1, c1 in x.terms.items():
-        for m2, c2 in y.terms.items():
-            c12 = c1 * c2
-            for m3, c3 in _mono_mul(x.order, m1, m2):
-                out[m3] = out.get(m3, Fraction(0)) + c12 * c3
-    return FinElement(x.order, out)
+    (xi, dx), (yi, dy) = _integral(x), _integral(y)
+    return _rational(x.order, _int_product(x.order, xi, yi), dx * dy)
 
 
 def fin_ad(g: str, x: FinElement) -> FinElement:
     """ad g (x) = g*x - x*g, straightened."""
-    ge = FinElement.generator(g, x.order)
-    return fin_product(ge, x) - fin_product(x, ge)
+    (gen,) = FinElement.generator(g, x.order).terms
+    xi, den = _integral(x)
+    out = _int_product(x.order, {gen: 1}, xi)
+    for m, v in _int_product(x.order, xi, {gen: 1}).items():
+        out[m] = out.get(m, 0) - v
+    return _rational(x.order, out, den)
 
 
 MOD_N_MINUS = "mod_n_minus"

@@ -26,9 +26,12 @@ Introduction to Lie Algebras and Representation Theory, sections 21 and 26.2)
     p1(h) = (-1)^N sum q_abc (h-2a)^b prod_{i=1..a} i(h-i+1)
     p2(h) = prod_{m=1..N} m(h+m-1) * sum_b q_{N,b,0} h^b
 
-A RecursionError in a recursive stage (the weight search, or the U(sl2)
-straightening of the mff route or of an invariant) becomes a ResourceCapError
-naming the level and the stage.
+The weight cap also bounds the mff route: its product f^N * epsilon is
+sized from the operands' shapes before any arithmetic (mff_terms), and a
+prediction over the cap is a ResourceCapError naming the level and the route.
+U(sl2) products are closed-form and do not recurse; the weight search does,
+so a RecursionError there, in the mff route or in an invariant becomes a
+ResourceCapError naming the level and the stage.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .usl2 import (
     fin_ad,
     fin_product,
     p_factor,
+    product_terms,
     project_cartan,
     straighten,
 )
@@ -150,8 +154,8 @@ _SOLVED: dict[tuple[int, int], _Solved] = {}
 
 @contextlib.contextmanager
 def _recursion_cap(lv: AdmissibleLevel, stage: str):
-    """Turn the interpreter's recursion limit, hit by the recursive U(sl2)
-    straightening or the weight search, into a ResourceCapError."""
+    """Turn the interpreter's recursion limit, hit by the recursive weight
+    search, into a ResourceCapError naming the level and the stage."""
     try:
         yield
     except RecursionError as exc:
@@ -225,9 +229,25 @@ def compute_Q(lv: AdmissibleLevel, max_dim=None) -> FinElement:
     return _solve(lv, max_dim).Q
 
 
-def mff_epsilon(lv: AdmissibleLevel) -> FinElement:
+def mff_terms(lv: AdmissibleLevel) -> int:
+    """Predicted PBW-term count of the mff route's product f^N * epsilon,
+    from shapes alone.  Each p-factor ef + (s-1)h - s(s-1) has the groups
+    e^1 f^1 and a linear h-polynomial, so the m = lN factors times e^N give
+    groups e^(N+a) P f^a with deg P = m - a, for a = 0..m."""
+    m = lv.l * lv.N
+    return product_terms({(0, lv.N): 0}, {(lv.N + a, a): m - a for a in range(m + 1)})
+
+
+def mff_epsilon(lv: AdmissibleLevel, max_dim=None) -> FinElement:
     """Closed form of the projected singular element:
-    prod_{i=1..l, j=1..N} (ef + (it+j-1)h - (it+j)(it+j-1)) * e^N."""
+    prod_{i=1..l, j=1..N} (ef + (it+j-1)h - (it+j)(it+j-1)) * e^N.
+
+    Raises ResourceCapError, before any arithmetic, when the route's product
+    f^N * epsilon is predicted to form more PBW terms than the weight cap."""
+    cap = affine.resolve_max_dim(max_dim)
+    terms = mff_terms(lv)
+    if terms > cap:
+        raise ResourceCapError(f"level {lv}: mff route forms {terms} PBW terms, over cap {cap}")
     out = FinElement.monomial(E_ORDER, (lv.N, 0, 0))
     with _recursion_cap(lv, "mff route"):
         for i in range(1, lv.l + 1):
@@ -260,7 +280,8 @@ def compute_p2(lv: AdmissibleLevel, route: str = NULLSPACE_ROUTE, max_dim=None) 
     a lowest weight vector w, which is (-1)^N Q^T e^N w.  Only the e^N h^b
     terms of Q reach w, and f^N e^N w = prod_{m=1..N} (-m(h+m-1)) w, so
     p2(h) = prod_{m=1..N} m(h+m-1) * sum_b q_{N,b,0} h^b.
-    mff route: straighten f^N * (closed-form product) and project mod U(g)n_-.
+    mff route: straighten f^N * (closed-form product) and project mod U(g)n_-,
+    after checking the product's predicted size against the cap (mff_epsilon).
     """
     if route == NULLSPACE_ROUTE:
         Q = _solve(lv, max_dim).Q
@@ -271,7 +292,7 @@ def compute_p2(lv: AdmissibleLevel, route: str = NULLSPACE_ROUTE, max_dim=None) 
     elif route == MFF_ROUTE:
         f_n = FinElement.monomial(E_ORDER, (0, 0, lv.N))
         with _recursion_cap(lv, "mff route"):
-            poly = project_cartan(fin_product(f_n, mff_epsilon(lv)), MOD_N_MINUS)
+            poly = project_cartan(fin_product(f_n, mff_epsilon(lv, max_dim)), MOD_N_MINUS)
     else:
         raise InvalidInputError(f"unknown p2 route {route!r}")
     if poly.is_zero():
@@ -463,8 +484,9 @@ def build_report(lv: AdmissibleLevel, max_dim=None) -> ClassificationReport:
         Pk=enumerate_Pk(lv),
         singular_vector=singular_vector_nullspace(lv, max_dim),
         Q=compute_Q(lv, max_dim),
-        p2=compute_p2(lv, NULLSPACE_ROUTE, max_dim),
+        # the mff route before the nullspace p2: its cap check fails fast
         p2_mff=compute_p2(lv, MFF_ROUTE, max_dim),
+        p2=compute_p2(lv, NULLSPACE_ROUTE, max_dim),
         p1=compute_p1(lv, max_dim),
         families=module_families(S),
     )

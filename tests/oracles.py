@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's straightening and projection code:
 elements act on explicit lowest-/highest-weight module bases generator by
-generator, weight spaces are enumerated by a different algorithm, and
-polynomials are recovered by Lagrange interpolation.
+generator, products are straightened by adjacent transpositions rather than
+the library's closed-form kernel, weight spaces are enumerated by a different
+algorithm, and polynomials are recovered by Lagrange interpolation.
 """
 
 from fractions import Fraction
@@ -14,6 +15,74 @@ from admz.usl2 import FinElement, Order
 # Letters of a PBW basis monomial (a, b, c), left to right, per order tag:
 # F is f^a h^b e^c, E is e^a h^b f^c.
 LETTERS = {Order.F: ("f", "h", "e"), Order.E: ("e", "h", "f")}
+
+# [x, y] = coefficient * generator, for the pairs that do not commute
+_BRACKET = {
+    ("e", "f"): ("h", 1),
+    ("f", "e"): ("h", -1),
+    ("h", "e"): ("e", 2),
+    ("e", "h"): ("e", -2),
+    ("h", "f"): ("f", -2),
+    ("f", "h"): ("f", 2),
+}
+
+
+def _left_mul_by_transpositions(order, g, mono, memo):
+    """g * (basis monomial) in order's basis: g moves right past each letter
+    x of the monomial by g x = x g + [g, x].  Returns {monomial: int}."""
+    key = (g, mono)
+    if key in memo:
+        return memo[key]
+    g1, g2, g3 = LETTERS[order]
+    a, b, c = mono
+    if g == g1:
+        out = {(a + 1, b, c): 1}
+    elif g == g2 and a == 0:
+        out = {(0, b + 1, c): 1}
+    elif g == g3 and a == 0 and b == 0:
+        out = {(0, 0, c + 1): 1}
+    else:
+        if a > 0:
+            head, rest = g1, (a - 1, b, c)
+        elif b > 0:
+            head, rest = g2, (a, b - 1, c)
+        else:
+            head, rest = g3, (a, b, c - 1)
+        out = {}
+        # g * head * rest = head * (g * rest) + [g, head] * rest
+        for m2, c2 in _left_mul_by_transpositions(order, g, rest, memo).items():
+            for m3, c3 in _left_mul_by_transpositions(order, head, m2, memo).items():
+                out[m3] = out.get(m3, 0) + c2 * c3
+        if (g, head) in _BRACKET:
+            bg, bc = _BRACKET[g, head]
+            for m2, c2 in _left_mul_by_transpositions(order, bg, rest, memo).items():
+                out[m2] = out.get(m2, 0) + bc * c2
+    memo[key] = out = {m: v for m, v in out.items() if v}
+    return out
+
+
+def straighten_by_transpositions(order, word, acc=None):
+    """g_1 * ... * g_n * acc in order's basis, one generator at a time.
+
+    acc maps basis monomials to coefficients of any exact type (default 1)."""
+    acc = {(0, 0, 0): 1} if acc is None else dict(acc)
+    memo = {}
+    for g in reversed(list(word)):
+        nxt = {}
+        for m, cm in acc.items():
+            for m3, c3 in _left_mul_by_transpositions(order, g, m, memo).items():
+                nxt[m3] = nxt.get(m3, 0) + cm * c3
+        acc = nxt
+    return {m: v for m, v in acc.items() if v}
+
+
+def product_by_transpositions(x: FinElement, y: FinElement) -> FinElement:
+    """x * y, each term of x folded into y generator by generator."""
+    out = {}
+    for word, coeff in _element_words(x):
+        for m, v in straighten_by_transpositions(x.order, word, y.terms).items():
+            out[m] = out.get(m, Fraction(0)) + coeff * v
+    return FinElement(x.order, out)
 
 
 def act_word_lowest_weight(word, mu, start=0):

@@ -192,8 +192,9 @@ def _overflow(*args):
     raise RecursionError("maximum recursion depth exceeded")
 
 
-# a U(sl2) product that recurses past the interpreter's limit, as the MFF
-# route's f^N * e^N and the adjoint-module invariant do from about k = 600
+# U(sl2) products are closed-form and do not recurse, but the MFF route and
+# the invariants keep the recursion guard the weight search needs: a
+# RecursionError raised inside them, as simulated here, is a resource limit
 @pytest.mark.parametrize(
     "product, argv, stage",
     [
@@ -219,14 +220,28 @@ def test_usl2_recursion_limit_is_a_verify_fail_row(capsys, monkeypatch):
     )
 
 
+def test_mff_product_is_bounded_by_the_cap(capsys):
+    # at integer levels the MFF route's f^N * e^N forms (N+1)(N+2)/2 PBW
+    # terms: 903 at k = 40, 181503 at k = 600, over the default cap 20000
+    code, _, err = run_cli(capsys, ["classify", "--level", "40", "--max-dim", "902"])
+    assert code == 3
+    assert err == "error: level 40: mff route forms 903 PBW terms, over cap 902\n"
+    code, _, _ = run_cli(capsys, ["classify", "--level", "40", "--max-dim", "903"])
+    assert code == 0
+    code, _, err = run_cli(capsys, ["classify", "--level", "600"])
+    assert code == 3
+    assert err == "error: level 600: mff route forms 181503 PBW terms, over cap 20000\n"
+    code, _, err = run_cli(capsys, ["singular", "--level", "600", "--method", "mff"])
+    assert code == 3
+    assert "mff route" in err
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("command", ["classify", "zhu-poly"])
-def test_level_600_never_exits_1(capsys, command):
-    # the real straightening at k = 600 may or may not overflow, depending on
-    # stack depth and on what the product caches hold; either way it is not
-    # a property violation
-    code, _, err = run_cli(capsys, [command, "--level", "600"])
-    assert code in (0, 3), err
+def test_level_600_zhu_poly_succeeds(capsys):
+    # zhu-poly reads p1 and p2 off Q and never runs the MFF route
+    code, out, err = run_cli(capsys, ["zhu-poly", "--level", "600"])
+    assert code == 0, err
+    assert "p1 roots = S:      yes" in out
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -19,11 +19,18 @@ from admz.usl2 import (
     monomial_weight,
     parse_fin,
     pomoc_sides,
+    product_terms,
     project_cartan,
     straighten,
     verify_pomoc_identity,
 )
-from oracles import act_word_lowest_weight, eval_mod_n_minus, eval_mod_n_plus
+from oracles import (
+    act_word_lowest_weight,
+    eval_mod_n_minus,
+    eval_mod_n_plus,
+    product_by_transpositions,
+    straighten_by_transpositions,
+)
 
 F = Fraction
 
@@ -70,7 +77,7 @@ def test_product_f2_e2_cartan_part():
 
 
 def test_straighten_matches_generator_products():
-    # reference: the word built one fin_product per generator
+    # reference: adjacent transpositions, one generator at a time (tests/oracles.py)
     rng = random.Random(17)
     for order in (F_ORDER, E_ORDER):
         for _ in range(60):
@@ -79,16 +86,60 @@ def test_straighten_matches_generator_products():
                 (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-3, 3)
                 for _ in range(rng.randint(1, 3))
             }
-            expected = FinElement.one(order)
-            for g in word:
-                expected = fin_product(expected, gen(g, order))
-            got = FinElement(order, straighten(order, word))
-            assert got == expected
-            assert FinElement(order, straighten(order, word, acc)) == fin_product(
-                expected, FinElement(order, acc)
-            )
+            got = straighten(order, word)
+            assert got == straighten_by_transpositions(order, word)
+            assert straighten(order, word, acc) == straighten_by_transpositions(order, word, acc)
             mu = F(rng.randint(-9, 9), rng.randint(1, 4))
+            got = FinElement(order, got)
             assert eval_mod_n_minus(got, mu) == act_word_lowest_weight(word, mu).get(0, 0)
+
+
+@pytest.mark.parametrize("order", [F_ORDER, E_ORDER])
+def test_product_matches_transpositions_random(order):
+    rng = random.Random(41 if order is F_ORDER else 43)
+    for _ in range(60):
+        x = rand_elem(rng, order, max_terms=5, max_exp=4)
+        y = rand_elem(rng, order, max_terms=5, max_exp=4)
+        assert fin_product(x, y) == product_by_transpositions(x, y)
+        assert fin_product(y, x) == product_by_transpositions(y, x)
+        g = rng.choice("efh")
+        ge = gen(g, order)
+        expected = product_by_transpositions(ge, x) - product_by_transpositions(x, ge)
+        assert fin_ad(g, x) == expected
+
+
+def test_kostant_formula():
+    # f^c e^a = sum_j binom(a,j) binom(c,j) j! e^(a-j) prod_{i<j}(-h-a-c+2j-i) f^(c-j)
+    for a in range(8):
+        for c in range(8):
+            expected = {}
+            for j in range(min(a, c) + 1):
+                poly = HPoly.from_roots([2 * j - a - c - i for i in range(j)])
+                scale = comb(a, j) * comb(c, j) * factorial(j) * (-1) ** j
+                for b, coeff in enumerate(poly.coeffs):
+                    expected[a - j, b, c - j] = scale * coeff
+            expected = FinElement(E_ORDER, expected)
+            word = ["f"] * c + ["e"] * a
+            assert FinElement(E_ORDER, straighten_by_transpositions(E_ORDER, word)) == expected
+            got = fin_product(mono(E_ORDER, 0, 0, c), mono(E_ORDER, a, 0, 0))
+            assert got == expected, (a, c)
+
+
+def test_product_terms_bounds_the_product():
+    def shape(x):
+        out = {}
+        for a, b, c in x.terms:
+            out[a, c] = max(out.get((a, c), 0), b)
+        return out
+
+    # f^N e^N forms sum_{j<=N} (j+1) terms
+    for n in range(6):
+        f_n, e_n = mono(E_ORDER, 0, 0, n), mono(E_ORDER, n, 0, 0)
+        assert product_terms(shape(f_n), shape(e_n)) == (n + 1) * (n + 2) // 2
+    rng = random.Random(47)
+    for _ in range(100):
+        x, y = rand_elem(rng, E_ORDER), rand_elem(rng, E_ORDER)
+        assert len(fin_product(x, y).terms) <= product_terms(shape(x), shape(y))
 
 
 def test_product_rejects_mixed_orders():
