@@ -1,4 +1,4 @@
-"""The affine algebra sl2^ at a fixed level and its vacuum Verma module.
+"""The affine algebra sl2^ and its vacuum Verma modules M(k,0).
 
 Modes x(n) = x (x) t^n for x in {e, h, f} with
     [x(m), y(n)] = [x,y](m+n) + m delta_{m+n,0} <x,y> k,
@@ -7,11 +7,14 @@ element has been replaced by the level k.  The vacuum is annihilated by every
 mode of nonnegative degree; canonical monomials list their modes with degree
 ascending, ties broken f < h < e, so annihilation modes bubble rightward to
 the vacuum during straightening.
+
+The level enters only through the central term, so the one action table
+VACUUM serves every level: it holds each straightened coefficient as
+integers (a, b), meaning a + b*k, for a vector or matrix to evaluate.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import re
 from dataclasses import dataclass
@@ -34,6 +37,8 @@ MAX_DIM_ENV_VAR = "ADMZ_MAX_WEIGHT_DIM"
 
 # a mode is the key pair (degree, rank); rank orders ties f < h < e
 Mode = tuple
+# the ranks at or after r, for the weight search
+_RANKS_FROM = ((0, 1, 2), (1, 2), (2,))
 
 
 def mode(gen: str, degree: int) -> Mode:
@@ -87,19 +92,16 @@ def cap_exceeded(delta_deg: int, alpha_wt: int, cap: int) -> ResourceCapError:
     return ResourceCapError(f"weight space W({delta_deg},{alpha_wt}) exceeds cap {cap}")
 
 
-def bracket_modes(x: Mode, y: Mode, level) -> tuple[list[tuple[Mode, Fraction]], Fraction]:
-    """[x(m), y(n)] as (list of (mode, coeff), central scalar)."""
-    level = Fraction(level)
+def bracket_modes(x: Mode, y: Mode) -> tuple[list[tuple[Mode, int]], int]:
+    """[x(m), y(n)] as (list of (mode, coeff), c), the central term being c*k."""
     gx, gy = mode_gen(x), mode_gen(y)
     m, n = mode_degree(x), mode_degree(y)
-    modes: list[tuple[Mode, Fraction]] = []
+    modes: list[tuple[Mode, int]] = []
     br = BRACKET.get((gx, gy))
     if br is not None:
         bg, bc = br
-        modes.append((mode(bg, m + n), Fraction(bc)))
-    central = Fraction(0)
-    if m + n == 0:
-        central = Fraction(m) * _PAIRING.get((gx, gy), 0) * level
+        modes.append((mode(bg, m + n), bc))
+    central = m * _PAIRING.get((gx, gy), 0) if m + n == 0 else 0
     return modes, central
 
 
@@ -268,10 +270,10 @@ def parse_verma(text: str, level) -> VermaVector:
 
 
 class VacuumModule:
-    """Straightening engine for M(k,0) at one level, with a per-level memo."""
+    """Straightening engine for M(k,0), level-free: its memo maps (mode,
+    monomial) to {monomial: (a, b)}, each pair meaning a + b*k."""
 
-    def __init__(self, level):
-        self.level = Fraction(level)
+    def __init__(self):
         self._memo: dict = {}
 
     # -- single-mode action on a canonical monomial -------------------------
@@ -281,33 +283,36 @@ class VacuumModule:
         if hit is not None:
             return hit
         if not mono:
-            out = {} if md[0] >= 0 else {(md,): Fraction(1)}
+            out = {} if md[0] >= 0 else {(md,): (1, 0)}
         elif md[0] < 0 and md <= mono[0]:
-            out = {(md,) + mono: Fraction(1)}
+            out = {(md,) + mono: (1, 0)}
         else:
             head, rest = mono[0], mono[1:]
             acc: dict = {}
-            for m2, c2 in self.act_mono(md, rest).items():
-                for m3, c3 in self.act_mono(head, m2).items():
-                    acc[m3] = acc.get(m3, Fraction(0)) + c2 * c3
-            bmodes, central = bracket_modes(md, head, self.level)
+            # head has negative degree, so it meets no central term: its
+            # coefficients are (a3, 0) and every product stays linear in k
+            for m2, (a2, b2) in self.act_mono(md, rest).items():
+                for m3, (a3, _) in self.act_mono(head, m2).items():
+                    a, b = acc.get(m3, (0, 0))
+                    acc[m3] = (a + a2 * a3, b + b2 * a3)
+            bmodes, central = bracket_modes(md, head)
             for bm, bc in bmodes:
-                for m2, c2 in self.act_mono(bm, rest).items():
-                    acc[m2] = acc.get(m2, Fraction(0)) + bc * c2
+                for m2, (a2, b2) in self.act_mono(bm, rest).items():
+                    a, b = acc.get(m2, (0, 0))
+                    acc[m2] = (a + bc * a2, b + bc * b2)
             if central:
-                acc[rest] = acc.get(rest, Fraction(0)) + central
-            out = {m: c for m, c in acc.items() if c}
+                a, b = acc.get(rest, (0, 0))
+                acc[rest] = (a, b + central)
+            out = {m: c for m, c in acc.items() if c != (0, 0)}
         self._memo[key] = out
         return out
 
     def act(self, md: Mode, v: VermaVector) -> VermaVector:
-        if v.level != self.level:
-            raise InvalidInputError("vector level does not match module level")
         out: dict = {}
         for mono, coeff in v.terms.items():
-            for m2, c2 in self.act_mono(md, mono).items():
-                out[m2] = out.get(m2, Fraction(0)) + coeff * c2
-        return VermaVector(self.level, out)
+            for m2, (a, b) in self.act_mono(md, mono).items():
+                out[m2] = out.get(m2, 0) + coeff * (a + b * v.level)
+        return VermaVector(v.level, out)
 
     # -- weight spaces -------------------------------------------------------
     def weight_space_basis(self, delta_deg: int, alpha_wt: int, max_dim=None) -> list:
@@ -318,58 +323,60 @@ class VacuumModule:
         cap = resolve_max_dim(max_dim)
         if delta_deg == 0:
             return [()] if alpha_wt == 0 else []
-        modes = [(d, r) for d in range(-delta_deg, 0) for r in (0, 1, 2)]
         out: list = []
 
-        def search(start: int, remaining: int, charge: int, stack: list):
+        def search(d0: int, r0: int, remaining: int, charge: int, stack: list):
             if remaining == 0:
                 if charge == alpha_wt:
                     out.append(tuple(stack))
                     if len(out) > cap:
                         raise cap_exceeded(delta_deg, alpha_wt, cap)
                 return
-            for i in range(start, len(modes)):
-                d, r = modes[i]
-                cost = -d
-                if cost > remaining:
-                    continue
-                new_charge = charge + GEN_CHARGE[RANK_GEN[r]]
-                new_remaining = remaining - cost
-                if abs(alpha_wt - new_charge) > new_remaining:
-                    continue
-                stack.append((d, r))
-                search(i, new_remaining, new_charge, stack)
-                stack.pop()
+            # a mode changes the charge by at most 1, so none costing more
+            # than remaining - |alpha_wt - charge| + 1 fits: start no lower
+            lowest = abs(alpha_wt - charge) - 1 - remaining
+            if d0 < lowest:
+                d0, r0 = lowest, 0
+            for d in range(d0, 0):
+                new_remaining = remaining + d
+                for r in _RANKS_FROM[r0]:
+                    new_charge = charge + r - 1  # rank r has charge r - 1
+                    if abs(alpha_wt - new_charge) > new_remaining:
+                        continue
+                    stack.append((d, r))
+                    search(d, r, new_remaining, new_charge, stack)
+                    stack.pop()
+                r0 = 0
 
-        search(0, delta_deg, 0, [])
+        search(-delta_deg, 0, delta_deg, 0, [])
         return out
 
 
-@functools.lru_cache(maxsize=None)
-def vacuum_module(level) -> VacuumModule:
-    return VacuumModule(level)
+# The one action table, shared by every level.
+VACUUM = VacuumModule()
 
 
 def act_mode(md: Mode, v: VermaVector) -> VermaVector:
     """Straightened action of a single mode on a Verma vector."""
-    return vacuum_module(v.level).act(md, v)
+    return VACUUM.act(md, v)
 
 
-def weight_space_basis(level, delta_deg: int, alpha_wt: int, max_dim=None) -> list:
-    return vacuum_module(Fraction(level)).weight_space_basis(delta_deg, alpha_wt, max_dim)
+def weight_space_basis(delta_deg: int, alpha_wt: int, max_dim=None) -> list:
+    return VACUUM.weight_space_basis(delta_deg, alpha_wt, max_dim)
 
 
 def operator_matrix(md: Mode, from_basis, to_basis, level):
-    """Exact matrix of a single mode between enumerated weight-space bases."""
-    module = vacuum_module(Fraction(level))
+    """Exact matrix of a single mode between enumerated weight-space bases,
+    at the given level."""
+    level = Fraction(level)
     index = {monomial: i for i, monomial in enumerate(to_basis)}
     entries: dict = {}
     for j, monomial in enumerate(from_basis):
-        for m2, c2 in module.act_mono(md, monomial).items():
+        for m2, (a, b) in VACUUM.act_mono(md, monomial).items():
             i = index.get(m2)
             if i is None:
                 raise InvalidInputError(
                     "operator image leaves the declared target weight space"
                 )
-            entries[(i, j)] = c2
+            entries[(i, j)] = a + b * level
     return RationalMatrix(len(to_basis), len(from_basis), entries)

@@ -115,9 +115,9 @@ def singular(level, method, max_dim):
 def zhu_poly(level, fmt, max_dim):
     """Classifying polynomials p1/p2 with root analysis against S."""
     lv = zhu.level_from_string(level)
-    S = zhu.set_S(lv)
     p1 = zhu.compute_p1(lv, max_dim)
     p2 = zhu.compute_p2(lv, zhu.NULLSPACE_ROUTE, max_dim)
+    S = zhu.set_S(lv)  # after the solve has passed its caps
     roots1, ok1 = zhu.simple_roots(p1, S)
     roots2, ok2 = zhu.simple_roots(p2, [-r for r in S])
     ok = ok1 and ok2
@@ -154,8 +154,8 @@ def check_dense(level, r_text, mu_text, max_dim):
     """Membership in T versus annihilation of E(r,mu) by Q."""
     lv = zhu.level_from_string(level)
     params = weight_modules.DenseParams(r=parse_scalar(r_text), mu=parse_scalar(mu_text))
-    member = weight_modules.is_T_member(lv, params)
     annihilates = weight_modules.q_annihilates_E(lv, params, max_dim)
+    member = weight_modules.is_T_member(lv, params)  # after the solve has passed its caps
     Q = zhu.compute_Q(lv, max_dim)
     profile = []
     for i in range(lv.N + 1):

@@ -23,5 +23,5 @@ class ConsistencyError(AdmzError, RuntimeError):
 
 class ResourceCapError(AdmzError, RuntimeError):
     """A weight-space dimension or the mff route's predicted product size
-    exceeded the configured cap, or a level's recursion exceeded the
-    interpreter's limit (CLI exit code 3)."""
+    exceeded the configured cap, or a level's cold solve, the only code that
+    recurses, exceeded the interpreter's recursion limit (CLI exit code 3)."""

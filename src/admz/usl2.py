@@ -146,20 +146,6 @@ def _kernel(xg: dict, yg: dict) -> dict:
     return out
 
 
-def product_terms(xs: dict, ys: dict) -> int:
-    """How many PBW terms `_kernel` forms for a product, before any merging,
-    from the operands' shapes {(a, c): deg P} of their groups e^a P(h) f^c.
-
-    The pair (a, c), (a', c') gives, for j = 0..min(c, a'), a polynomial of
-    degree deg P + j + deg R."""
-    total = 0
-    for (_, c), d in xs.items():
-        for (a2, _), d2 in ys.items():
-            n = min(c, a2) + 1
-            total += n * (d + d2 + 1) + n * (n - 1) // 2
-    return total
-
-
 def _theta(terms: dict) -> dict:
     """The Chevalley involution e <-> f, h -> -h: F_ORDER monomial (a, b, c)
     maps to (-1)^b times E_ORDER monomial (a, b, c), and back."""

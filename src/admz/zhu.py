@@ -27,23 +27,23 @@ Introduction to Lie Algebras and Representation Theory, sections 21 and 26.2)
     p2(h) = prod_{m=1..N} m(h+m-1) * sum_b q_{N,b,0} h^b
 
 The weight cap also bounds the mff route: its product f^N * epsilon is
-sized from the operands' shapes before any arithmetic (mff_terms), and a
-prediction over the cap is a ResourceCapError naming the level and the route.
-U(sl2) products are closed-form and do not recurse; the weight search does,
-so a RecursionError there, in the mff route or in an invariant becomes a
-ResourceCapError naming the level and the stage.
+sized in closed form before any arithmetic (mff_terms), and a prediction
+over the cap is a ResourceCapError naming the level and the route.  S and
+P^k, each of (l+1)N elements, are built only after the solve has passed its
+caps.  Only the cold solve recurses (the weight search and the vacuum
+module's straightening); a RecursionError there becomes a ResourceCapError
+naming the level.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from . import affine
-from .affine import AffineWeight, VermaVector, mode, vacuum_module
+from .affine import AffineWeight, VermaVector, mode
 from .errors import ConsistencyError, InvalidInputError, NotAdmissibleError, ResourceCapError
 from .exact_core import HPoly, format_scalar, parse_scalar, poly_proportional, poly_root_check
 from .nullspace import RationalMatrix, kernel_basis
@@ -54,7 +54,6 @@ from .usl2 import (
     fin_ad,
     fin_product,
     p_factor,
-    product_terms,
     project_cartan,
     straighten,
 )
@@ -152,16 +151,6 @@ class _Solved:
 _SOLVED: dict[tuple[int, int], _Solved] = {}
 
 
-@contextlib.contextmanager
-def _recursion_cap(lv: AdmissibleLevel, stage: str):
-    """Turn the interpreter's recursion limit, hit by the recursive weight
-    search, into a ResourceCapError naming the level and the stage."""
-    try:
-        yield
-    except RecursionError as exc:
-        raise ResourceCapError(f"level {lv}: {stage} exceeds recursion limit") from exc
-
-
 def _solve(lv: AdmissibleLevel, max_dim) -> _Solved:
     """Solve lv once per process; check the caller's cap on every call.
 
@@ -171,8 +160,10 @@ def _solve(lv: AdmissibleLevel, max_dim) -> _Solved:
     cap = affine.resolve_max_dim(max_dim)
     solved = _SOLVED.get((lv.p, lv.q))
     if solved is None:
-        with _recursion_cap(lv, "weight search"):
+        try:
             solved = _SOLVED[lv.p, lv.q] = _solve_cold(lv, cap)
+        except RecursionError as exc:
+            raise ResourceCapError(f"level {lv}: weight search exceeds recursion limit") from exc
     for (d, w), dim in solved.dims:
         if dim > cap:
             raise affine.cap_exceeded(d, w, cap)
@@ -180,10 +171,9 @@ def _solve(lv: AdmissibleLevel, max_dim) -> _Solved:
 
 
 def _solve_cold(lv: AdmissibleLevel, cap: int) -> _Solved:
-    module = vacuum_module(lv.k)
     d, w = singular_position(lv)
     spaces = ((d, w), (d, w + 1), (d - 1, w - 1))
-    basis0, basis_e, basis_f = (module.weight_space_basis(*dw, cap) for dw in spaces)
+    basis0, basis_e, basis_f = (affine.weight_space_basis(*dw, cap) for dw in spaces)
     m_e = affine.operator_matrix(mode("e", 0), basis0, basis_e, lv.k)
     m_f = affine.operator_matrix(mode("f", 1), basis0, basis_f, lv.k)
     stacked = RationalMatrix.vstack(m_e, m_f)
@@ -197,7 +187,7 @@ def _solve_cold(lv: AdmissibleLevel, cap: int) -> _Solved:
     v = VermaVector(lv.k, {basis0[j]: c for j, c in enumerate(vec) if c})
     # re-verify by direct action, independent of the solver
     for md in (mode("e", 0), mode("f", 1)):
-        if not module.act(md, v).is_zero():
+        if not affine.act_mode(md, v).is_zero():
             raise ConsistencyError(
                 "invariant singular-annihilation: solver output not singular"
             )
@@ -233,9 +223,11 @@ def mff_terms(lv: AdmissibleLevel) -> int:
     """Predicted PBW-term count of the mff route's product f^N * epsilon,
     from shapes alone.  Each p-factor ef + (s-1)h - s(s-1) has the groups
     e^1 f^1 and a linear h-polynomial, so the m = lN factors times e^N give
-    groups e^(N+a) P f^a with deg P = m - a, for a = 0..m."""
+    groups e^(N+a) P f^a with deg P = m - a, for a = 0..m.  Against f^N each
+    group forms N+1 polynomials of degrees m-a .. m-a+N, so the count is
+    sum_a (N+1)(m-a+1+N/2) = (N+1)(m+1)(N+m+2)/2."""
     m = lv.l * lv.N
-    return product_terms({(0, lv.N): 0}, {(lv.N + a, a): m - a for a in range(m + 1)})
+    return (lv.N + 1) * (m + 1) * (lv.N + m + 2) // 2
 
 
 def mff_epsilon(lv: AdmissibleLevel, max_dim=None) -> FinElement:
@@ -249,10 +241,9 @@ def mff_epsilon(lv: AdmissibleLevel, max_dim=None) -> FinElement:
     if terms > cap:
         raise ResourceCapError(f"level {lv}: mff route forms {terms} PBW terms, over cap {cap}")
     out = FinElement.monomial(E_ORDER, (lv.N, 0, 0))
-    with _recursion_cap(lv, "mff route"):
-        for i in range(1, lv.l + 1):
-            for j in range(1, lv.N + 1):
-                out = fin_product(p_factor(i * lv.t + j), out)
+    for i in range(1, lv.l + 1):
+        for j in range(1, lv.N + 1):
+            out = fin_product(p_factor(i * lv.t + j), out)
     return out
 
 
@@ -291,8 +282,7 @@ def compute_p2(lv: AdmissibleLevel, route: str = NULLSPACE_ROUTE, max_dim=None) 
             poly = poly * HPoly.linear(m * (m - 1), m)
     elif route == MFF_ROUTE:
         f_n = FinElement.monomial(E_ORDER, (0, 0, lv.N))
-        with _recursion_cap(lv, "mff route"):
-            poly = project_cartan(fin_product(f_n, mff_epsilon(lv, max_dim)), MOD_N_MINUS)
+        poly = project_cartan(fin_product(f_n, mff_epsilon(lv, max_dim)), MOD_N_MINUS)
     else:
         raise InvalidInputError(f"unknown p2 route {route!r}")
     if poly.is_zero():
@@ -470,22 +460,24 @@ INVARIANTS = (
 def check_report(report: ClassificationReport):
     """Run INVARIANTS in order, yielding one CheckResult each."""
     for name, holds, failure in INVARIANTS:
-        with _recursion_cap(report.level, f"invariant {name}"):
-            ok = holds(report)
+        ok = holds(report)
         yield CheckResult(name, ok, "" if ok else f"invariant {name}: {failure}")
 
 
 def build_report(lv: AdmissibleLevel, max_dim=None) -> ClassificationReport:
     """Compute every pipeline value for one level, before the post-hoc invariants."""
+    v = singular_vector_nullspace(lv, max_dim)
+    # the mff route before the nullspace p2: its cap check fails fast; S and
+    # P^k, which grow with the level, wait until both caps have passed
+    p2_mff = compute_p2(lv, MFF_ROUTE, max_dim)
     S = set_S(lv)
     return ClassificationReport(
         level=lv,
         S=S,
         Pk=enumerate_Pk(lv),
-        singular_vector=singular_vector_nullspace(lv, max_dim),
+        singular_vector=v,
         Q=compute_Q(lv, max_dim),
-        # the mff route before the nullspace p2: its cap check fails fast
-        p2_mff=compute_p2(lv, MFF_ROUTE, max_dim),
+        p2_mff=p2_mff,
         p2=compute_p2(lv, NULLSPACE_ROUTE, max_dim),
         p1=compute_p1(lv, max_dim),
         families=module_families(S),

@@ -4,7 +4,8 @@ These deliberately avoid the library's straightening and projection code:
 elements act on explicit lowest-/highest-weight module bases generator by
 generator, products are straightened by adjacent transpositions rather than
 the library's closed-form kernel, weight spaces are enumerated by a different
-algorithm, and polynomials are recovered by Lagrange interpolation.
+algorithm, polynomials are recovered by Lagrange interpolation, and the
+term count of a product is predicted from its operands' shapes.
 """
 
 from fractions import Fraction
@@ -210,3 +211,26 @@ def lagrange_fit(points):
         return total
 
     return evaluate
+
+
+def pbw_shape(x) -> dict:
+    """{(a, c): deg P} of an E_ORDER element grouped as sum e^a P(h) f^c."""
+    out = {}
+    for a, b, c in x.terms:
+        out[a, c] = max(out.get((a, c), 0), b)
+    return out
+
+
+def product_terms(xs: dict, ys: dict) -> int:
+    """How many PBW terms the library's product kernel forms for a product,
+    before any merging, from the operands' shapes {(a, c): deg P} of their
+    groups e^a P(h) f^c.
+
+    The pair (a, c), (a', c') gives, for j = 0..min(c, a'), a polynomial of
+    degree deg P + j + deg R."""
+    total = 0
+    for (_, c), d in xs.items():
+        for (a2, _), d2 in ys.items():
+            n = min(c, a2) + 1
+            total += n * (d + d2 + 1) + n * (n - 1) // 2
+    return total

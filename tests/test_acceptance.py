@@ -46,7 +46,7 @@ COLD_CLASSIFY_S = 10.0
 
 def _cold_caches():
     zhu._SOLVED.clear()
-    affine.vacuum_module.cache_clear()
+    affine.VACUUM._memo.clear()
 
 
 @contextmanager
@@ -80,9 +80,9 @@ def test_A2_level_minus_half():
         _cold_caches()
         t0 = time.monotonic()
         lv = level_from_string("-1/2")
-        b0 = weight_space_basis(lv.k, 4, 2)
-        be = weight_space_basis(lv.k, 4, 3)
-        bf = weight_space_basis(lv.k, 3, 1)
+        b0 = weight_space_basis(4, 2)
+        be = weight_space_basis(4, 3)
+        bf = weight_space_basis(3, 1)
         stacked = RationalMatrix.vstack(
             operator_matrix(mode("e", 0), b0, be, lv.k),
             operator_matrix(mode("f", 1), b0, bf, lv.k),

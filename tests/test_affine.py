@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from admz.affine import (
+    VACUUM,
     VermaVector,
     act_mode,
     bracket_modes,
@@ -15,7 +16,6 @@ from admz.affine import (
     monomial_to_text,
     operator_matrix,
     parse_verma,
-    vacuum_module,
     weight_space_basis,
 )
 from admz.errors import InvalidInputError, ResourceCapError
@@ -33,23 +33,23 @@ def vec(monos, level=K):
 
 
 def test_bracket_examples():
-    ms, central = bracket_modes(mode("e", 0), mode("f", 0), K)
-    assert ms == [(mode("h", 0), F(1))] and central == 0
+    # the central term comes back as its integer multiple of k
+    ms, central = bracket_modes(mode("e", 0), mode("f", 0))
+    assert ms == [(mode("h", 0), 1)] and central == 0
 
-    ms, central = bracket_modes(mode("e", 1), mode("f", -1), K)
-    assert ms == [(mode("h", 0), F(1))] and central == K
+    ms, central = bracket_modes(mode("e", 1), mode("f", -1))
+    assert ms == [(mode("h", 0), 1)] and central == 1
 
-    ms, central = bracket_modes(mode("h", 2), mode("h", -2), K)
-    assert ms == [] and central == 4 * K
+    ms, central = bracket_modes(mode("h", 2), mode("h", -2))
+    assert ms == [] and central == 4
 
 
 def test_bracket_antisymmetry_and_jacobi():
-    level = F(7, 3)
     modes = [mode(g, d) for g in "ehf" for d in range(-3, 4)]
     for x in modes:
         for y in modes:
-            mxy, cxy = bracket_modes(x, y, level)
-            myx, cyx = bracket_modes(y, x, level)
+            mxy, cxy = bracket_modes(x, y)
+            myx, cyx = bracket_modes(y, x)
             combined = {}
             for m, c in mxy + myx:
                 combined[m] = combined.get(m, F(0)) + c
@@ -60,9 +60,9 @@ def test_bracket_antisymmetry_and_jacobi():
             for z in modes:
                 total_modes, total_central = {}, F(0)
                 for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-                    inner_modes, _ = bracket_modes(b, c, level)
+                    inner_modes, _ = bracket_modes(b, c)
                     for bm, bc in inner_modes:
-                        outer_modes, outer_central = bracket_modes(a, bm, level)
+                        outer_modes, outer_central = bracket_modes(a, bm)
                         for om, oc in outer_modes:
                             total_modes[om] = total_modes.get(om, F(0)) + bc * oc
                         total_central += bc * outer_central
@@ -85,31 +85,29 @@ def test_act_examples():
 
 def test_act_module_axiom_sampled():
     level = F(3, 5)
-    module = vacuum_module(level)
     rng = random.Random(5)
     basis_vectors = []
     for d, w in ((1, 1), (2, 0), (3, 1), (3, -1)):
-        for mono in module.weight_space_basis(d, w):
+        for mono in weight_space_basis(d, w):
             basis_vectors.append(VermaVector(level, {mono: F(1)}))
     modes = [mode(g, d) for g in "ehf" for d in (-2, -1, 0, 1, 2)]
     for _ in range(150):
         x, y = rng.choice(modes), rng.choice(modes)
         v = rng.choice(basis_vectors)
-        lhs = module.act(x, module.act(y, v)) - module.act(y, module.act(x, v))
-        ms, central = bracket_modes(x, y, level)
-        rhs = v * central
+        lhs = act_mode(x, act_mode(y, v)) - act_mode(y, act_mode(x, v))
+        ms, central = bracket_modes(x, y)
+        rhs = v * (central * level)
         for bm, bc in ms:
-            rhs = rhs + module.act(bm, v) * bc
+            rhs = rhs + act_mode(bm, v) * bc
         assert lhs == rhs
 
 
 def test_act_grading():
-    module = vacuum_module(K)
     for d, w in ((2, 0), (3, 1), (4, 2)):
-        for mono in module.weight_space_basis(d, w):
+        for mono in weight_space_basis(d, w):
             v = VermaVector(K, {mono: F(1)})
             for md in (mode("e", 0), mode("f", 1), mode("h", -1), mode("e", -2)):
-                img = module.act(md, v)
+                img = act_mode(md, v)
                 if not img.is_zero():
                     assert img.homogeneous_weight() == (
                         d - mode_degree(md),
@@ -117,37 +115,80 @@ def test_act_grading():
                     )
 
 
+def test_one_table_serves_every_level(monkeypatch):
+    # interleaved levels share one table; each answer must match a rebuild
+    # from an empty table, so no level's values leak into another's
+    monkeypatch.setattr(VACUUM, "_memo", {})
+    e1, e1_sq = (mode("e", -1),), (mode("e", -1), mode("e", -1))
+    rng = random.Random(13)
+    pool = weight_space_basis(2, 2) + weight_space_basis(3, 1) + weight_space_basis(3, -1)
+    modes = [mode(g, d) for g in "ehf" for d in (-1, 0, 1, 2)]
+    spaces = [(mode("f", 1), 2, 2)] + [(md, 3, 1) for md in modes if mode_degree(md) >= 0]
+    for level in (F(1), F(-1, 2), F(2), F(3, 5), F(1)):
+        vs = [VermaVector(level, {mono: F(rng.randint(1, 5))}) for mono in rng.sample(pool, 6)]
+
+        def answers():
+            images = [act_mode(md, v) for md in modes for v in vs]
+            matrices = [
+                operator_matrix(
+                    md,
+                    weight_space_basis(d, w),
+                    weight_space_basis(d - mode_degree(md), w + mode_charge(md)),
+                    level,
+                )
+                for md, d, w in spaces
+            ]
+            return images, matrices
+
+        warm = answers()
+        VACUUM._memo.clear()
+        assert answers() == warm, level
+        # f(1) e(-1)^2|0> = (2k-2) e(-1)|0>: the table keeps (-2, 2) although
+        # it vanishes at k = 1, where e(-1)^2|0> is the singular vector
+        img = act_mode(mode("f", 1), VermaVector(level, {e1_sq: F(1)}))
+        assert VACUUM._memo[mode("f", 1), e1_sq] == {e1: (-2, 2)}
+        assert img == VermaVector(level, {e1: 2 * level - 2})
+        assert img.is_zero() == (level == 1)
+        for _ in range(40):
+            x, y, v = rng.choice(modes), rng.choice(modes), rng.choice(vs)
+            ms, central = bracket_modes(x, y)
+            rhs = v * (central * level)
+            for bm, bc in ms:
+                rhs = rhs + act_mode(bm, v) * bc
+            assert act_mode(x, act_mode(y, v)) - act_mode(y, act_mode(x, v)) == rhs
+
+
 # -- weight spaces ------------------------------------------------------------
 
 
 def test_weight_space_examples():
-    assert weight_space_basis(K, 2, 2) == [(mode("e", -1), mode("e", -1))]
-    assert weight_space_basis(K, 1, 0) == [(mode("h", -1),)]
-    assert weight_space_basis(K, 0, 1) == []
-    assert weight_space_basis(K, 0, 0) == [()]
+    assert weight_space_basis(2, 2) == [(mode("e", -1), mode("e", -1))]
+    assert weight_space_basis(1, 0) == [(mode("h", -1),)]
+    assert weight_space_basis(0, 1) == []
+    assert weight_space_basis(0, 0) == [()]
 
 
 def test_weight_space_against_brute_force():
     for d in range(0, 6):
         for w in range(-d, d + 1):
-            assert weight_space_basis(K, d, w) == brute_weight_space(d, w)
+            assert weight_space_basis(d, w) == brute_weight_space(d, w)
 
 
 def test_weight_space_cap():
     with pytest.raises(ResourceCapError):
-        weight_space_basis(K, 9, 1, max_dim=3)
+        weight_space_basis(9, 1, max_dim=3)
 
 
 # -- operator matrices ----------------------------------------------------------
 
 
 def test_operator_matrix_examples():
-    b22 = weight_space_basis(K, 2, 2)
-    b23 = weight_space_basis(K, 2, 3)
+    b22 = weight_space_basis(2, 2)
+    b23 = weight_space_basis(2, 3)
     m = operator_matrix(mode("e", 0), b22, b23, K)
     assert (m.nrows, m.ncols) == (0, 1) and not m.entries
 
-    b11 = weight_space_basis(K, 1, 1)
+    b11 = weight_space_basis(1, 1)
     m = operator_matrix(mode("f", 1), b22, b11, K)
     # f(1) e(-1)^2 |0> = (2k-2) e(-1)|0>
     assert m.to_rows() == [[2 * K - 2]]
@@ -157,7 +198,7 @@ def test_operator_matrix_examples():
 
 
 def test_operator_matrix_target_mismatch():
-    b22 = weight_space_basis(K, 2, 2)
+    b22 = weight_space_basis(2, 2)
     with pytest.raises(InvalidInputError):
         operator_matrix(mode("f", 1), b22, [], K)
 
@@ -167,8 +208,7 @@ def test_operator_matrix_target_mismatch():
 
 def test_verma_text_round_trip():
     rng = random.Random(37)
-    module = vacuum_module(K)
-    pool = module.weight_space_basis(4, 0) + module.weight_space_basis(3, 1)
+    pool = weight_space_basis(4, 0) + weight_space_basis(3, 1)
     for _ in range(40):
         terms = {}
         for mono in rng.sample(pool, k=min(3, len(pool))):

@@ -1,9 +1,14 @@
 """CLI surface: commands, formats, and the exit-code contract."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import admz
 import admz.zhu as zhu_mod
 from admz import weight_modules
 from admz.cli import main
@@ -188,35 +193,80 @@ def test_recursion_limit_level_is_a_verify_fail_row(capsys):
     assert "[FAIL] classification[1200]  (level 1200: " in out
 
 
-def _overflow(*args):
-    raise RecursionError("maximum recursion depth exceeded")
+def run_cli_bounded(argv, seconds=30, address_space=1_500_000_000):
+    """Run the CLI in a child process under a time and an address-space
+    limit, so a command that builds a level-sized structure fails the test
+    instead of hanging it or exhausting memory."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    src = os.path.dirname(os.path.dirname(admz.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "admz.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=seconds,
+        preexec_fn=limit,
+        env=env,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
-# U(sl2) products are closed-form and do not recurse, but the MFF route and
-# the invariants keep the recursion guard the weight search needs: a
-# RecursionError raised inside them, as simulated here, is a resource limit
+# Huge levels: S and P^k (qN elements each), the modes the weight search
+# could try and the mff route's shape groups all number 1e11 or more.  Each
+# command is refused by a cap before any of them is built.  N = 1 at
+# -199999999996/99999999999.
+N, M = 199999999998, 99999999998 * 199999999998  # N and m = lN at 1/99999999999
+
+
 @pytest.mark.parametrize(
-    "product, argv, stage",
+    "argv, err",
     [
-        ("fin_product", ["classify", "--level", "-1/2"], "mff route"),
-        ("fin_product", ["singular", "--level", "-1/2", "--method", "mff"], "mff route"),
-        ("fin_ad", ["classify", "--level", "-1/2"], "invariant adjoint-module"),
+        (
+            ["classify", "--level", "99999999999999999999"],
+            "error: level 99999999999999999999: weight search exceeds recursion limit\n",
+        ),
+        (
+            ["zhu-poly", "--level", "1/99999999999"],
+            "error: level 1/99999999999: weight search exceeds recursion limit\n",
+        ),
+        (
+            ["zhu-poly", "--level", "-199999999996/99999999999"],
+            "error: weight space W(99999999999,1) exceeds cap 20000\n",
+        ),
+        (
+            ["check-dense", "--level", "1/99999999999", "--r", "-1/2", "--mu", "1/3"],
+            "error: level 1/99999999999: weight search exceeds recursion limit\n",
+        ),
+        (
+            ["singular", "--level", "1/99999999999", "--method", "nullspace"],
+            "error: level 1/99999999999: weight search exceeds recursion limit\n",
+        ),
+        (
+            ["singular", "--level", "1/99999999999", "--method", "mff"],
+            "error: level 1/99999999999: mff route forms "
+            f"{(N + 1) * (M + 1) * (N + M + 2) // 2}"
+            " PBW terms, over cap 20000\n",
+        ),
     ],
+    ids=["classify", "zhu-poly", "zhu-poly-N1", "check-dense", "singular-nullspace", "singular-mff"],
 )
-def test_usl2_recursion_limit_is_a_resource_cap(capsys, monkeypatch, product, argv, stage):
-    monkeypatch.setattr(zhu_mod, product, _overflow)
-    code, _, err = run_cli(capsys, argv)
-    assert code == 3
-    assert err == f"error: level -1/2: {stage} exceeds recursion limit\n"
+def test_huge_level_is_a_resource_cap(argv, err):
+    code, out, got = run_cli_bounded(argv)
+    assert (code, out, got) == (3, "", err)
 
 
-def test_usl2_recursion_limit_is_a_verify_fail_row(capsys, monkeypatch):
-    monkeypatch.setattr(zhu_mod, "fin_ad", _overflow)
-    code, out, _ = run_cli(capsys, ["verify", "--suite", "classification", "--levels", "-1/2"])
+def test_huge_level_is_a_verify_fail_row():
+    code, out, _ = run_cli_bounded(
+        ["verify", "--suite", "classification", "--levels", "1,99999999999999999999"]
+    )
     assert code == 1
+    assert "[PASS] classification[1]" in out
     assert (
-        "[FAIL] classification[-1/2]  "
-        "(level -1/2: invariant adjoint-module exceeds recursion limit)" in out
+        "[FAIL] classification[99999999999999999999]  "
+        "(level 99999999999999999999: weight search exceeds recursion limit)" in out
     )
 
 

@@ -88,10 +88,10 @@ def test_rref_matches_sympy_oracle():
 def singular_system(lv) -> RationalMatrix:
     """The stacked e(0)/f(1) system whose kernel is the vacuum singular vector."""
     d, w = singular_position(lv)
-    b0 = weight_space_basis(lv.k, d, w)
+    b0 = weight_space_basis(d, w)
     return RationalMatrix.vstack(
-        operator_matrix(mode("e", 0), b0, weight_space_basis(lv.k, d, w + 1), lv.k),
-        operator_matrix(mode("f", 1), b0, weight_space_basis(lv.k, d - 1, w - 1), lv.k),
+        operator_matrix(mode("e", 0), b0, weight_space_basis(d, w + 1), lv.k),
+        operator_matrix(mode("f", 1), b0, weight_space_basis(d - 1, w - 1), lv.k),
     )
 
 

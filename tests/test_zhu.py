@@ -42,7 +42,7 @@ from admz.zhu import (
     singular_vector_nullspace,
     zhu_image_F,
 )
-from oracles import eval_mod_n_minus, eval_mod_n_plus
+from oracles import eval_mod_n_minus, eval_mod_n_plus, pbw_shape, product_terms
 
 F = Fraction
 
@@ -128,9 +128,9 @@ def test_singular_integer_levels():
 
 def test_singular_stacked_kernel_is_one_dimensional():
     lv = admissible_params(1, 1)
-    b0 = weight_space_basis(lv.k, 2, 2)
-    be = weight_space_basis(lv.k, 2, 3)
-    bf = weight_space_basis(lv.k, 1, 1)
+    b0 = weight_space_basis(2, 2)
+    be = weight_space_basis(2, 3)
+    bf = weight_space_basis(1, 1)
     from admz.affine import operator_matrix
 
     stacked = RationalMatrix.vstack(
@@ -276,6 +276,15 @@ def test_mff_epsilon_examples():
         fin_product(_p_factor(F(7, 3)), FinElement.monomial(E_ORDER, (1, 0, 0))),
     )
     assert mff_epsilon(lv) == expected
+
+
+def test_mff_terms_closed_form_counts_the_operands():
+    # the closed form must equal the count from the operands' actual shapes
+    for text in ("1", "2", "-1/2", "1/2", "-4/3", "-2/3", "3/2", "-5/4", "-1/3", "5/2"):
+        lv = level_from_string(text)
+        f_n = FinElement.monomial(E_ORDER, (0, 0, lv.N))
+        shapes = pbw_shape(f_n), pbw_shape(mff_epsilon(lv))
+        assert zhu_mod.mff_terms(lv) == product_terms(*shapes), text
 
 
 def test_mff_factors_commute():
