@@ -32,12 +32,9 @@ from .exact_core import (
 )
 from .nullspace import RationalMatrix, kernel_basis, rref
 from .usl2 import (
-    E_ORDER,
-    F_ORDER,
     MOD_N_MINUS,
     MOD_N_PLUS,
     FinElement,
-    Order,
     fin_ad,
     fin_product,
     parse_fin,

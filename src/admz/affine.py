@@ -230,16 +230,17 @@ _MODE_RE = re.compile(r"^([efh])\((-?\d+)\)(?:\^(\d+))?$")
 
 
 def parse_verma(text: str, level) -> VermaVector:
-    """Parse the canonical text form of a VermaVector."""
+    """Parse a signed sum of scalars times mode words on |0>, such as the
+    canonical text form.  Each term's modes act on the vacuum right to left,
+    so "e(0) |0>" parses to 0."""
     text = text.strip()
     if not text:
         raise InvalidInputError("empty Verma-vector text")
     if text == "0":
         return VermaVector(level)
-    terms: dict[tuple, Fraction] = {}
+    total: dict = {}
     # split into signed terms on top-level +/-
     chunks = re.split(r"\s+(?=[+-]\s)", " " + text)
-    total = {}
     for chunk in chunks:
         chunk = chunk.strip()
         if not chunk:
@@ -263,10 +264,12 @@ def parse_verma(text: str, level) -> VermaVector:
                 modes.extend([mode(g, deg)] * (int(exp) if exp else 1))
             else:
                 coeff *= Fraction(tok)
-        mono = tuple(sorted(modes))
-        total[mono] = total.get(mono, Fraction(0)) + coeff
-    terms.update(total)
-    return VermaVector(level, terms)
+        v = VermaVector.vacuum(level)
+        for md in reversed(modes):
+            v = act_mode(md, v)
+        for mono, c in v.terms.items():
+            total[mono] = total.get(mono, Fraction(0)) + coeff * c
+    return VermaVector(level, total)
 
 
 class VacuumModule:

@@ -1,8 +1,10 @@
 """Exact sparse linear algebra over the rationals: RREF and kernel bases.
 
-`rref` is one dense Fraction elimination (`_gauss_py.rref_rows`), the small
-reference oracle.  `kernel_basis` is a sparse modular solver whose answer is
-certified exactly:
+`rref` is one dense Fraction elimination (`rref_rows`), the small reference
+oracle that the tests compare the modular kernel against: eager
+normalization, deterministic pivoting (lowest column index, then lowest row
+index).  `kernel_basis` does not use it; it is a sparse modular solver whose
+answer is certified exactly:
 
 1. each row is scaled by the lcm of its denominators, so the rows are integer;
 2. for each prime of a fixed descending sequence of 62-bit primes, the sparse
@@ -40,7 +42,6 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import _gauss_py
 from .errors import InvalidInputError
 
 
@@ -114,10 +115,48 @@ class RationalMatrix:
         return f"RationalMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
 
 
+def rref_rows(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Reduce rows in place to reduced row echelon form; returns pivot columns."""
+    nrows = len(rows)
+    pivots: list[int] = []
+    pivot_row = 0
+    for col in range(ncols):
+        if pivot_row >= nrows:
+            break
+        sel = -1
+        for r in range(pivot_row, nrows):
+            if rows[r][col]:
+                sel = r
+                break
+        if sel < 0:
+            continue
+        if sel != pivot_row:
+            rows[sel], rows[pivot_row] = rows[pivot_row], rows[sel]
+        prow = rows[pivot_row]
+        pv = prow[col]
+        if pv != 1:
+            inv = 1 / pv
+            for j in range(col, ncols):
+                if prow[j]:
+                    prow[j] *= inv
+        nz = [j for j in range(col, ncols) if prow[j]]
+        for r in range(nrows):
+            if r == pivot_row:
+                continue
+            row = rows[r]
+            factor = row[col]
+            if factor:
+                for j in nz:
+                    row[j] -= factor * prow[j]
+        pivots.append(col)
+        pivot_row += 1
+    return pivots
+
+
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, int]:
     """Canonical reduced row echelon form and rank, exact."""
     rows = m.to_rows()
-    pivots = _gauss_py.rref_rows(rows, m.ncols)
+    pivots = rref_rows(rows, m.ncols)
     entries = {}
     for i, row in enumerate(rows):
         for j, v in enumerate(row):

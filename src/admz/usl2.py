@@ -1,32 +1,29 @@
-"""U(sl2) with exact PBW products in two monomial orders.
+"""U(sl2) with exact products in the PBW basis e^a h^b f^c.
 
 Generators e, h, f with [h,f] = -2f, [h,e] = 2e, [e,f] = h.  Elements are
-finite maps from exponent triples to rational coefficients; F_ORDER means the
-basis f^a h^b e^c, E_ORDER the basis e^a h^b f^c.
+finite maps from exponent triples (a, b, c), the basis monomial e^a h^b f^c,
+to rational coefficients.
 
 Every product runs through one closed-form kernel on integer coefficients.
-An E_ORDER operand is grouped as sum e^a P_ac(h) f^c, its denominators are
-cleared once, and f^c e^a' in the middle is expanded by Kostant's formula
+An operand is grouped as sum e^a P_ac(h) f^c, its denominators are cleared
+once, and f^c e^a' in the middle is expanded by Kostant's formula
 (Humphreys, Introduction to Lie Algebras and Representation Theory, 26.2)
 
     f^c e^a = sum_j binom(a,j) binom(c,j) j! e^(a-j) prod_{i<j} (-h-a-c+2j-i) f^(c-j)
 
 followed by the shifts P(h) e^m = e^m P(h+2m) and f^m P(h) = P(h+2m) f^m.
-F_ORDER products go through the Chevalley involution e <-> f, h -> -h, an
-automorphism that maps the F_ORDER monomial (a,b,c) to (-1)^b times the
-E_ORDER monomial (a,b,c).  `straighten` folds a word of generators into a
-basis through the same kernel, one run of equal generators at a time;
-reordering and the Zhu image use it.  Nothing recurses and nothing is cached
-between calls.
+`straighten` folds a word of generators into the basis through the same
+kernel, one run of equal generators at a time; the text parser, the Zhu
+image and the projection mod U(g)n_+ use it.  Nothing recurses and nothing
+is cached between calls.
 
-The two orders exist because the two Cartan projections are coefficient
-filters in their natural basis: mod U(g)n_- keeps the pure-h terms of the
-E_ORDER expansion, mod U(g)n_+ those of the F_ORDER expansion.
+The projection mod U(g)n_- keeps the pure-h terms of the expansion.  The
+projection mod U(g)n_+ goes through the Chevalley involution e <-> f,
+h -> -h, an automorphism that maps U(g)n_+ onto U(g)n_-.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import re
 from fractions import Fraction
@@ -35,6 +32,7 @@ from math import comb, factorial, lcm
 from .errors import InvalidInputError
 from .exact_core import HPoly, format_terms
 
+# the generators, in the order of the basis monomial e^a h^b f^c
 GENERATORS = ("e", "h", "f")
 
 # [x, y] as (generator, integer coefficient); absent pairs bracket to zero.
@@ -47,35 +45,21 @@ BRACKET = {
     ("f", "h"): ("f", 2),
 }
 
-class Order(enum.Enum):
-    """PBW monomial order tag."""
 
-    F = "f_first"  # f^a h^b e^c
-    E = "e_first"  # e^a h^b f^c
-
-
-F_ORDER = Order.F
-E_ORDER = Order.E
-
-_LETTERS = {Order.F: ("f", "h", "e"), Order.E: ("e", "h", "f")}
+def monomial_weight(mono: tuple[int, int, int]) -> int:
+    """ad-h weight of the basis monomial e^a h^b f^c: 2(a - c)."""
+    return 2 * (mono[0] - mono[2])
 
 
-def monomial_weight(order: Order, mono: tuple[int, int, int]) -> int:
-    """ad-h weight of a basis monomial: 2(#e - #f)."""
-    a, b, c = mono
-    return 2 * (c - a) if order is Order.F else 2 * (a - c)
-
-
-def monomial_word(order: Order, mono: tuple[int, int, int]) -> tuple[str, ...]:
+def monomial_word(mono: tuple[int, int, int]) -> tuple[str, ...]:
     """The basis monomial as its word of generators, left to right."""
-    g1, g2, g3 = _LETTERS[order]
     a, b, c = mono
-    return (g1,) * a + (g2,) * b + (g3,) * c
+    return ("e",) * a + ("h",) * b + ("f",) * c
 
 
 # -- the integer kernel --------------------------------------------------------
-# An integer-coefficient element of E_ORDER is grouped as {(a, c): P}, the sum
-# of e^a P(h) f^c, with P the list of its h-coefficients in ascending powers.
+# An integer-coefficient element is grouped as {(a, c): P}, the sum of
+# e^a P(h) f^c, with P the list of its h-coefficients in ascending powers.
 
 
 def _group(terms: dict) -> dict:
@@ -146,32 +130,23 @@ def _kernel(xg: dict, yg: dict) -> dict:
     return out
 
 
-def _theta(terms: dict) -> dict:
-    """The Chevalley involution e <-> f, h -> -h: F_ORDER monomial (a, b, c)
-    maps to (-1)^b times E_ORDER monomial (a, b, c), and back."""
-    return {m: -v if m[1] % 2 else v for m, v in terms.items()}
+def _int_product(x: dict, y: dict) -> dict:
+    """x * y for integer-coefficient elements."""
+    return _ungroup(_kernel(_group(x), _group(y)))
 
 
-def _int_product(order: Order, x: dict, y: dict) -> dict:
-    """x * y for integer-coefficient elements of order's basis."""
-    if order is Order.F:
-        x, y = _theta(x), _theta(y)
-    out = _ungroup(_kernel(_group(x), _group(y)))
-    return _theta(out) if order is Order.F else out
+def straighten(word, acc=None) -> dict:
+    """The product g_1 * ... * g_n * acc for word = (g_1, ..., g_n), in the
+    basis with integer coefficients.
 
-
-def straighten(order: Order, word, acc=None) -> dict:
-    """The product g_1 * ... * g_n * acc for word = (g_1, ..., g_n), in
-    order's basis with integer coefficients.
-
-    acc maps basis monomials of order to integers and defaults to 1.  Each
-    run of equal generators multiplies in as one basis monomial.
+    acc maps basis monomials to integers and defaults to 1.  Each run of
+    equal generators multiplies in as one basis monomial.
     """
     acc = {(0, 0, 0): 1} if acc is None else acc
     for g, run in itertools.groupby(reversed(word)):
         power = [0, 0, 0]
-        power[_LETTERS[order].index(g)] = len(list(run))
-        acc = _int_product(order, {tuple(power): 1}, acc)
+        power[GENERATORS.index(g)] = len(list(run))
+        acc = _int_product({tuple(power): 1}, acc)
     return {m: v for m, v in acc.items() if v}
 
 
@@ -181,55 +156,50 @@ def _integral(x: "FinElement") -> tuple[dict, int]:
     return {m: c.numerator * (den // c.denominator) for m, c in x.terms.items()}, den
 
 
-def _rational(order: Order, terms: dict, den: int) -> "FinElement":
+def _rational(terms: dict, den: int) -> "FinElement":
     """The FinElement terms / D."""
-    return FinElement(order, {m: Fraction(v, den) for m, v in terms.items() if v})
+    return FinElement({m: Fraction(v, den) for m, v in terms.items() if v})
 
 
 class FinElement:
-    """Element of U(sl2) in a fixed PBW order.
+    """Element of U(sl2) in the PBW basis e^a h^b f^c.
 
     terms maps exponent triples (a, b, c) to nonzero Fractions.  Treated as
     immutable after construction.
     """
 
-    __slots__ = ("order", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, order: Order, terms=None):
-        if not isinstance(order, Order):
-            raise InvalidInputError(f"not a PBW order tag: {order!r}")
+    def __init__(self, terms=None):
         clean: dict[tuple[int, int, int], Fraction] = {}
         for mono, coeff in (terms or {}).items():
             coeff = Fraction(coeff)
             if coeff:
                 clean[mono] = coeff
-        self.order = order
         self.terms = clean
 
     # -- constructors -----------------------------------------------------
     @classmethod
-    def zero(cls, order: Order) -> "FinElement":
-        return cls(order, {})
+    def zero(cls) -> "FinElement":
+        return cls({})
 
     @classmethod
-    def one(cls, order: Order) -> "FinElement":
-        return cls(order, {(0, 0, 0): Fraction(1)})
+    def one(cls) -> "FinElement":
+        return cls({(0, 0, 0): Fraction(1)})
 
     @classmethod
-    def monomial(cls, order: Order, mono, coeff=1) -> "FinElement":
-        return cls(order, {tuple(mono): Fraction(coeff)})
+    def monomial(cls, mono, coeff=1) -> "FinElement":
+        return cls({tuple(mono): Fraction(coeff)})
 
     @classmethod
-    def generator(cls, g: str, order: Order) -> "FinElement":
+    def generator(cls, g: str) -> "FinElement":
         if g not in GENERATORS:
             raise InvalidInputError(f"unknown sl2 generator {g!r}")
-        g1, g2, g3 = _LETTERS[order]
-        mono = {(g1): (1, 0, 0), (g2): (0, 1, 0), (g3): (0, 0, 1)}[g]
-        return cls(order, {mono: Fraction(1)})
+        return cls({tuple(int(x == g) for x in GENERATORS): Fraction(1)})
 
     @classmethod
-    def from_h_poly(cls, poly: HPoly, order: Order) -> "FinElement":
-        return cls(order, {(0, b, 0): c for b, c in enumerate(poly.coeffs)})
+    def from_h_poly(cls, poly: HPoly) -> "FinElement":
+        return cls({(0, b, 0): c for b, c in enumerate(poly.coeffs)})
 
     # -- basic structure ---------------------------------------------------
     def is_zero(self) -> bool:
@@ -238,26 +208,24 @@ class FinElement:
     def __eq__(self, other):
         if not isinstance(other, FinElement):
             return NotImplemented
-        return self.order is other.order and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.order, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
-        return f"FinElement({self.order.name}_ORDER, {self.to_text()!r})"
+        return f"FinElement({self.to_text()!r})"
 
     def __neg__(self):
-        return FinElement(self.order, {m: -c for m, c in self.terms.items()})
+        return FinElement({m: -c for m, c in self.terms.items()})
 
     def __add__(self, other):
         if not isinstance(other, FinElement):
             return NotImplemented
-        if self.order is not other.order:
-            raise InvalidInputError("mixed PBW order tags in addition")
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, Fraction(0)) + c
-        return FinElement(self.order, out)
+        return FinElement(out)
 
     def __sub__(self, other):
         return self + (-other)
@@ -265,7 +233,7 @@ class FinElement:
     def __mul__(self, other):
         if isinstance(other, FinElement):
             return fin_product(self, other)
-        return FinElement(self.order, {m: c * Fraction(other) for m, c in self.terms.items()})
+        return FinElement({m: c * Fraction(other) for m, c in self.terms.items()})
 
     def __rmul__(self, other):
         if isinstance(other, FinElement):
@@ -277,58 +245,48 @@ class FinElement:
 
         The zero element reports weight 0.
         """
-        weights = {monomial_weight(self.order, m) for m in self.terms}
+        weights = {monomial_weight(m) for m in self.terms}
         if not weights:
             return 0
         if len(weights) > 1:
             return None
         return weights.pop()
 
-    # -- the four structural maps ------------------------------------------
+    # -- structural maps -----------------------------------------------------
     def transpose(self) -> "FinElement":
         """Antiautomorphism e <-> f, h -> h, products reversed.
 
-        In either order the straightened image of a basis monomial is again
-        a basis monomial with (a, b, c) -> (c, b, a).
+        The straightened image of a basis monomial e^a h^b f^c is again a
+        basis monomial, e^c h^b f^a.
         """
-        return FinElement(self.order, {(c, b, a): v for (a, b, c), v in self.terms.items()})
-
-    def reorder(self, target: Order) -> "FinElement":
-        if target is self.order:
-            return self
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for mono, coeff in self.terms.items():
-            for m2, c2 in straighten(target, monomial_word(self.order, mono)).items():
-                out[m2] = out.get(m2, Fraction(0)) + coeff * c2
-        return FinElement(target, out)
+        return FinElement({(c, b, a): v for (a, b, c), v in self.terms.items()})
 
     def to_text(self) -> str:
-        letters = _LETTERS[self.order]
         return format_terms(
             (
                 self.terms[mono],
-                "*".join(g if exp == 1 else f"{g}^{exp}" for g, exp in zip(letters, mono) if exp),
+                "*".join(
+                    g if exp == 1 else f"{g}^{exp}" for g, exp in zip(GENERATORS, mono) if exp
+                ),
             )
             for mono in sorted(self.terms, reverse=True)
         )
 
 
 def fin_product(x: FinElement, y: FinElement) -> FinElement:
-    """Product straightened into the shared PBW order."""
-    if x.order is not y.order:
-        raise InvalidInputError("mixed PBW order tags in product")
+    """Product straightened into the basis."""
     (xi, dx), (yi, dy) = _integral(x), _integral(y)
-    return _rational(x.order, _int_product(x.order, xi, yi), dx * dy)
+    return _rational(_int_product(xi, yi), dx * dy)
 
 
 def fin_ad(g: str, x: FinElement) -> FinElement:
     """ad g (x) = g*x - x*g, straightened."""
-    (gen,) = FinElement.generator(g, x.order).terms
+    (gen,) = FinElement.generator(g).terms
     xi, den = _integral(x)
-    out = _int_product(x.order, {gen: 1}, xi)
-    for m, v in _int_product(x.order, xi, {gen: 1}).items():
+    out = _int_product({gen: 1}, xi)
+    for m, v in _int_product(xi, {gen: 1}).items():
         out[m] = out.get(m, 0) - v
-    return _rational(x.order, out, den)
+    return _rational(out, den)
 
 
 MOD_N_MINUS = "mod_n_minus"
@@ -338,37 +296,32 @@ MOD_N_PLUS = "mod_n_plus"
 def project_cartan(x: FinElement, side: str) -> HPoly:
     """Project an ad-weight-0 element to its pure-h polynomial.
 
-    mod_n_minus filters the E_ORDER expansion (dropped terms end in f, hence
-    lie in U(g)n_-); mod_n_plus symmetrically filters the F_ORDER expansion.
+    mod_n_minus keeps the pure-h terms: every other weight-0 term ends in f,
+    hence lies in U(g)n_-.  mod_n_plus applies the Chevalley involution
+    theta: e <-> f, h -> -h, which maps U(g)n_+ onto U(g)n_-.  So if theta(x)
+    has pure-h part P(h), x projects to P(-h) mod U(g)n_+; each term
+    e^a h^b f^c maps to (-1)^b f^a h^b e^c, straightened.
     """
-    if side == MOD_N_MINUS:
-        y = x.reorder(E_ORDER)
-    elif side == MOD_N_PLUS:
-        y = x.reorder(F_ORDER)
-    else:
+    if side not in (MOD_N_MINUS, MOD_N_PLUS):
         raise InvalidInputError(f"unknown projection side {side!r}")
-    if y.ad_weight() != 0:
+    if x.ad_weight() != 0:
         raise InvalidInputError("project_cartan requires an ad-weight-0 element")
-    coeffs: dict[int, Fraction] = {}
-    for (a, b, c), coeff in y.terms.items():
-        if a == 0 and c == 0:
-            coeffs[b] = coeff
-    if not coeffs:
-        return HPoly.zero()
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for b, coeff in coeffs.items():
-        out[b] = coeff
-    return HPoly(out)
+    if side == MOD_N_MINUS:
+        pure = {b: v for (a, b, c), v in x.terms.items() if a == c == 0}
+    else:
+        pure = {}
+        for (a, b, c), v in x.terms.items():
+            for (a2, b2, c2), w in straighten(("f",) * a + ("h",) * b + ("e",) * c).items():
+                if a2 == c2 == 0:
+                    pure[b2] = pure.get(b2, 0) + (-1) ** (b + b2) * v * w
+    return HPoly([pure.get(b, 0) for b in range(max(pure, default=-1) + 1)])
 
 
 def p_factor(s) -> FinElement:
-    """p_s = ef + (s-1)h - s(s-1) in E_ORDER, one factor of the closed-form
+    """p_s = ef + (s-1)h - s(s-1), one factor of the closed-form
     product behind the classifying polynomial."""
     s = Fraction(s)
-    return FinElement(
-        E_ORDER,
-        {(1, 0, 1): Fraction(1), (0, 1, 0): s - 1, (0, 0, 0): -s * (s - 1)},
-    )
+    return FinElement({(1, 0, 1): Fraction(1), (0, 1, 0): s - 1, (0, 0, 0): -s * (s - 1)})
 
 
 def pomoc_sides(N: int, s) -> tuple[FinElement, FinElement]:
@@ -381,7 +334,7 @@ def pomoc_sides(N: int, s) -> tuple[FinElement, FinElement]:
     s = Fraction(s)
     if N < 1:
         raise InvalidInputError("N must be a positive integer")
-    f_n = FinElement.monomial(E_ORDER, (0, 0, N))
+    f_n = FinElement.monomial((0, 0, N))
     return fin_product(f_n, p_factor(s)), fin_product(p_factor(s - N), f_n)
 
 
@@ -394,15 +347,15 @@ def verify_pomoc_identity(N: int, it_plus_j) -> bool:
 _FIN_FACTOR_RE = re.compile(r"^(?P<g>[efh])(?:\^(?P<exp>\d+))?$")
 
 
-def parse_fin(text: str, order: Order) -> FinElement:
-    """Parse the canonical text form back into a FinElement."""
+def parse_fin(text: str) -> FinElement:
+    """Parse a signed sum of products of scalars and generator powers, such
+    as the canonical text form.  Each term's word of generators is
+    straightened, so "f*e" parses to e*f - h."""
     compact = text.replace(" ", "")
     if not compact:
         raise InvalidInputError("empty element text")
     if compact == "0":
-        return FinElement.zero(order)
-    g1, g2, g3 = _LETTERS[order]
-    slot = {g1: 0, g2: 1, g3: 2}
+        return FinElement.zero()
     terms: dict[tuple[int, int, int], Fraction] = {}
     chunks = re.findall(r"[+-]?[^+-]+", compact)
     if "".join(chunks) != compact:
@@ -415,14 +368,13 @@ def parse_fin(text: str, order: Order) -> FinElement:
             sign = Fraction(-1)
             chunk = chunk[1:]
         coeff = Fraction(1)
-        exps = [0, 0, 0]
+        word: list[str] = []
         for factor in filter(None, chunk.split("*")):
             m = _FIN_FACTOR_RE.match(factor)
             if m:
-                idx = slot[m.group("g")]
-                exps[idx] += int(m.group("exp")) if m.group("exp") else 1
+                word.extend(m.group("g") * (int(m.group("exp")) if m.group("exp") else 1))
             else:
                 coeff *= Fraction(factor)
-        mono = tuple(exps)
-        terms[mono] = terms.get(mono, Fraction(0)) + sign * coeff
-    return FinElement(order, terms)
+        for mono, v in straighten(word).items():
+            terms[mono] = terms.get(mono, Fraction(0)) + sign * coeff * v
+    return FinElement(terms)

@@ -17,8 +17,6 @@ from .affine import act_mode, bracket_modes, mode, weight_space_basis
 from .errors import AdmzError
 from .exact_core import HPoly
 from .usl2 import (
-    E_ORDER,
-    F_ORDER,
     MOD_N_MINUS,
     FinElement,
     fin_ad,
@@ -45,13 +43,13 @@ POMOC_S_VALUES = (
 )
 
 
-def _random_fin(rng: random.Random, order, max_terms=4, max_exp=3) -> FinElement:
+def _random_fin(rng: random.Random, max_terms=4, max_exp=3) -> FinElement:
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         mono = (rng.randint(0, max_exp), rng.randint(0, max_exp), rng.randint(0, max_exp))
         coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         terms[mono] = terms.get(mono, Fraction(0)) + coeff
-    return FinElement(order, terms)
+    return FinElement(terms)
 
 
 def suite_algebra(samples: int = 120, seed: int = DEFAULT_SEED) -> list[CheckResult]:
@@ -140,13 +138,12 @@ def suite_algebra(samples: int = 120, seed: int = DEFAULT_SEED) -> list[CheckRes
                 witness = f"h(0) on {mono}"
     results.append(CheckResult("affine-grading", ok, witness))
 
-    # U(sl2): associativity, transpose, derivation, weight additivity, reorder
-    ok_assoc = ok_transp = ok_deriv = ok_weight = ok_reorder = True
+    # U(sl2): associativity, transpose, derivation, weight additivity
+    ok_assoc = ok_transp = ok_deriv = ok_weight = True
     for _ in range(samples):
-        order = rng.choice((F_ORDER, E_ORDER))
-        x = _random_fin(rng, order)
-        y = _random_fin(rng, order)
-        z = _random_fin(rng, order)
+        x = _random_fin(rng)
+        y = _random_fin(rng)
+        z = _random_fin(rng)
         if fin_product(fin_product(x, y), z) != fin_product(x, fin_product(y, z)):
             ok_assoc = False
         if fin_product(x, y).transpose() != fin_product(y.transpose(), x.transpose()):
@@ -160,27 +157,21 @@ def suite_algebra(samples: int = 120, seed: int = DEFAULT_SEED) -> list[CheckRes
             ok_deriv = False
         m1 = next(iter(x.terms)) if x.terms else (0, 0, 0)
         m2 = next(iter(y.terms)) if y.terms else (0, 0, 0)
-        prod = fin_product(
-            FinElement.monomial(order, m1), FinElement.monomial(order, m2)
-        )
-        target = monomial_weight(order, m1) + monomial_weight(order, m2)
-        if any(monomial_weight(order, m) != target for m in prod.terms):
+        prod = fin_product(FinElement.monomial(m1), FinElement.monomial(m2))
+        target = monomial_weight(m1) + monomial_weight(m2)
+        if any(monomial_weight(m) != target for m in prod.terms):
             ok_weight = False
-        other = E_ORDER if order is F_ORDER else F_ORDER
-        if x.reorder(other).reorder(order) != x:
-            ok_reorder = False
     results.append(CheckResult("usl2-associativity", ok_assoc))
     results.append(CheckResult("usl2-transpose-antiautomorphism", ok_transp))
     results.append(CheckResult("usl2-ad-derivation", ok_deriv))
     results.append(CheckResult("usl2-weight-additivity", ok_weight))
-    results.append(CheckResult("usl2-reorder-involution", ok_reorder))
     return results
 
 
 def fn_en_projection(N: int) -> HPoly:
     """f^N e^N projected mod U(g)n_-."""
-    f_n = FinElement.monomial(E_ORDER, (0, 0, N))
-    e_n = FinElement.monomial(E_ORDER, (N, 0, 0))
+    f_n = FinElement.monomial((0, 0, N))
+    e_n = FinElement.monomial((N, 0, 0))
     return project_cartan(fin_product(f_n, e_n), MOD_N_MINUS)
 
 

@@ -66,7 +66,7 @@ def act_element_on_E(u: FinElement, params: DenseParams, i: int) -> EActionResul
     for mono, coeff in u.terms.items():
         acc = coeff
         idx = i
-        for g in reversed(monomial_word(u.order, mono)):
+        for g in reversed(monomial_word(mono)):
             c, idx = act_generator_on_E(g, params, idx)
             if c == 0:
                 acc = Fraction(0)

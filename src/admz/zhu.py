@@ -48,7 +48,6 @@ from .errors import ConsistencyError, InvalidInputError, NotAdmissibleError, Res
 from .exact_core import HPoly, format_scalar, parse_scalar, poly_proportional, poly_root_check
 from .nullspace import RationalMatrix, kernel_basis
 from .usl2 import (
-    E_ORDER,
     MOD_N_MINUS,
     FinElement,
     fin_ad,
@@ -209,13 +208,13 @@ def zhu_image_F(v: VermaVector) -> FinElement:
             raise InvalidInputError("zhu_image_F requires mode degrees <= -1")
         scale = -coeff if sum(-d - 1 for d, _ in mono) % 2 else coeff
         word = [affine.mode_gen(md) for md in reversed(mono)]
-        for m, c in straighten(E_ORDER, word).items():
+        for m, c in straighten(word).items():
             out[m] = out.get(m, Fraction(0)) + scale * c
-    return FinElement(E_ORDER, out)
+    return FinElement(out)
 
 
 def compute_Q(lv: AdmissibleLevel, max_dim=None) -> FinElement:
-    """Q = F([v_sing]) in U(sl2), E_ORDER."""
+    """Q = F([v_sing]) in U(sl2), in the PBW basis e^a h^b f^c."""
     return _solve(lv, max_dim).Q
 
 
@@ -240,7 +239,7 @@ def mff_epsilon(lv: AdmissibleLevel, max_dim=None) -> FinElement:
     terms = mff_terms(lv)
     if terms > cap:
         raise ResourceCapError(f"level {lv}: mff route forms {terms} PBW terms, over cap {cap}")
-    out = FinElement.monomial(E_ORDER, (lv.N, 0, 0))
+    out = FinElement.monomial((lv.N, 0, 0))
     for i in range(1, lv.l + 1):
         for j in range(1, lv.N + 1):
             out = fin_product(p_factor(i * lv.t + j), out)
@@ -281,7 +280,7 @@ def compute_p2(lv: AdmissibleLevel, route: str = NULLSPACE_ROUTE, max_dim=None) 
         for m in range(1, lv.N + 1):
             poly = poly * HPoly.linear(m * (m - 1), m)
     elif route == MFF_ROUTE:
-        f_n = FinElement.monomial(E_ORDER, (0, 0, lv.N))
+        f_n = FinElement.monomial((0, 0, lv.N))
         poly = project_cartan(fin_product(f_n, mff_epsilon(lv, max_dim)), MOD_N_MINUS)
     else:
         raise InvalidInputError(f"unknown p2 route {route!r}")

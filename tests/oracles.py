@@ -11,11 +11,10 @@ term count of a product is predicted from its operands' shapes.
 from fractions import Fraction
 from math import comb
 
-from admz.usl2 import FinElement, Order
+from admz.usl2 import FinElement
 
-# Letters of a PBW basis monomial (a, b, c), left to right, per order tag:
-# F is f^a h^b e^c, E is e^a h^b f^c.
-LETTERS = {Order.F: ("f", "h", "e"), Order.E: ("e", "h", "f")}
+# Letters of the PBW basis monomial (a, b, c) = e^a h^b f^c, left to right.
+LETTERS = ("e", "h", "f")
 
 # [x, y] = coefficient * generator, for the pairs that do not commute
 _BRACKET = {
@@ -28,13 +27,13 @@ _BRACKET = {
 }
 
 
-def _left_mul_by_transpositions(order, g, mono, memo):
-    """g * (basis monomial) in order's basis: g moves right past each letter
+def _left_mul_by_transpositions(g, mono, memo):
+    """g * (basis monomial) in the basis: g moves right past each letter
     x of the monomial by g x = x g + [g, x].  Returns {monomial: int}."""
     key = (g, mono)
     if key in memo:
         return memo[key]
-    g1, g2, g3 = LETTERS[order]
+    g1, g2, g3 = LETTERS
     a, b, c = mono
     if g == g1:
         out = {(a + 1, b, c): 1}
@@ -51,19 +50,19 @@ def _left_mul_by_transpositions(order, g, mono, memo):
             head, rest = g3, (a, b, c - 1)
         out = {}
         # g * head * rest = head * (g * rest) + [g, head] * rest
-        for m2, c2 in _left_mul_by_transpositions(order, g, rest, memo).items():
-            for m3, c3 in _left_mul_by_transpositions(order, head, m2, memo).items():
+        for m2, c2 in _left_mul_by_transpositions(g, rest, memo).items():
+            for m3, c3 in _left_mul_by_transpositions(head, m2, memo).items():
                 out[m3] = out.get(m3, 0) + c2 * c3
         if (g, head) in _BRACKET:
             bg, bc = _BRACKET[g, head]
-            for m2, c2 in _left_mul_by_transpositions(order, bg, rest, memo).items():
+            for m2, c2 in _left_mul_by_transpositions(bg, rest, memo).items():
                 out[m2] = out.get(m2, 0) + bc * c2
     memo[key] = out = {m: v for m, v in out.items() if v}
     return out
 
 
-def straighten_by_transpositions(order, word, acc=None):
-    """g_1 * ... * g_n * acc in order's basis, one generator at a time.
+def straighten_by_transpositions(word, acc=None):
+    """g_1 * ... * g_n * acc in the basis, one generator at a time.
 
     acc maps basis monomials to coefficients of any exact type (default 1)."""
     acc = {(0, 0, 0): 1} if acc is None else dict(acc)
@@ -71,7 +70,7 @@ def straighten_by_transpositions(order, word, acc=None):
     for g in reversed(list(word)):
         nxt = {}
         for m, cm in acc.items():
-            for m3, c3 in _left_mul_by_transpositions(order, g, m, memo).items():
+            for m3, c3 in _left_mul_by_transpositions(g, m, memo).items():
                 nxt[m3] = nxt.get(m3, 0) + cm * c3
         acc = nxt
     return {m: v for m, v in acc.items() if v}
@@ -81,9 +80,9 @@ def product_by_transpositions(x: FinElement, y: FinElement) -> FinElement:
     """x * y, each term of x folded into y generator by generator."""
     out = {}
     for word, coeff in _element_words(x):
-        for m, v in straighten_by_transpositions(x.order, word, y.terms).items():
+        for m, v in straighten_by_transpositions(word, y.terms).items():
             out[m] = out.get(m, Fraction(0)) + coeff * v
-    return FinElement(x.order, out)
+    return FinElement(out)
 
 
 def act_word_lowest_weight(word, mu, start=0):
@@ -135,10 +134,9 @@ def act_word_highest_weight(word, mu, start=0):
 
 
 def _element_words(x: FinElement):
-    letters = LETTERS[x.order]
     for mono, coeff in x.terms.items():
         word = []
-        for g, exp in zip(letters, mono):
+        for g, exp in zip(LETTERS, mono):
             word.extend([g] * exp)
         yield word, coeff
 
@@ -214,7 +212,7 @@ def lagrange_fit(points):
 
 
 def pbw_shape(x) -> dict:
-    """{(a, c): deg P} of an E_ORDER element grouped as sum e^a P(h) f^c."""
+    """{(a, c): deg P} of an element grouped as sum e^a P(h) f^c."""
     out = {}
     for a, b, c in x.terms:
         out[a, c] = max(out.get((a, c), 0), b)

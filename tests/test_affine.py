@@ -220,3 +220,9 @@ def test_verma_text_round_trip():
     )
     assert parse_verma("|0>", K) == VermaVector.vacuum(K)
     assert parse_verma("0", K).is_zero()
+    # a word out of canonical order denotes its straightened value
+    fe = (mode("f", -2), mode("e", -1))
+    assert parse_verma("e(-1) f(-2) |0>", K) == VermaVector(K, {(mode("h", -3),): 1, fe: 1})
+    assert parse_verma("e(0) |0>", K).is_zero()
+    # [f(1), e(-1)] = -h(0) + k
+    assert parse_verma("f(1) e(-1) |0>", K) == VermaVector.vacuum(K) * K

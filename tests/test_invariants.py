@@ -12,7 +12,7 @@ import admz.zhu as zhu_mod
 from admz.affine import AffineWeight
 from admz.errors import ConsistencyError
 from admz.exact_core import HPoly
-from admz.usl2 import E_ORDER, FinElement
+from admz.usl2 import FinElement
 from admz.zhu import INVARIANTS, build_report, check_report, classify_category_O, level_from_string
 
 LEVEL = "-1/2"  # S = {1, 0, -1/2, -3/2}, N = 2
@@ -37,11 +37,11 @@ BREAKAGES = {
     "Pk-h-values": (lambda r: {"Pk": r.Pk[1:]}, {"Pk-h-values"}),
     "Pk-level": (lambda r: {"Pk": first_weight_off_level(r.Pk)}, {"Pk-level"}),
     "Q-adjoint-weight": (
-        lambda r: {"Q": r.Q + FinElement.one(E_ORDER)},
+        lambda r: {"Q": r.Q + FinElement.one()},
         {"Q-adjoint-weight"},
     ),
     "adjoint-module": (
-        lambda r: {"Q": r.Q + FinElement.monomial(E_ORDER, (r.level.N + 1, 0, 1))},
+        lambda r: {"Q": r.Q + FinElement.monomial((r.level.N + 1, 0, 1))},
         {"adjoint-module"},
     ),
     "p2-route-agreement": (

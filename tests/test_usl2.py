@@ -9,8 +9,6 @@ import pytest
 from admz.errors import InvalidInputError
 from admz.exact_core import HPoly
 from admz.usl2 import (
-    E_ORDER,
-    F_ORDER,
     MOD_N_MINUS,
     MOD_N_PLUS,
     FinElement,
@@ -36,41 +34,41 @@ from oracles import (
 F = Fraction
 
 
-def gen(g, order=F_ORDER):
-    return FinElement.generator(g, order)
+def gen(g):
+    return FinElement.generator(g)
 
 
-def mono(order, a, b, c, coeff=1):
-    return FinElement.monomial(order, (a, b, c), coeff)
+def mono(a, b, c, coeff=1):
+    return FinElement.monomial((a, b, c), coeff)
 
 
-def rand_elem(rng, order, max_terms=4, max_exp=3):
+def rand_elem(rng, max_terms=4, max_exp=3):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         key = (rng.randint(0, max_exp), rng.randint(0, max_exp), rng.randint(0, max_exp))
         terms[key] = terms.get(key, F(0)) + F(rng.randint(-4, 4), rng.randint(1, 3))
-    return FinElement(order, terms)
+    return FinElement(terms)
 
 
 # -- fin_product ------------------------------------------------------------
 
 
 def test_product_e_times_f_in_f_order():
-    assert fin_product(gen("e"), gen("f")) == FinElement(
-        F_ORDER, {(1, 0, 1): 1, (0, 1, 0): 1}
-    )
+    # the f-first word f*e in the basis: e*f - h
+    assert fin_product(gen("e"), gen("f")) == mono(1, 0, 1)
+    assert fin_product(gen("f"), gen("e")) == FinElement({(1, 0, 1): 1, (0, 1, 0): -1})
 
 
 def test_product_h_times_f_in_f_order():
-    assert fin_product(gen("h"), gen("f")) == FinElement(
-        F_ORDER, {(1, 1, 0): 1, (1, 0, 0): -2}
-    )
+    # the f-first word f*h in the basis: h*f + 2f
+    assert fin_product(gen("h"), gen("f")) == mono(0, 1, 1)
+    assert fin_product(gen("f"), gen("h")) == FinElement({(0, 1, 1): 1, (0, 0, 1): 2})
 
 
 def test_product_f2_e2_cartan_part():
-    # f^2 e^2 in E_ORDER: dropping terms with f-exponent > 0 leaves 2h^2 + 2h,
+    # f^2 e^2: dropping terms with f-exponent > 0 leaves 2h^2 + 2h,
     # the lowest-weight evaluation 2 mu (mu + 1)
-    prod = fin_product(mono(E_ORDER, 0, 0, 2), mono(E_ORDER, 2, 0, 0))
+    prod = fin_product(mono(0, 0, 2), mono(2, 0, 0))
     kept = {m: c for m, c in prod.terms.items() if m[2] == 0}
     assert kept == {(0, 2, 0): F(2), (0, 1, 0): F(2)}
     for mu in (F(0), F(1), F(-5, 3), F(7, 2)):
@@ -80,31 +78,29 @@ def test_product_f2_e2_cartan_part():
 def test_straighten_matches_generator_products():
     # reference: adjacent transpositions, one generator at a time (tests/oracles.py)
     rng = random.Random(17)
-    for order in (F_ORDER, E_ORDER):
-        for _ in range(60):
-            word = [rng.choice("efh") for _ in range(rng.randint(0, 7))]
-            acc = {
-                (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-3, 3)
-                for _ in range(rng.randint(1, 3))
-            }
-            got = straighten(order, word)
-            assert got == straighten_by_transpositions(order, word)
-            assert straighten(order, word, acc) == straighten_by_transpositions(order, word, acc)
-            mu = F(rng.randint(-9, 9), rng.randint(1, 4))
-            got = FinElement(order, got)
-            assert eval_mod_n_minus(got, mu) == act_word_lowest_weight(word, mu).get(0, 0)
+    for _ in range(120):
+        word = [rng.choice("efh") for _ in range(rng.randint(0, 7))]
+        acc = {
+            (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-3, 3)
+            for _ in range(rng.randint(1, 3))
+        }
+        got = straighten(word)
+        assert got == straighten_by_transpositions(word)
+        assert straighten(word, acc) == straighten_by_transpositions(word, acc)
+        mu = F(rng.randint(-9, 9), rng.randint(1, 4))
+        got = FinElement(got)
+        assert eval_mod_n_minus(got, mu) == act_word_lowest_weight(word, mu).get(0, 0)
 
 
-@pytest.mark.parametrize("order", [F_ORDER, E_ORDER])
-def test_product_matches_transpositions_random(order):
-    rng = random.Random(41 if order is F_ORDER else 43)
+def test_product_matches_transpositions_random():
+    rng = random.Random(43)
     for _ in range(60):
-        x = rand_elem(rng, order, max_terms=5, max_exp=4)
-        y = rand_elem(rng, order, max_terms=5, max_exp=4)
+        x = rand_elem(rng, max_terms=5, max_exp=4)
+        y = rand_elem(rng, max_terms=5, max_exp=4)
         assert fin_product(x, y) == product_by_transpositions(x, y)
         assert fin_product(y, x) == product_by_transpositions(y, x)
         g = rng.choice("efh")
-        ge = gen(g, order)
+        ge = gen(g)
         expected = product_by_transpositions(ge, x) - product_by_transpositions(x, ge)
         assert fin_ad(g, x) == expected
 
@@ -119,27 +115,22 @@ def test_kostant_formula():
                 scale = comb(a, j) * comb(c, j) * factorial(j) * (-1) ** j
                 for b, coeff in enumerate(poly.coeffs):
                     expected[a - j, b, c - j] = scale * coeff
-            expected = FinElement(E_ORDER, expected)
+            expected = FinElement(expected)
             word = ["f"] * c + ["e"] * a
-            assert FinElement(E_ORDER, straighten_by_transpositions(E_ORDER, word)) == expected
-            got = fin_product(mono(E_ORDER, 0, 0, c), mono(E_ORDER, a, 0, 0))
+            assert FinElement(straighten_by_transpositions(word)) == expected
+            got = fin_product(mono(0, 0, c), mono(a, 0, 0))
             assert got == expected, (a, c)
 
 
 def test_product_terms_bounds_the_product():
     # f^N e^N forms sum_{j<=N} (j+1) terms
     for n in range(6):
-        f_n, e_n = mono(E_ORDER, 0, 0, n), mono(E_ORDER, n, 0, 0)
+        f_n, e_n = mono(0, 0, n), mono(n, 0, 0)
         assert product_terms(pbw_shape(f_n), pbw_shape(e_n)) == (n + 1) * (n + 2) // 2
     rng = random.Random(47)
     for _ in range(100):
-        x, y = rand_elem(rng, E_ORDER), rand_elem(rng, E_ORDER)
+        x, y = rand_elem(rng), rand_elem(rng)
         assert len(fin_product(x, y).terms) <= product_terms(pbw_shape(x), pbw_shape(y))
-
-
-def test_product_rejects_mixed_orders():
-    with pytest.raises(InvalidInputError):
-        fin_product(gen("e", F_ORDER), gen("e", E_ORDER))
 
 
 # -- transpose ---------------------------------------------------------------
@@ -155,9 +146,8 @@ def test_transpose_examples():
 def test_transpose_antiautomorphism_random():
     rng = random.Random(7)
     for _ in range(100):
-        order = rng.choice((F_ORDER, E_ORDER))
-        x = rand_elem(rng, order)
-        y = rand_elem(rng, order)
+        x = rand_elem(rng)
+        y = rand_elem(rng)
         assert fin_product(x, y).transpose() == fin_product(
             y.transpose(), x.transpose()
         )
@@ -168,81 +158,61 @@ def test_transpose_antiautomorphism_random():
 
 
 def test_ad_e_on_f2():
-    f2 = mono(E_ORDER, 0, 0, 2)
+    f2 = mono(0, 0, 2)
     first = fin_ad("e", f2)
     # hf + fh straightened: 2hf + 2f
-    assert first == FinElement(E_ORDER, {(0, 1, 1): 2, (0, 0, 1): 2})
+    assert first == FinElement({(0, 1, 1): 2, (0, 0, 1): 2})
     second = fin_ad("e", first)
-    assert second == FinElement(E_ORDER, {(1, 0, 1): -4, (0, 2, 0): 2, (0, 1, 0): 2})
+    assert second == FinElement({(1, 0, 1): -4, (0, 2, 0): 2, (0, 1, 0): 2})
 
 
 def test_ad_h_is_weight_operator():
     rng = random.Random(11)
     for _ in range(50):
-        order = rng.choice((F_ORDER, E_ORDER))
         key = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
-        x = FinElement.monomial(order, key, F(3, 2))
-        assert fin_ad("h", x) == x * monomial_weight(order, key)
+        x = FinElement.monomial(key, F(3, 2))
+        assert fin_ad("h", x) == x * monomial_weight(key)
 
 
 def test_ad_derivation_random():
     rng = random.Random(13)
     for _ in range(100):
-        order = rng.choice((F_ORDER, E_ORDER))
-        x, y = rand_elem(rng, order), rand_elem(rng, order)
+        x, y = rand_elem(rng), rand_elem(rng)
         g = rng.choice("ehf")
         assert fin_ad(g, fin_product(x, y)) == fin_product(fin_ad(g, x), y) + fin_product(
             x, fin_ad(g, y)
         )
 
 
-# -- reorder -------------------------------------------------------------------
-
-
-def test_reorder_examples():
-    fe = mono(F_ORDER, 1, 0, 1)
-    assert fe.reorder(E_ORDER) == FinElement(E_ORDER, {(1, 0, 1): 1, (0, 1, 0): -1})
-    hb = mono(F_ORDER, 0, 3, 0, F(5, 2))
-    assert hb.reorder(E_ORDER) == FinElement(E_ORDER, {(0, 3, 0): F(5, 2)})
-
-
-def test_reorder_involution_random():
-    rng = random.Random(17)
-    for _ in range(100):
-        order = rng.choice((F_ORDER, E_ORDER))
-        other = E_ORDER if order is F_ORDER else F_ORDER
-        x = rand_elem(rng, order)
-        assert x.reorder(other).reorder(order) == x
-
-
 def test_associativity_random():
     rng = random.Random(19)
     for _ in range(100):
-        order = rng.choice((F_ORDER, E_ORDER))
-        x, y, z = (rand_elem(rng, order, max_terms=3) for _ in range(3))
+        x, y, z = (rand_elem(rng, max_terms=3) for _ in range(3))
         assert fin_product(fin_product(x, y), z) == fin_product(x, fin_product(y, z))
 
 
 def test_weight_additivity_random():
     rng = random.Random(23)
     for _ in range(100):
-        order = rng.choice((F_ORDER, E_ORDER))
         m1 = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
         m2 = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
-        prod = fin_product(FinElement.monomial(order, m1), FinElement.monomial(order, m2))
-        target = monomial_weight(order, m1) + monomial_weight(order, m2)
-        assert all(monomial_weight(order, m) == target for m in prod.terms)
+        prod = fin_product(FinElement.monomial(m1), FinElement.monomial(m2))
+        target = monomial_weight(m1) + monomial_weight(m2)
+        assert all(monomial_weight(m) == target for m in prod.terms)
 
 
 # -- project_cartan ------------------------------------------------------------
 
 
 def test_project_examples():
-    fe = mono(F_ORDER, 1, 0, 1)
+    ef = fin_product(gen("e"), gen("f"))
+    fe = fin_product(gen("f"), gen("e"))
     assert project_cartan(fe, MOD_N_MINUS) == HPoly([0, -1])
-    f2e2 = fin_product(mono(E_ORDER, 0, 0, 2), mono(E_ORDER, 2, 0, 0))
+    assert project_cartan(ef, MOD_N_PLUS) == HPoly([0, 1])
+    assert project_cartan(fe, MOD_N_PLUS) == HPoly.zero()
+    f2e2 = fin_product(mono(0, 0, 2), mono(2, 0, 0))
     assert project_cartan(f2e2, MOD_N_MINUS) == HPoly([0, 2, 2])
-    h3 = mono(F_ORDER, 0, 3, 0)
+    h3 = mono(0, 3, 0)
     assert project_cartan(h3, MOD_N_MINUS) == HPoly([0, 0, 0, 1])
     assert project_cartan(h3, MOD_N_PLUS) == HPoly([0, 0, 0, 1])
 
@@ -256,18 +226,21 @@ def test_project_agrees_with_evaluation_oracles():
     rng = random.Random(29)
     count = 0
     while count < 40:
-        order = rng.choice((F_ORDER, E_ORDER))
         a = rng.randint(0, 2)
         b = rng.randint(0, 2)
         terms = {(a, b, a): F(rng.randint(-3, 3), rng.randint(1, 2))}
         terms[(0, rng.randint(0, 3), 0)] = F(rng.randint(-3, 3))
-        x = FinElement(order, terms)
+        x = FinElement(terms)
         if x.is_zero() or x.ad_weight() != 0:
             continue
         count += 1
         pminus = project_cartan(x, MOD_N_MINUS)
         pplus = project_cartan(x, MOD_N_PLUS)
-        for mu in (F(0), F(2), F(-7, 3), F(11, 4)):
+        # both projections have degree at most that of x in the PBW
+        # filtration, so agreement at deg + 1 points fixes them exactly
+        deg = max(a + b + c for a, b, c in x.terms)
+        assert pminus.degree <= deg and pplus.degree <= deg
+        for mu in (F(3 * j - 7, 4) for j in range(deg + 1)):
             assert pminus(mu) == eval_mod_n_minus(x, mu)
             assert pplus(mu) == eval_mod_n_plus(x, mu)
 
@@ -276,7 +249,7 @@ def test_fn_en_projection_shape():
     # f^N e^N mod U(g)n_- is (-1)^N N! h(h+1)...(h+N-1); the constant is
     # pinned by the lowest-weight oracle before being asserted exactly.
     for N in range(1, 6):
-        prod = fin_product(mono(E_ORDER, 0, 0, N), mono(E_ORDER, N, 0, 0))
+        prod = fin_product(mono(0, 0, N), mono(N, 0, 0))
         poly = project_cartan(prod, MOD_N_MINUS)
         expected = HPoly.from_roots([-j for j in range(N)]) * F((-1) ** N * factorial(N))
         assert poly == expected
@@ -294,7 +267,7 @@ def test_pomoc_examples():
     # negative control: constant +1 added to the right side
     lhs, rhs = pomoc_sides(2, F(3, 2))
     assert lhs == rhs
-    perturbed = rhs + FinElement.one(E_ORDER)
+    perturbed = rhs + FinElement.one()
     assert lhs != perturbed
 
 
@@ -309,15 +282,13 @@ def test_pomoc_difference_lands_in_lowering_ideal():
     # the two sides of the literal bracket differ exactly by e*f^{N+1}
     for N in (1, 2, 4):
         s = F(7, 3)
-        p = FinElement(
-            E_ORDER, {(1, 0, 1): F(1), (0, 1, 0): s - 1, (0, 0, 0): -s * (s - 1)}
-        )
-        f_n = FinElement.monomial(E_ORDER, (0, 0, N))
+        p = FinElement({(1, 0, 1): F(1), (0, 1, 0): s - 1, (0, 0, 0): -s * (s - 1)})
+        f_n = FinElement.monomial((0, 0, N))
         lhs = fin_product(f_n, p)
         hpart = HPoly([-(s - N), 1]) * (s - N - 1)
-        rhs_poly_part = fin_product(FinElement.from_h_poly(hpart, E_ORDER), f_n)
+        rhs_poly_part = fin_product(FinElement.from_h_poly(hpart), f_n)
         diff = lhs - rhs_poly_part
-        assert diff == FinElement.monomial(E_ORDER, (1, 0, N + 1))
+        assert diff == FinElement.monomial((1, 0, N + 1))
 
 
 # -- canonical text ---------------------------------------------------------------
@@ -326,9 +297,13 @@ def test_pomoc_difference_lands_in_lowering_ideal():
 def test_fin_text_round_trip():
     rng = random.Random(31)
     for _ in range(50):
-        order = rng.choice((F_ORDER, E_ORDER))
-        x = rand_elem(rng, order)
-        assert parse_fin(x.to_text(), order) == x
-    q = FinElement(E_ORDER, {(2, 0, 0): 1})
+        x = rand_elem(rng)
+        assert parse_fin(x.to_text()) == x
+    q = FinElement({(2, 0, 0): 1})
     assert q.to_text() == "e^2"
-    assert parse_fin("e^2", E_ORDER) == q
+    assert parse_fin("e^2") == q
+    # a word out of basis order denotes its straightened value
+    assert parse_fin("f*e") == FinElement({(1, 0, 1): 1, (0, 1, 0): -1})
+    assert parse_fin("h*e") == FinElement({(1, 1, 0): 1, (1, 0, 0): 2})
+    f2e2 = fin_product(mono(0, 0, 2), mono(2, 0, 0))
+    assert parse_fin("2*f^2*e^2 - e*f") == f2e2 * 2 - mono(1, 0, 1)

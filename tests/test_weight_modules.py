@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from admz.errors import InvalidInputError
-from admz.usl2 import E_ORDER, F_ORDER, FinElement, fin_product
+from admz.usl2 import FinElement, fin_product
 from admz.weight_modules import (
     DenseParams,
     act_element_on_E,
@@ -21,10 +21,10 @@ from oracles import lagrange_fit
 F = Fraction
 
 
-def casimir(order=E_ORDER):
-    e = FinElement.generator("e", order)
-    f = FinElement.generator("f", order)
-    h = FinElement.generator("h", order)
+def casimir():
+    e = FinElement.generator("e")
+    f = FinElement.generator("f")
+    h = FinElement.generator("h")
     return fin_product(e, f) + fin_product(f, e) + fin_product(h, h) * F(1, 2)
 
 
@@ -62,13 +62,13 @@ def test_sl2_relations_on_E():
 
 def test_act_element_examples():
     p = DenseParams(r=F(2, 5), mu=F(1, 3))
-    e2 = FinElement.monomial(E_ORDER, (2, 0, 0))
+    e2 = FinElement.monomial((2, 0, 0))
     for i in (-2, 0, 3):
         res = act_element_on_E(e2, p, i)
         x = p.mu + i
         assert res.shift == -2 and res.coefficient == x * (x - 1)
 
-    res = act_element_on_E(FinElement.one(F_ORDER), p, 5)
+    res = act_element_on_E(FinElement.one(), p, 5)
     assert res.shift == 0 and res.coefficient == 1
 
     for i in (-3, 0, 7):
@@ -91,7 +91,7 @@ def test_casimir_constant_over_grid():
 
 
 def test_act_element_requires_homogeneous():
-    mixed = FinElement(E_ORDER, {(1, 0, 0): F(1), (0, 0, 0): F(1)})
+    mixed = FinElement({(1, 0, 0): F(1), (0, 0, 0): F(1)})
     with pytest.raises(InvalidInputError):
         act_element_on_E(mixed, DenseParams(r=F(0), mu=F(1, 2)), 0)
 

@@ -18,7 +18,6 @@ from admz.errors import InvalidInputError, NotAdmissibleError, ResourceCapError
 from admz.exact_core import HPoly, parse_hpoly, poly_proportional, poly_root_check
 from admz.nullspace import RationalMatrix, kernel_basis
 from admz.usl2 import (
-    E_ORDER,
     MOD_N_MINUS,
     MOD_N_PLUS,
     FinElement,
@@ -187,22 +186,22 @@ def test_zhu_image_examples():
     k = F(1)
     assert zhu_image_F(
         VermaVector(k, {(mode("e", -1), mode("e", -1)): F(1)})
-    ) == FinElement.monomial(E_ORDER, (2, 0, 0))
+    ) == FinElement.monomial((2, 0, 0))
     assert zhu_image_F(
         VermaVector(k, {(mode("h", -2),): F(1)})
-    ) == FinElement.monomial(E_ORDER, (0, 1, 0), -1)
+    ) == FinElement.monomial((0, 1, 0), -1)
     # e(-2)f(-1)|0> carries (-1)^1 and reverses to -f*e = -ef + h
     got = zhu_image_F(VermaVector(k, {(mode("e", -2), mode("f", -1)): F(1)}))
-    assert got == FinElement(E_ORDER, {(1, 0, 1): -1, (0, 1, 0): 1})
+    assert got == FinElement({(1, 0, 1): -1, (0, 1, 0): 1})
 
 
 def _zhu_image_by_products(v):
     """Reference: one fin_product per generator of each reversed monomial."""
-    out = FinElement.zero(E_ORDER)
+    out = FinElement.zero()
     for mono, coeff in v.terms.items():
-        word = FinElement.one(E_ORDER)
+        word = FinElement.one()
         for md in mono:
-            word = fin_product(FinElement.generator(mode_gen(md), E_ORDER), word)
+            word = fin_product(FinElement.generator(mode_gen(md)), word)
         out = out + word * (coeff * (-1) ** sum(-d - 1 for d, _ in mono))
     return out
 
@@ -228,11 +227,11 @@ def test_zhu_image_rejects_nonnegative_modes():
 
 
 def test_compute_Q_examples():
-    assert compute_Q(admissible_params(1, 1)) == FinElement.monomial(E_ORDER, (2, 0, 0))
-    assert compute_Q(admissible_params(2, 1)) == FinElement.monomial(E_ORDER, (3, 0, 0))
+    assert compute_Q(admissible_params(1, 1)) == FinElement.monomial((2, 0, 0))
+    assert compute_Q(admissible_params(2, 1)) == FinElement.monomial((3, 0, 0))
     lv = level_from_string("-1/2")
     Q = compute_Q(lv)
-    assert Q == parse_fin(Q_HALF, E_ORDER)
+    assert Q == parse_fin(Q_HALF)
     assert Q.ad_weight() == 2 * lv.N
 
 
@@ -257,23 +256,23 @@ def test_adjoint_module_structure():
 
 def _p_factor(s):
     s = F(s)
-    return FinElement(E_ORDER, {(1, 0, 1): F(1), (0, 1, 0): s - 1, (0, 0, 0): -s * (s - 1)})
+    return FinElement({(1, 0, 1): F(1), (0, 1, 0): s - 1, (0, 0, 0): -s * (s - 1)})
 
 
 def test_mff_epsilon_examples():
-    assert mff_epsilon(admissible_params(1, 1)) == FinElement.monomial(E_ORDER, (2, 0, 0))
+    assert mff_epsilon(admissible_params(1, 1)) == FinElement.monomial((2, 0, 0))
 
     lv = level_from_string("-1/2")  # t = 3/2: factors at s = 5/2, 7/2
     expected = fin_product(
         _p_factor(F(5, 2)),
-        fin_product(_p_factor(F(7, 2)), FinElement.monomial(E_ORDER, (2, 0, 0))),
+        fin_product(_p_factor(F(7, 2)), FinElement.monomial((2, 0, 0))),
     )
     assert mff_epsilon(lv) == expected
 
     lv = level_from_string("-4/3")  # t = 2/3: factors at s = 5/3, 7/3
     expected = fin_product(
         _p_factor(F(5, 3)),
-        fin_product(_p_factor(F(7, 3)), FinElement.monomial(E_ORDER, (1, 0, 0))),
+        fin_product(_p_factor(F(7, 3)), FinElement.monomial((1, 0, 0))),
     )
     assert mff_epsilon(lv) == expected
 
@@ -282,7 +281,7 @@ def test_mff_terms_closed_form_counts_the_operands():
     # the closed form must equal the count from the operands' actual shapes
     for text in ("1", "2", "-1/2", "1/2", "-4/3", "-2/3", "3/2", "-5/4", "-1/3", "5/2"):
         lv = level_from_string(text)
-        f_n = FinElement.monomial(E_ORDER, (0, 0, lv.N))
+        f_n = FinElement.monomial((0, 0, lv.N))
         shapes = pbw_shape(f_n), pbw_shape(mff_epsilon(lv))
         assert zhu_mod.mff_terms(lv) == product_terms(*shapes), text
 
@@ -403,7 +402,7 @@ def test_classification_report():
     }
     assert data["S"] == ["1", "0", "-1/2", "-3/2"]
     assert parse_hpoly(data["p2"]) == rep.p2
-    assert parse_fin(data["Q"]["text"], E_ORDER) == rep.Q
+    assert parse_fin(data["Q"]["text"]) == rep.Q
     assert parse_verma(data["singular_vector"], lv.k) == rep.singular_vector
     dense = data["families"][2]
     assert dense["r_values"] == ["-1/2", "-3/2"]
