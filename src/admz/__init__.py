@@ -45,7 +45,6 @@ from .weight_modules import (
     DenseParams,
     EActionResult,
     act_element_on_E,
-    act_generator_on_E,
     classify_weight_modules,
     is_T_member,
     q_annihilates_E,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError, ResourceCapError
-from .exact_core import format_scalar
+from .exact_core import format_scalar, parse_scalar
 from .nullspace import RationalMatrix
 from .usl2 import BRACKET
 
@@ -252,6 +252,8 @@ def parse_verma(text: str, level) -> VermaVector:
             sign = Fraction(-1)
             chunk = chunk[1:].strip()
         tokens = chunk.split()
+        if not tokens:
+            raise InvalidInputError(f"empty term in {text!r}")
         if tokens[-1] != "|0>":
             raise InvalidInputError(f"Verma term must end with |0>: {chunk!r}")
         tokens = tokens[:-1]
@@ -263,7 +265,7 @@ def parse_verma(text: str, level) -> VermaVector:
                 g, deg, exp = m.group(1), int(m.group(2)), m.group(3)
                 modes.extend([mode(g, deg)] * (int(exp) if exp else 1))
             else:
-                coeff *= Fraction(tok)
+                coeff *= parse_scalar(tok)
         v = VermaVector.vacuum(level)
         for md in reversed(modes):
             v = act_mode(md, v)

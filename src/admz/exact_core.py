@@ -2,9 +2,14 @@
 
 Every scalar in the library is a ``fractions.Fraction``: arbitrary precision,
 always in lowest terms, denominator positive, no floating point anywhere.
-``HPoly`` is the dense polynomial type used for the classifying polynomials;
-its canonical text form is terms in decreasing power with "num/den"
-coefficients, e.g. ``2*h^2 + 2*h``.
+
+A polynomial in h is at heart its list of coefficients in ascending powers.
+``poly_mul``, ``poly_shift`` and ``poly_eval`` are the one toolkit on such
+lists, with int and Fraction entries alike: ``HPoly`` uses them, and so do
+the integer product kernel of ``usl2``, ``zhu``'s evaluations of Q and the
+action of Q on the dense modules.  ``HPoly`` is the dense polynomial type used
+for the classifying polynomials; its canonical text form is terms in
+decreasing power with "num/den" coefficients, e.g. ``2*h^2 + 2*h``.
 """
 
 from __future__ import annotations
@@ -52,6 +57,40 @@ def format_terms(terms) -> str:
         else:
             parts.append(("+ " if coeff > 0 else "- ") + body)
     return " ".join(parts) or "0"
+
+
+def poly_mul(p, q) -> list:
+    """The product of two coefficient lists (ascending powers)."""
+    if not p or not q:
+        return []
+    if len(p) == 1 and p[0] == 1:
+        return list(q)
+    if len(q) == 1 and q[0] == 1:
+        return list(p)
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+    return out
+
+
+def poly_shift(p, s) -> list:
+    """P(h + s) for the coefficient list of P, by Taylor shift."""
+    out = list(p)
+    if s:
+        for i in range(len(out) - 1):
+            for k in range(len(out) - 2, i - 1, -1):
+                out[k] += s * out[k + 1]
+    return out
+
+
+def poly_eval(p, x):
+    """P(x) for the coefficient list of P, by Horner's rule."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 class HPoly:
@@ -140,27 +179,14 @@ class HPoly:
 
     def __mul__(self, other):
         if isinstance(other, HPoly):
-            if not self.coeffs or not other.coeffs:
-                return HPoly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-            return HPoly(out)
+            return HPoly(poly_mul(self.coeffs, other.coeffs))
         return HPoly(tuple(c * Fraction(other) for c in self.coeffs))
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return Fraction(poly_eval(self.coeffs, Fraction(x)))
 
     def divmod_linear(self, root) -> tuple["HPoly", Fraction]:
         """Synthetic division by (h - root); returns (quotient, remainder)."""
@@ -184,8 +210,9 @@ class HPoly:
         )
 
 
+# a "*" is read only between a coefficient and h, so "2*" and "*h" are refused
 _TERM_RE = re.compile(
-    r"^(?P<sign>[+-]?)(?:(?P<coeff>\d+(?:/\d+)?)\*?)?(?:(?P<h>h)(?:\^(?P<pow>\d+))?)?$"
+    r"^(?P<sign>[+-]?)(?P<coeff>\d+(?:/\d+)?)?(?:(?:(?<=\d)\*)?(?P<h>h)(?:\^(?P<pow>\d+))?)?$"
 )
 
 
@@ -204,7 +231,7 @@ def parse_hpoly(text: str) -> HPoly:
         m = _TERM_RE.match(term)
         if not m or (m.group("coeff") is None and m.group("h") is None):
             raise InvalidInputError(f"cannot parse polynomial term: {term!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        coeff = parse_scalar(m.group("coeff")) if m.group("coeff") else Fraction(1)
         if m.group("sign") == "-":
             coeff = -coeff
         if m.group("h"):

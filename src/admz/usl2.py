@@ -12,10 +12,14 @@ once, and f^c e^a' in the middle is expanded by Kostant's formula
     f^c e^a = sum_j binom(a,j) binom(c,j) j! e^(a-j) prod_{i<j} (-h-a-c+2j-i) f^(c-j)
 
 followed by the shifts P(h) e^m = e^m P(h+2m) and f^m P(h) = P(h+2m) f^m.
-`straighten` folds a word of generators into the basis through the same
-kernel, one run of equal generators at a time; the text parser, the Zhu
-image and the projection mod U(g)n_+ use it.  Nothing recurses and nothing
-is cached between calls.
+The P_ac are coefficient lists, multiplied and shifted by the polynomial
+toolkit of `exact_core`.  The grouped form is public as `pbw_groups`, and
+every evaluation of an element on a module reads it that way too: `zhu`
+reads p1 and p2 off Q's groups, `weight_modules` acts with each group on
+E(r,mu) in closed form.  `straighten` folds a word of generators into the
+basis through the same kernel, one run of equal generators at a time; the
+text parser, the Zhu image and the projection mod U(g)n_+ use it.  Nothing
+recurses and nothing is cached between calls.
 
 The projection mod U(g)n_- keeps the pure-h terms of the expansion.  The
 projection mod U(g)n_+ goes through the Chevalley involution e <-> f,
@@ -30,7 +34,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from .errors import InvalidInputError
-from .exact_core import HPoly, format_terms
+from .exact_core import HPoly, format_terms, parse_scalar, poly_mul, poly_shift
 
 # the generators, in the order of the basis monomial e^a h^b f^c
 GENERATORS = ("e", "h", "f")
@@ -51,19 +55,13 @@ def monomial_weight(mono: tuple[int, int, int]) -> int:
     return 2 * (mono[0] - mono[2])
 
 
-def monomial_word(mono: tuple[int, int, int]) -> tuple[str, ...]:
-    """The basis monomial as its word of generators, left to right."""
-    a, b, c = mono
-    return ("e",) * a + ("h",) * b + ("f",) * c
-
-
 # -- the integer kernel --------------------------------------------------------
-# An integer-coefficient element is grouped as {(a, c): P}, the sum of
-# e^a P(h) f^c, with P the list of its h-coefficients in ascending powers.
 
 
-def _group(terms: dict) -> dict:
-    out: dict[tuple[int, int], list[int]] = {}
+def pbw_groups(terms: dict) -> dict:
+    """An element's terms grouped as {(a, c): P}, the sum of e^a P(h) f^c,
+    with P the list of its h-coefficients in ascending powers."""
+    out: dict[tuple[int, int], list] = {}
     for (a, b, c), v in terms.items():
         poly = out.setdefault((a, c), [])
         if len(poly) <= b:
@@ -76,30 +74,6 @@ def _ungroup(groups: dict) -> dict:
     return {(a, b, c): v for (a, c), poly in groups.items() for b, v in enumerate(poly) if v}
 
 
-def _shift(poly: list, s: int) -> list:
-    """P(h + s), by Taylor shift."""
-    if not s:
-        return poly
-    out = list(poly)
-    for i in range(len(out) - 1):
-        for k in range(len(out) - 2, i - 1, -1):
-            out[k] += s * out[k + 1]
-    return out
-
-
-def _pmul(p: list, q: list) -> list:
-    if len(p) == 1 and p[0] == 1:
-        return q
-    if len(q) == 1 and q[0] == 1:
-        return p
-    out = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        if x:
-            for j, y in enumerate(q):
-                out[i + j] += x * y
-    return out
-
-
 def _kostant(a: int, c: int) -> list:
     """The h-polynomials K_j, j = 0..min(a, c), of f^c e^a = sum_j e^(a-j) K_j f^(c-j):
     K_j = binom(a,j) binom(c,j) j! prod_{i<j} (-h-a-c+2j-i)."""
@@ -107,7 +81,7 @@ def _kostant(a: int, c: int) -> list:
     for j in range(min(a, c) + 1):
         poly = [comb(a, j) * comb(c, j) * factorial(j)]
         for i in range(j):
-            poly = _pmul(poly, [2 * j - a - c - i, -1])
+            poly = poly_mul(poly, [2 * j - a - c - i, -1])
         out.append(poly)
     return out
 
@@ -121,7 +95,7 @@ def _kernel(xg: dict, yg: dict) -> dict:
         for (a2, c2), R in yg.items():
             for j, K in enumerate(_kostant(a2, c)):
                 m, n = a2 - j, c - j
-                poly = _pmul(_pmul(_shift(P, 2 * m), K), _shift(R, 2 * n))
+                poly = poly_mul(poly_mul(poly_shift(P, 2 * m), K), poly_shift(R, 2 * n))
                 acc = out.setdefault((a + m, n + c2), [])
                 if len(acc) < len(poly):
                     acc.extend([0] * (len(poly) - len(acc)))
@@ -132,7 +106,7 @@ def _kernel(xg: dict, yg: dict) -> dict:
 
 def _int_product(x: dict, y: dict) -> dict:
     """x * y for integer-coefficient elements."""
-    return _ungroup(_kernel(_group(x), _group(y)))
+    return _ungroup(_kernel(pbw_groups(x), pbw_groups(y)))
 
 
 def straighten(word, acc=None) -> dict:
@@ -369,12 +343,14 @@ def parse_fin(text: str) -> FinElement:
             chunk = chunk[1:]
         coeff = Fraction(1)
         word: list[str] = []
-        for factor in filter(None, chunk.split("*")):
+        for factor in chunk.split("*"):
+            if not factor:
+                raise InvalidInputError(f"empty factor in term {chunk!r}")
             m = _FIN_FACTOR_RE.match(factor)
             if m:
                 word.extend(m.group("g") * (int(m.group("exp")) if m.group("exp") else 1))
             else:
-                coeff *= Fraction(factor)
+                coeff *= parse_scalar(factor)
         for mono, v in straighten(word).items():
             terms[mono] = terms.get(mono, Fraction(0)) + sign * coeff * v
     return FinElement(terms)

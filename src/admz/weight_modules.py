@@ -5,6 +5,13 @@ E(r,mu) is the span of basis vectors E_i (i integer) with the sl2 action
     e.E_i = -(mu+i) E_{i-1},   h.E_i = (r - 2mu - 2i) E_i,
     f.E_i = (mu+i-r) E_{i+1}.
 
+An element is read in its grouped form sum e^a P(h) f^c (usl2.pbw_groups),
+and each group acts in closed form: with x = mu+i and y = x+c, f^c takes E_i
+to prod_{j<c} (x+j-r) E_{i+c}, P(h) scales that by P(r-2y) and e^a takes it
+to prod_{j<a} (j-y) E_{i+c-a}, so
+
+    e^a P(h) f^c . E_i = prod_{j<c} (x+j-r) * P(r-2y) * prod_{j<a} (j-y) E_{i+c-a}.
+
 An element of U(sl2) of ad-weight 2w sends E_i to a multiple of E_{i-w}; the
 coefficient of Q.E_i is a polynomial of degree <= N in (mu+i), so vanishing
 at N+1 consecutive indices proves vanishing everywhere.
@@ -16,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, InvalidInputError
-from .exact_core import format_scalar
-from .usl2 import FinElement, monomial_word
+from .exact_core import format_scalar, poly_eval
+from .usl2 import FinElement, pbw_groups
 from .zhu import AdmissibleLevel, ClassificationReport, compute_Q, set_S
 
 
@@ -42,38 +49,23 @@ class EActionResult:
     coefficient: Fraction
 
 
-def act_generator_on_E(g: str, params: DenseParams, i: int) -> tuple[Fraction, int]:
-    """One generator on E_i: (coefficient, new index)."""
-    x = params.mu + i
-    if g == "e":
-        return -x, i - 1
-    if g == "h":
-        return params.r - 2 * x, i
-    if g == "f":
-        return x - params.r, i + 1
-    raise InvalidInputError(f"unknown sl2 generator {g!r}")
-
-
 def act_element_on_E(u: FinElement, params: DenseParams, i: int) -> EActionResult:
-    """Apply a weight-homogeneous element term by term."""
+    """Apply a weight-homogeneous element, one group e^a P(h) f^c at a time,
+    by the closed form of the module docstring."""
     w = u.ad_weight()
     if w is None:
         raise InvalidInputError("act_element_on_E requires a weight-homogeneous element")
-    if w % 2:
-        raise InvalidInputError("odd ad-weight cannot occur in U(sl2)")
-    shift = -w // 2
+    r, x = params.r, params.mu + i
     total = Fraction(0)
-    for mono, coeff in u.terms.items():
-        acc = coeff
-        idx = i
-        for g in reversed(monomial_word(mono)):
-            c, idx = act_generator_on_E(g, params, idx)
-            if c == 0:
-                acc = Fraction(0)
-                break
-            acc *= c
-        total += acc
-    return EActionResult(shift=shift, coefficient=total)
+    for (a, c), P in pbw_groups(u.terms).items():
+        y = x + c
+        coeff = poly_eval(P, r - 2 * y)
+        for j in range(c):
+            coeff *= x + j - r
+        for j in range(a):
+            coeff *= j - y
+        total += coeff
+    return EActionResult(shift=-w // 2, coefficient=total)
 
 
 def q_annihilates_E(lv: AdmissibleLevel, params: DenseParams, max_dim=None) -> bool:

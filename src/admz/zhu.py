@@ -15,7 +15,8 @@ cap is checked on every call against the recorded dimensions, so no call's
 outcome depends on earlier ones.
 
 p1 and the nullspace-route p2 are read off the coefficients of
-Q = sum q_abc e^a h^b f^c by evaluation, with no adjoint descent.  The
+Q = sum q_abc e^a h^b f^c by evaluation, group e^a P(h) f^c by group
+(usl2.pbw_groups), with no adjoint descent.  The
 projection of a weight-0 element mod U(g)n_+ (mod U(g)n_-) is the scalar by
 which it acts on a highest (lowest) weight vector of weight h.  On a highest
 weight vector v every term of (ad f)^N Q = sum_j binom(N,j) f^(N-j) Q (-f)^j
@@ -45,7 +46,15 @@ from math import gcd
 from . import affine
 from .affine import AffineWeight, VermaVector, mode
 from .errors import ConsistencyError, InvalidInputError, NotAdmissibleError, ResourceCapError
-from .exact_core import HPoly, format_scalar, parse_scalar, poly_proportional, poly_root_check
+from .exact_core import (
+    HPoly,
+    format_scalar,
+    parse_scalar,
+    poly_mul,
+    poly_proportional,
+    poly_root_check,
+    poly_shift,
+)
 from .nullspace import RationalMatrix, kernel_basis
 from .usl2 import (
     MOD_N_MINUS,
@@ -53,6 +62,7 @@ from .usl2 import (
     fin_ad,
     fin_product,
     p_factor,
+    pbw_groups,
     project_cartan,
     straighten,
 )
@@ -274,9 +284,7 @@ def compute_p2(lv: AdmissibleLevel, route: str = NULLSPACE_ROUTE, max_dim=None) 
     after checking the product's predicted size against the cap (mff_epsilon).
     """
     if route == NULLSPACE_ROUTE:
-        Q = _solve(lv, max_dim).Q
-        top = {b: q for (a, b, c), q in Q.terms.items() if a == lv.N and c == 0}
-        poly = HPoly([top.get(b, 0) for b in range(max(top, default=-1) + 1)])
+        poly = HPoly(pbw_groups(_solve(lv, max_dim).Q.terms).get((lv.N, 0), ()))
         for m in range(1, lv.N + 1):
             poly = poly * HPoly.linear(m * (m - 1), m)
     elif route == MFF_ROUTE:
@@ -294,21 +302,16 @@ def compute_p1(lv: AdmissibleLevel, max_dim=None) -> HPoly:
     scalar on a highest weight vector v, which is (-1)^N Q f^N v.  Q has
     ad-weight 2N, so a = c + N in every term and e^a h^b f^(c+N) v =
     (h-2a)^b prod_{i=1..a} i(h-i+1) v, giving
-    p1(h) = (-1)^N sum q_abc (h-2a)^b prod_{i=1..a} i(h-i+1).
+    p1(h) = (-1)^N sum q_abc (h-2a)^b prod_{i=1..a} i(h-i+1),
+    one group e^a P(h) f^(a-N) of Q at a time, with P(h-2a) its shift.
     """
-    by_a: dict[int, dict[int, Fraction]] = {}
-    for (a, b, _), q in _solve(lv, max_dim).Q.terms.items():
-        by_a.setdefault(a, {})[b] = q
-    poly, ea_fa = HPoly.zero(), HPoly.one()  # e^a f^a v = ea_fa(h) v
-    for a in range(max(by_a, default=-1) + 1):
+    groups = pbw_groups(_solve(lv, max_dim).Q.terms)
+    poly, ea_fa = HPoly.zero(), [1]  # e^a f^a v = ea_fa(h) v
+    for a in range(max((a for a, _ in groups), default=-1) + 1):
         if a:
-            ea_fa = ea_fa * HPoly.linear(a * (1 - a), a)
-        if a in by_a:
-            # sum_b q_ab (h-2a)^b by Horner
-            shifted, row = HPoly.zero(), by_a[a]
-            for b in range(max(row), -1, -1):
-                shifted = shifted * HPoly.linear(-2 * a) + HPoly.constant(row.get(b, 0))
-            poly = poly + shifted * ea_fa
+            ea_fa = poly_mul(ea_fa, [a * (1 - a), a])
+        if (a, a - lv.N) in groups:
+            poly = poly + HPoly(poly_mul(poly_shift(groups[a, a - lv.N], -2 * a), ea_fa))
     poly = poly * (-1) ** lv.N
     if poly.is_zero():
         raise ConsistencyError("p1 projected to the zero polynomial")

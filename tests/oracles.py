@@ -1,11 +1,12 @@
 """Independent test-side oracles.
 
 These deliberately avoid the library's straightening and projection code:
-elements act on explicit lowest-/highest-weight module bases generator by
-generator, products are straightened by adjacent transpositions rather than
-the library's closed-form kernel, weight spaces are enumerated by a different
-algorithm, polynomials are recovered by Lagrange interpolation, and the
-term count of a product is predicted from its operands' shapes.
+elements act on explicit lowest-/highest-weight module bases and on the dense
+modules E(r,mu) generator by generator, products are straightened by
+adjacent transpositions rather than the library's closed-form kernel, weight
+spaces are enumerated by a different algorithm, polynomials are recovered by
+Lagrange interpolation, and the term count of a product is predicted from its
+operands' shapes.
 """
 
 from fractions import Fraction
@@ -131,6 +132,34 @@ def act_word_highest_weight(word, mu, start=0):
                 raise ValueError(g)
         vec = {j: c for j, c in nxt.items() if c}
     return vec
+
+
+def act_generator_dense(g, r, mu, i):
+    """One generator on the basis vector E_i of E(r,mu): (coefficient, new index).
+
+    e.E_i = -(mu+i) E_{i-1}, h.E_i = (r-2mu-2i) E_i, f.E_i = (mu+i-r) E_{i+1}.
+    """
+    x = Fraction(mu) + i
+    if g == "e":
+        return -x, i - 1
+    if g == "h":
+        return r - 2 * x, i
+    if g == "f":
+        return x - r, i + 1
+    raise ValueError(g)
+
+
+def act_element_dense(x: FinElement, r, mu, i) -> dict:
+    """x.E_i in E(r,mu) as {index: coefficient}, each term's word walked
+    generator by generator from the right."""
+    out = {}
+    for word, coeff in _element_words(x):
+        idx = i
+        for g in reversed(word):
+            c, idx = act_generator_dense(g, r, mu, idx)
+            coeff *= c
+        out[idx] = out.get(idx, Fraction(0)) + coeff
+    return {j: c for j, c in out.items() if c}
 
 
 def _element_words(x: FinElement):

@@ -226,3 +226,22 @@ def test_verma_text_round_trip():
     assert parse_verma("e(0) |0>", K).is_zero()
     # [f(1), e(-1)] = -h(0) + k
     assert parse_verma("f(1) e(-1) |0>", K) == VermaVector.vacuum(K) * K
+
+
+@pytest.mark.parametrize(
+    "text",
+    (
+        "1/0 e(-1) |0>",
+        "+",
+        "e(-1) |0> + + f(-1) |0>",
+        "0.5 e(-1) |0>",
+        "1e3 |0>",
+        "x |0>",
+        "e(-1)^ |0>",
+        "e(-1)",
+        "",
+    ),
+)
+def test_parse_verma_rejects(text):
+    with pytest.raises(InvalidInputError):
+        parse_verma(text, K)

@@ -98,6 +98,14 @@ def test_hpoly_text_round_trip():
     assert parse_hpoly("2*h^2 + 2*h") == HPoly([0, 2, 2])
 
 
+@pytest.mark.parametrize(
+    "text", ("1/0*h", "2.5*h", "1e3", "2**h", "2*", "*h", "h^", "h+", "-", "x", "")
+)
+def test_parse_hpoly_rejects(text):
+    with pytest.raises(InvalidInputError):
+        parse_hpoly(text)
+
+
 small_fraction = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )

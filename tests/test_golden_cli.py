@@ -34,6 +34,8 @@ COMMANDS = (
     + [
         ["verify", "--suite", "classification", "--levels", ",".join(LEVELS)],
         ["check-dense", "--level", "-1/2", "--r", "-1/2", "--mu", "1/3"],
+        ["check-dense", "--level", "-1/3", "--r", "1/2", "--mu", "1/4"],
+        ["check-dense", "--level", "-2/3", "--r", "4/3", "--mu", "1/3"],
         ["classify", "--level", "7", "--format", "json"],
         ["zhu-poly", "--level", "30", "--format", "json"],
     ]

@@ -307,3 +307,12 @@ def test_fin_text_round_trip():
     assert parse_fin("h*e") == FinElement({(1, 1, 0): 1, (1, 0, 0): 2})
     f2e2 = fin_product(mono(0, 0, 2), mono(2, 0, 0))
     assert parse_fin("2*f^2*e^2 - e*f") == f2e2 * 2 - mono(1, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ("x*e", "e^", "e^2.5", "1/0*e", "2.5*e", "1e3*e", "2**e", "*e", "e*", "e+", "+", "e--f"),
+)
+def test_parse_fin_rejects(text):
+    with pytest.raises(InvalidInputError):
+        parse_fin(text)

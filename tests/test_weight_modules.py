@@ -10,13 +10,12 @@ from admz.usl2 import FinElement, fin_product
 from admz.weight_modules import (
     DenseParams,
     act_element_on_E,
-    act_generator_on_E,
     classify_weight_modules,
     is_T_member,
     q_annihilates_E,
 )
 from admz.zhu import classify_category_O, compute_Q, level_from_string, set_S
-from oracles import lagrange_fit
+from oracles import act_element_dense, act_generator_dense, lagrange_fit
 
 F = Fraction
 
@@ -29,30 +28,26 @@ def casimir():
 
 
 def test_act_generator_examples():
-    p = DenseParams(r=F(-1, 2), mu=F(1, 3))
-    assert act_generator_on_E("e", p, 0) == (F(-1, 3), -1)
-    assert act_generator_on_E("h", p, 0) == (F(-7, 6), 0)
+    assert act_generator_dense("e", F(-1, 2), F(1, 3), 0) == (F(-1, 3), -1)
+    assert act_generator_dense("h", F(-1, 2), F(1, 3), 0) == (F(-7, 6), 0)
     # f coefficient vanishes when mu + i = r
-    p2 = DenseParams(r=F(3), mu=F(1))
-    assert act_generator_on_E("f", p2, 2) == (F(0), 3)
+    assert act_generator_dense("f", F(3), F(1), 2) == (F(0), 3)
 
 
 def test_sl2_relations_on_E():
     rng = random.Random(3)
     for _ in range(40):
-        p = DenseParams(
-            r=F(rng.randint(-6, 6), rng.randint(1, 4)),
-            mu=F(rng.randint(-6, 6), rng.randint(1, 4)),
-        )
+        r = F(rng.randint(-6, 6), rng.randint(1, 4))
+        mu = F(rng.randint(-6, 6), rng.randint(1, 4))
         i = rng.randint(-4, 4)
         for g1, g2, expect in (("h", "e", "e"), ("h", "f", "f"), ("e", "f", "h")):
-            c2, j = act_generator_on_E(g2, p, i)
-            c12, j12 = act_generator_on_E(g1, p, j)
-            c1, jj = act_generator_on_E(g1, p, i)
-            c21, j21 = act_generator_on_E(g2, p, jj)
+            c2, j = act_generator_dense(g2, r, mu, i)
+            c12, j12 = act_generator_dense(g1, r, mu, j)
+            c1, jj = act_generator_dense(g1, r, mu, i)
+            c21, j21 = act_generator_dense(g2, r, mu, jj)
             assert j12 == j21
             lhs = c2 * c12 - c1 * c21
-            ce, je = act_generator_on_E(expect, p, i)
+            ce, je = act_generator_dense(expect, r, mu, i)
             sign = {"e": 2, "f": -2, "h": 1}[expect]
             if expect == "h":
                 assert (lhs, j12) == (ce, je)
@@ -88,6 +83,56 @@ def test_casimir_constant_over_grid():
         expected = p.r * p.r / 2 + p.r
         for i in range(-5, 6):
             assert act_element_on_E(cas, p, i).coefficient == expected
+
+
+# irreducible (r, mu) and reducible ones: mu in Z, r - mu in Z, or both
+DIFF_PARAMS = (
+    DenseParams(r=F(17, 5), mu=F(1, 3)),
+    DenseParams(r=F(1, 2), mu=F(1, 4)),
+    DenseParams(r=F(-1, 2), mu=F(1, 3)),
+    DenseParams(r=F(4, 3), mu=F(1, 3)),
+    DenseParams(r=F(1), mu=F(1)),
+    DenseParams(r=F(-2, 3), mu=F(-1)),
+)
+
+
+def assert_matches_word_walk(u, p, i):
+    res = act_element_on_E(u, p, i)
+    expected = act_element_dense(u, p.r, p.mu, i)
+    assert expected == ({i + res.shift: res.coefficient} if res.coefficient else {})
+
+
+def random_homogeneous(rng, w):
+    """Up to five terms e^a h^b f^c with a - c = w."""
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        c = rng.randint(max(0, -w), max(0, -w) + 3)
+        terms[c + w, rng.randint(0, 3), c] = F(rng.randint(-9, 9), rng.randint(1, 6))
+    return FinElement(terms)
+
+
+def test_act_element_matches_word_walk_on_random_elements():
+    rng = random.Random(10)
+    elements = [FinElement.zero(), FinElement.one()]
+    elements += [random_homogeneous(rng, w) for w in (-3, -2, -1, 0, 1, 2, 3) for _ in range(6)]
+    elements += [
+        FinElement({(0, b, 0): F(rng.randint(-9, 9), rng.randint(1, 6)) for b in range(4)})
+        for _ in range(4)
+    ]
+    assert {u.ad_weight() for u in elements} >= {-6, 0, 6}
+    for u in elements:
+        for p in DIFF_PARAMS:
+            for i in (-3, 0, 2):
+                assert_matches_word_walk(u, p, i)
+
+
+@pytest.mark.parametrize("text", ("1", "2", "3", "-1/2", "1/2", "-4/3", "-2/3"))
+def test_q_action_matches_word_walk(text):
+    lv = level_from_string(text)
+    Q = compute_Q(lv)
+    for p in DIFF_PARAMS:
+        for i in range(-2, lv.N + 3):
+            assert_matches_word_walk(Q, p, i)
 
 
 def test_act_element_requires_homogeneous():
