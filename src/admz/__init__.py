@@ -30,7 +30,7 @@ from .exact_core import (
     poly_proportional,
     poly_root_check,
 )
-from .nullspace import RationalMatrix, kernel_basis, rref
+from .nullspace import IntMatrix, kernel_basis
 from .usl2 import (
     MOD_N_MINUS,
     MOD_N_PLUS,

@@ -11,6 +11,9 @@ the vacuum during straightening.
 The level enters only through the central term, so the one action table
 VACUUM serves every level: it holds each straightened coefficient as
 integers (a, b), meaning a + b*k, for a vector or matrix to evaluate.
+Both evaluate at k = p/q in integers: `operator_matrix` is the matrix of
+q*x(n), entries q*a + p*b, zero exactly where a + b*k is, and
+`VacuumModule.act` sums c*(q*a + p*b) over the cleared vector, dividing once.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError, ResourceCapError
-from .exact_core import format_scalar, parse_scalar
-from .nullspace import RationalMatrix
+from .exact_core import clear_denominators, format_scalar, parse_scalar
+from .nullspace import IntMatrix
 from .usl2 import BRACKET
 
 GEN_RANK = {"f": 0, "h": 1, "e": 2}
@@ -313,11 +316,13 @@ class VacuumModule:
         return out
 
     def act(self, md: Mode, v: VermaVector) -> VermaVector:
+        p, q = v.level.numerator, v.level.denominator
+        ints, den = clear_denominators(v.terms)
         out: dict = {}
-        for mono, coeff in v.terms.items():
+        for mono, c in ints.items():
             for m2, (a, b) in self.act_mono(md, mono).items():
-                out[m2] = out.get(m2, 0) + coeff * (a + b * v.level)
-        return VermaVector(v.level, out)
+                out[m2] = out.get(m2, 0) + c * (q * a + p * b)
+        return VermaVector(v.level, {m: Fraction(x, den * q) for m, x in out.items() if x})
 
     # -- weight spaces -------------------------------------------------------
     def weight_space_basis(self, delta_deg: int, alpha_wt: int, max_dim=None) -> list:
@@ -370,10 +375,11 @@ def weight_space_basis(delta_deg: int, alpha_wt: int, max_dim=None) -> list:
     return VACUUM.weight_space_basis(delta_deg, alpha_wt, max_dim)
 
 
-def operator_matrix(md: Mode, from_basis, to_basis, level):
-    """Exact matrix of a single mode between enumerated weight-space bases,
-    at the given level."""
+def operator_matrix(md: Mode, from_basis, to_basis, level) -> IntMatrix:
+    """Integer matrix of q*x(n) between enumerated weight-space bases, at the
+    given level k = p/q: entry q*a + p*b for the table's a + b*k."""
     level = Fraction(level)
+    p, q = level.numerator, level.denominator
     index = {monomial: i for i, monomial in enumerate(to_basis)}
     entries: dict = {}
     for j, monomial in enumerate(from_basis):
@@ -383,5 +389,6 @@ def operator_matrix(md: Mode, from_basis, to_basis, level):
                 raise InvalidInputError(
                     "operator image leaves the declared target weight space"
                 )
-            entries[(i, j)] = a + b * level
-    return RationalMatrix(len(to_basis), len(from_basis), entries)
+            if x := q * a + p * b:
+                entries[(i, j)] = x
+    return IntMatrix(len(to_basis), len(from_basis), entries)

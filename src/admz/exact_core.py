@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidInputError
 
@@ -57,6 +58,13 @@ def format_terms(terms) -> str:
         else:
             parts.append(("+ " if coeff > 0 else "- ") + body)
     return " ".join(parts) or "0"
+
+
+def clear_denominators(terms: dict) -> tuple[dict, int]:
+    """(ints, D) with integer ints and terms = ints / D, D the lcm of the
+    denominators."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
 
 
 def poly_mul(p, q) -> list:

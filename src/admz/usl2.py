@@ -31,10 +31,10 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from .errors import InvalidInputError
-from .exact_core import HPoly, format_terms, parse_scalar, poly_mul, poly_shift
+from .exact_core import HPoly, clear_denominators, format_terms, parse_scalar, poly_mul, poly_shift
 
 # the generators, in the order of the basis monomial e^a h^b f^c
 GENERATORS = ("e", "h", "f")
@@ -122,12 +122,6 @@ def straighten(word, acc=None) -> dict:
         power[GENERATORS.index(g)] = len(list(run))
         acc = _int_product({tuple(power): 1}, acc)
     return {m: v for m, v in acc.items() if v}
-
-
-def _integral(x: "FinElement") -> tuple[dict, int]:
-    """(terms, D) with integer terms and x = terms / D."""
-    den = lcm(*(c.denominator for c in x.terms.values()))
-    return {m: c.numerator * (den // c.denominator) for m, c in x.terms.items()}, den
 
 
 def _rational(terms: dict, den: int) -> "FinElement":
@@ -249,14 +243,14 @@ class FinElement:
 
 def fin_product(x: FinElement, y: FinElement) -> FinElement:
     """Product straightened into the basis."""
-    (xi, dx), (yi, dy) = _integral(x), _integral(y)
+    (xi, dx), (yi, dy) = clear_denominators(x.terms), clear_denominators(y.terms)
     return _rational(_int_product(xi, yi), dx * dy)
 
 
 def fin_ad(g: str, x: FinElement) -> FinElement:
     """ad g (x) = g*x - x*g, straightened."""
     (gen,) = FinElement.generator(g).terms
-    xi, den = _integral(x)
+    xi, den = clear_denominators(x.terms)
     out = _int_product({gen: 1}, xi)
     for m, v in _int_product(xi, {gen: 1}).items():
         out[m] = out.get(m, 0) - v

@@ -55,9 +55,14 @@ def act_element_on_E(u: FinElement, params: DenseParams, i: int) -> EActionResul
     w = u.ad_weight()
     if w is None:
         raise InvalidInputError("act_element_on_E requires a weight-homogeneous element")
-    r, x = params.r, params.mu + i
+    coefficient = _act_groups(pbw_groups(u.terms), params.r, params.mu + i)
+    return EActionResult(shift=-w // 2, coefficient=coefficient)
+
+
+def _act_groups(groups: dict, r: Fraction, x: Fraction) -> Fraction:
+    """The coefficient of sum e^a P(h) f^c . E_i in E(r, mu), x = mu+i."""
     total = Fraction(0)
-    for (a, c), P in pbw_groups(u.terms).items():
+    for (a, c), P in groups.items():
         y = x + c
         coeff = poly_eval(P, r - 2 * y)
         for j in range(c):
@@ -65,18 +70,18 @@ def act_element_on_E(u: FinElement, params: DenseParams, i: int) -> EActionResul
         for j in range(a):
             coeff *= j - y
         total += coeff
-    return EActionResult(shift=-w // 2, coefficient=total)
+    return total
 
 
 def q_annihilates_E(lv: AdmissibleLevel, params: DenseParams, max_dim=None) -> bool:
     """Whether Q kills every E_i.
 
     Checks i = 0..N (enough, by the degree bound) plus two out-of-range
-    spot checks at i = -1 and i = N+1.
+    spot checks at i = -1 and i = N+1, on Q grouped once.
     """
-    Q = compute_Q(lv, max_dim)
+    groups = pbw_groups(compute_Q(lv, max_dim).terms)
     indices = list(range(lv.N + 1)) + [-1, lv.N + 1]
-    return all(act_element_on_E(Q, params, i).coefficient == 0 for i in indices)
+    return all(_act_groups(groups, params.r, params.mu + i) == 0 for i in indices)
 
 
 def is_T_member(lv: AdmissibleLevel, params: DenseParams, S=None) -> bool:

@@ -48,6 +48,7 @@ from .affine import AffineWeight, VermaVector, mode
 from .errors import ConsistencyError, InvalidInputError, NotAdmissibleError, ResourceCapError
 from .exact_core import (
     HPoly,
+    clear_denominators,
     format_scalar,
     parse_scalar,
     poly_mul,
@@ -55,7 +56,7 @@ from .exact_core import (
     poly_root_check,
     poly_shift,
 )
-from .nullspace import RationalMatrix, kernel_basis
+from .nullspace import kernel_basis
 from .usl2 import (
     MOD_N_MINUS,
     FinElement,
@@ -185,8 +186,7 @@ def _solve_cold(lv: AdmissibleLevel, cap: int) -> _Solved:
     basis0, basis_e, basis_f = (affine.weight_space_basis(*dw, cap) for dw in spaces)
     m_e = affine.operator_matrix(mode("e", 0), basis0, basis_e, lv.k)
     m_f = affine.operator_matrix(mode("f", 1), basis0, basis_f, lv.k)
-    stacked = RationalMatrix.vstack(m_e, m_f)
-    kernel = kernel_basis(stacked)
+    kernel = kernel_basis(m_e.vstack(m_f))
     if len(kernel) != 1:
         raise ConsistencyError(
             f"invariant kernel-dimension: expected 1-dimensional singular space, "
@@ -211,16 +211,20 @@ def singular_vector_nullspace(lv: AdmissibleLevel, max_dim=None) -> VermaVector:
 
 def zhu_image_F(v: VermaVector) -> FinElement:
     """Image of a Verma vector in U(sl2): reverse each monomial and apply
-    the sign (-1)^(i_1+...+i_n) with x(-i-1) carrying index i."""
-    out: dict[tuple[int, int, int], Fraction] = {}
-    for mono, coeff in v.terms.items():
+    the sign (-1)^(i_1+...+i_n) with x(-i-1) carrying index i.  Each distinct
+    generator word is straightened once, with its summed integer coefficient."""
+    ints, den = clear_denominators(v.terms)
+    words: dict[tuple, int] = {}
+    for mono, c in ints.items():
         if any(d >= 0 for d, _ in mono):
             raise InvalidInputError("zhu_image_F requires mode degrees <= -1")
-        scale = -coeff if sum(-d - 1 for d, _ in mono) % 2 else coeff
-        word = [affine.mode_gen(md) for md in reversed(mono)]
-        for m, c in straighten(word).items():
-            out[m] = out.get(m, Fraction(0)) + scale * c
-    return FinElement(out)
+        word = tuple(affine.mode_gen(md) for md in reversed(mono))
+        words[word] = words.get(word, 0) + (-c if sum(-d - 1 for d, _ in mono) % 2 else c)
+    out: dict[tuple[int, int, int], int] = {}
+    for word, c in words.items():
+        for m, x in straighten(word).items():
+            out[m] = out.get(m, 0) + c * x
+    return FinElement({m: Fraction(x, den) for m, x in out.items() if x})
 
 
 def compute_Q(lv: AdmissibleLevel, max_dim=None) -> FinElement:

@@ -7,11 +7,20 @@ adjacent transpositions rather than the library's closed-form kernel, weight
 spaces are enumerated by a different algorithm, polynomials are recovered by
 Lagrange interpolation, and the term count of a product is predicted from its
 operands' shapes.
+
+Exact linear algebra has a dense Fraction reference: `RationalMatrix` and its
+RREF, against which the modular integer kernel is checked.  The vacuum
+module's integer evaluation of its action table (`VacuumModule.act`,
+`operator_matrix`) is checked against the same table evaluated in Fractions,
+coefficient by coefficient as a + b*k.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
+from admz.affine import VACUUM, VermaVector
+from admz.errors import InvalidInputError
+from admz.nullspace import IntMatrix
 from admz.usl2 import FinElement
 
 # Letters of the PBW basis monomial (a, b, c) = e^a h^b f^c, left to right.
@@ -261,3 +270,142 @@ def product_terms(xs: dict, ys: dict) -> int:
             n = min(c, a2) + 1
             total += n * (d + d2 + 1) + n * (n - 1) // 2
     return total
+
+
+# -- exact linear algebra: the dense Fraction reference -------------------------
+
+
+class RationalMatrix:
+    """Sparse exact matrix: entries maps (row, col) to nonzero Fractions."""
+
+    __slots__ = ("nrows", "ncols", "entries")
+
+    def __init__(self, nrows: int, ncols: int, entries=None):
+        if nrows < 0 or ncols < 0:
+            raise InvalidInputError("matrix dimensions must be nonnegative")
+        self.nrows = nrows
+        self.ncols = ncols
+        clean = {}
+        for (r, c), v in (entries or {}).items():
+            if not (0 <= r < nrows and 0 <= c < ncols):
+                raise InvalidInputError(f"entry ({r},{c}) outside {nrows}x{ncols}")
+            v = Fraction(v)
+            if v:
+                clean[(r, c)] = v
+        self.entries = clean
+
+    @classmethod
+    def from_rows(cls, rows) -> "RationalMatrix":
+        rows = [list(r) for r in rows]
+        ncols = len(rows[0]) if rows else 0
+        if any(len(row) != ncols for row in rows):
+            raise InvalidInputError("ragged rows")
+        cells = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
+        return cls(len(rows), ncols, cells)
+
+    @classmethod
+    def vstack(cls, top: "RationalMatrix", bottom: "RationalMatrix") -> "RationalMatrix":
+        if top.ncols != bottom.ncols:
+            raise InvalidInputError("column mismatch in vstack")
+        entries = dict(top.entries)
+        for (r, c), v in bottom.entries.items():
+            entries[(r + top.nrows, c)] = v
+        return cls(top.nrows + bottom.nrows, top.ncols, entries)
+
+    def to_rows(self) -> list[list[Fraction]]:
+        rows = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
+        for (r, c), v in self.entries.items():
+            rows[r][c] = v
+        return rows
+
+    def matvec(self, vec) -> list[Fraction]:
+        if len(vec) != self.ncols:
+            raise InvalidInputError("vector length mismatch")
+        out = [Fraction(0)] * self.nrows
+        for (r, c), v in self.entries.items():
+            if vec[c]:
+                out[r] += v * vec[c]
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
+        return (
+            self.nrows == other.nrows
+            and self.ncols == other.ncols
+            and self.entries == other.entries
+        )
+
+    def __repr__(self):
+        return f"RationalMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
+
+
+def rref_rows(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Reduce rows in place to reduced row echelon form; returns pivot columns.
+
+    Eager normalization, deterministic pivoting: lowest column index, then
+    lowest row index."""
+    nrows = len(rows)
+    pivots: list[int] = []
+    pivot_row = 0
+    for col in range(ncols):
+        if pivot_row >= nrows:
+            break
+        sel = next((r for r in range(pivot_row, nrows) if rows[r][col]), -1)
+        if sel < 0:
+            continue
+        rows[sel], rows[pivot_row] = rows[pivot_row], rows[sel]
+        prow = rows[pivot_row]
+        inv = 1 / prow[col]
+        for j in range(col, ncols):
+            prow[j] *= inv
+        nz = [j for j in range(col, ncols) if prow[j]]
+        for r in range(nrows):
+            factor = rows[r][col]
+            if r != pivot_row and factor:
+                for j in nz:
+                    rows[r][j] -= factor * prow[j]
+        pivots.append(col)
+        pivot_row += 1
+    return pivots
+
+
+def rref(m: RationalMatrix) -> tuple[RationalMatrix, int]:
+    """Canonical reduced row echelon form and rank, exact."""
+    rows = m.to_rows()
+    pivots = rref_rows(rows, m.ncols)
+    cells = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
+    return RationalMatrix(m.nrows, m.ncols, cells), len(pivots)
+
+
+def integer_matrix(m: RationalMatrix) -> IntMatrix:
+    """The integer matrix with m's kernel: each row scaled by the lcm of its
+    denominators."""
+    scales: dict[int, int] = {}
+    for (r, _), v in m.entries.items():
+        scales[r] = lcm(scales.get(r, 1), v.denominator)
+    cells = {(r, c): int(v * scales[r]) for (r, c), v in m.entries.items()}
+    return IntMatrix(m.nrows, m.ncols, cells)
+
+
+# -- the vacuum module's action table, evaluated in Fractions -------------------
+
+
+def act_by_fractions(md, v: VermaVector) -> VermaVector:
+    """x(n) v as sum coeff * (a + b*k) over the action table's pairs (a, b)."""
+    out = {}
+    for mono, coeff in v.terms.items():
+        for m2, (a, b) in VACUUM.act_mono(md, mono).items():
+            out[m2] = out.get(m2, 0) + coeff * (a + b * v.level)
+    return VermaVector(v.level, out)
+
+
+def operator_matrix_by_fractions(md, from_basis, to_basis, level) -> RationalMatrix:
+    """The Fraction matrix of x(n) between weight-space bases at the level."""
+    level = Fraction(level)
+    index = {mono: i for i, mono in enumerate(to_basis)}
+    cells = {}
+    for j, mono in enumerate(from_basis):
+        for m2, (a, b) in VACUUM.act_mono(md, mono).items():
+            cells[(index[m2], j)] = a + b * level
+    return RationalMatrix(len(to_basis), len(from_basis), cells)

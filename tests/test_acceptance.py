@@ -18,7 +18,7 @@ from admz import affine, zhu
 from admz.affine import VermaVector, act_mode, mode, operator_matrix, weight_space_basis
 from admz.cli import main
 from admz.exact_core import poly_proportional, poly_root_check
-from admz.nullspace import RationalMatrix, kernel_basis
+from admz.nullspace import kernel_basis
 from admz.usl2 import FinElement, fin_ad, fin_product
 from admz.verify import suite_algebra, suite_lemmas
 from admz.weight_modules import DenseParams, act_element_on_E, is_T_member, q_annihilates_E
@@ -83,9 +83,8 @@ def test_A2_level_minus_half():
         b0 = weight_space_basis(4, 2)
         be = weight_space_basis(4, 3)
         bf = weight_space_basis(3, 1)
-        stacked = RationalMatrix.vstack(
-            operator_matrix(mode("e", 0), b0, be, lv.k),
-            operator_matrix(mode("f", 1), b0, bf, lv.k),
+        stacked = operator_matrix(mode("e", 0), b0, be, lv.k).vstack(
+            operator_matrix(mode("f", 1), b0, bf, lv.k)
         )
         assert len(kernel_basis(stacked)) == 1
         S = set_S(lv)

@@ -1,5 +1,6 @@
 """Affine sl2^: mode brackets, vacuum-module action, weight spaces, matrices."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,7 +20,9 @@ from admz.affine import (
     weight_space_basis,
 )
 from admz.errors import InvalidInputError, ResourceCapError
-from oracles import brute_weight_space
+from admz.nullspace import IntMatrix
+from admz.zhu import level_from_string, singular_position, singular_vector_nullspace
+from oracles import act_by_fractions, brute_weight_space, operator_matrix_by_fractions
 
 F = Fraction
 K = F(-1, 2)  # a convenient generic level for module tests
@@ -190,11 +193,66 @@ def test_operator_matrix_examples():
 
     b11 = weight_space_basis(1, 1)
     m = operator_matrix(mode("f", 1), b22, b11, K)
-    # f(1) e(-1)^2 |0> = (2k-2) e(-1)|0>
-    assert m.to_rows() == [[2 * K - 2]]
+    # f(1) e(-1)^2 |0> = (2k-2) e(-1)|0>, scaled by q = 2 at k = -1/2
+    assert m == IntMatrix(1, 1, {(0, 0): -6})
+    # at k = 1 the entry vanishes and is dropped
+    assert operator_matrix(mode("f", 1), b22, b11, 1) == IntMatrix(1, 1)
 
     empty = operator_matrix(mode("e", 0), [], [], K)
     assert (empty.nrows, empty.ncols) == (0, 0)
+
+
+# levels with |p| > 1 and q > 1, negative p, and the integer levels
+DIFF_LEVELS = ("-8/5", "-12/7", "7/3", "-3/4", "5/2", "1", "-1/2")
+DIFF_MODES = [mode(g, d) for g in "efh" for d in (-2, -1, 0, 1, 2, 3)]
+
+
+def test_integer_action_matches_fraction_reference():
+    rng = random.Random(811)
+    pool = [mono for d in (2, 3, 4) for w in range(-2, 3) for mono in weight_space_basis(d, w)]
+    for text in DIFF_LEVELS:
+        level = level_from_string(text).k
+        for _ in range(25):
+            terms = {
+                mono: F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 10, 12)))
+                for mono in rng.sample(pool, rng.randint(1, 6))
+            }
+            v = VermaVector(level, terms)
+            md = rng.choice(DIFF_MODES)
+            assert act_mode(md, v) == act_by_fractions(md, v), (text, md)
+
+
+def test_integer_action_cancels_to_zero():
+    # the singular vector's images cancel across terms with mixed denominators
+    for text in ("-8/5", "-12/7", "-4/3"):
+        v = singular_vector_nullspace(level_from_string(text))
+        assert len({c.denominator for c in v.terms.values()}) > 1
+        for md in (mode("e", 0), mode("f", 1)):
+            assert act_mode(md, v).is_zero() and act_by_fractions(md, v).is_zero()
+        # a singular vector is killed by every positive mode, not by h(0)
+        image = act_mode(mode("h", 0), v)
+        assert image == act_by_fractions(mode("h", 0), v) and not image.is_zero()
+    # a single term whose coefficient a + b*k vanishes: f(1) e(-1)^2|0> at k = 1
+    v = VermaVector(1, {(mode("e", -1), mode("e", -1)): F(3, 7)})
+    assert act_mode(mode("f", 1), v).is_zero()
+
+
+def test_operator_matrix_is_q_times_fraction_reference():
+    for text in DIFF_LEVELS:
+        lv = level_from_string(text)
+        spaces = [(4, 2), (5, 0)]
+        if lv.q * lv.N <= 7:  # the singular space, where it is small
+            spaces.append(singular_position(lv))
+        for (d, w), md in itertools.product(spaces, DIFF_MODES):
+            if not 0 <= mode_degree(md) <= d:
+                continue
+            source = weight_space_basis(d, w)
+            target = weight_space_basis(d - mode_degree(md), w + mode_charge(md))
+            m = operator_matrix(md, source, target, lv.k)
+            ref = operator_matrix_by_fractions(md, source, target, lv.k)
+            assert (m.nrows, m.ncols) == (ref.nrows, ref.ncols)
+            assert m.entries == {rc: lv.q * x for rc, x in ref.entries.items()}, (text, md)
+            assert all(type(x) is int for x in m.entries.values())
 
 
 def test_operator_matrix_target_mismatch():

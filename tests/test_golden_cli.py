@@ -38,6 +38,8 @@ COMMANDS = (
         ["check-dense", "--level", "-2/3", "--r", "4/3", "--mu", "1/3"],
         ["classify", "--level", "7", "--format", "json"],
         ["zhu-poly", "--level", "30", "--format", "json"],
+        ["singular", "--level", "-8/5", "--method", "both"],
+        ["singular", "--level", "-12/7", "--method", "both"],
     ]
 )
 

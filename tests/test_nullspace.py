@@ -1,8 +1,10 @@
-"""Exact RREF and kernel bases, checked against sympy on random and real systems.
+"""Exact kernel bases, checked against sympy on random and real systems.
 
-The modular kernel is also checked against a basis read off the Fraction
-RREF, including systems that need several primes, an unlucky prime and a
-failed certificate.
+The modular integer kernel runs on `integer_matrix(m)`, the row-scaled
+integer form of a Fraction matrix m, and is checked against a basis read off
+the Fraction RREF reference of `oracles`, including systems that need several
+primes, an unlucky prime and a failed certificate.  The reference RREF is
+itself checked against sympy.
 """
 
 import random
@@ -13,9 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admz import nullspace
+from admz.errors import InvalidInputError
 from admz.affine import mode, operator_matrix, weight_space_basis
-from admz.nullspace import RationalMatrix, kernel_basis, primes, rref
+from admz.nullspace import IntMatrix, kernel_basis, primes
 from admz.zhu import level_from_string, singular_position
+from oracles import RationalMatrix, integer_matrix, rref
 
 F = Fraction
 
@@ -44,12 +48,23 @@ def test_rref_examples():
 
 
 def test_kernel_examples():
-    m = RationalMatrix.from_rows([[1, 1]])
+    m = IntMatrix(1, 2, {(0, 0): 1, (0, 1): 1})
     basis = kernel_basis(m)
     assert basis == [(F(1), F(-1))]  # first nonzero coordinate scaled to 1
 
-    identity = RationalMatrix.from_rows([[1, 0], [0, 1]])
+    identity = IntMatrix(2, 2, {(0, 0): 1, (1, 1): 1})
     assert kernel_basis(identity) == []
+    assert kernel_basis(IntMatrix(0, 2)) == [(F(1), F(0)), (F(0), F(1))]
+
+    stacked = IntMatrix(1, 2, {(0, 0): 1}).vstack(IntMatrix(2, 2, {(1, 1): 5}))
+    assert stacked == IntMatrix(3, 2, {(0, 0): 1, (2, 1): 5})
+    with pytest.raises(InvalidInputError):
+        IntMatrix(1, 2).vstack(IntMatrix(1, 3))
+
+    # half-integer rows clear to the same integer system
+    half = RationalMatrix.from_rows([[F(1, 2), F(-1, 3)], [0, 0], [1, F(-2, 3)]])
+    assert integer_matrix(half) == IntMatrix(3, 2, {(0, 0): 3, (0, 1): -2, (2, 0): 3, (2, 1): -2})
+    assert kernel_basis(integer_matrix(half)) == [(F(1), F(3, 2))]
 
 
 def test_kernel_vectors_annihilate_and_rank_nullity():
@@ -57,7 +72,7 @@ def test_kernel_vectors_annihilate_and_rank_nullity():
     for _ in range(30):
         m = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
         red, rank = rref(m)
-        basis = kernel_basis(m)
+        basis = kernel_basis(integer_matrix(m))
         assert rank + len(basis) == m.ncols
         for v in basis:
             assert all(x == 0 for x in m.matvec(list(v)))
@@ -85,14 +100,21 @@ def test_rref_matches_sympy_oracle():
                 assert sympy.Rational(ours[i][j].numerator, ours[i][j].denominator) == sred[i, j]
 
 
-def singular_system(lv) -> RationalMatrix:
-    """The stacked e(0)/f(1) system whose kernel is the vacuum singular vector."""
+def singular_system(lv) -> IntMatrix:
+    """The stacked e(0)/f(1) integer system whose kernel is the vacuum
+    singular vector."""
     d, w = singular_position(lv)
     b0 = weight_space_basis(d, w)
-    return RationalMatrix.vstack(
-        operator_matrix(mode("e", 0), b0, weight_space_basis(d, w + 1), lv.k),
-        operator_matrix(mode("f", 1), b0, weight_space_basis(d - 1, w - 1), lv.k),
+    return operator_matrix(mode("e", 0), b0, weight_space_basis(d, w + 1), lv.k).vstack(
+        operator_matrix(mode("f", 1), b0, weight_space_basis(d - 1, w - 1), lv.k)
     )
+
+
+def dense_rows(m: IntMatrix) -> list[list[int]]:
+    rows = [[0] * m.ncols for _ in range(m.nrows)]
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+    return rows
 
 
 def first_entry_one(vec):
@@ -105,9 +127,7 @@ def test_kernel_matches_sympy_on_singular_systems(level):
     sympy = pytest.importorskip("sympy")
     m = singular_system(level_from_string(level))
     ours = kernel_basis(m)
-    theirs = sympy.Matrix(
-        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.to_rows()]
-    ).nullspace()
+    theirs = sympy.Matrix(dense_rows(m)).nullspace()
     assert len(ours) == 1 and len(theirs) == 1
     oracle = [F(int(x.p), int(x.q)) for x in first_entry_one(list(theirs[0]))]
     assert list(ours[0]) == oracle
@@ -129,7 +149,7 @@ def test_rref_properties_hypothesis(nrows, ncols, data):
     m = RationalMatrix.from_rows(rows)
     red, rank = rref(m)
     assert 0 <= rank <= min(nrows, ncols)
-    basis = kernel_basis(m)
+    basis = kernel_basis(integer_matrix(m))
     assert rank + len(basis) == ncols
     for v in basis:
         assert all(x == 0 for x in m.matvec(list(v)))
@@ -195,13 +215,13 @@ big_entry = st.one_of(
 @example(RationalMatrix(3, 0))
 @example(RationalMatrix(3, 3))
 def test_kernel_matches_rref_oracle(m):
-    assert kernel_basis(m) == reference_basis(m)
+    assert kernel_basis(integer_matrix(m)) == reference_basis(m)
 
 
 @settings(deadline=None, max_examples=60)
 @given(low_rank_matrices(big_entry))
 def test_kernel_matches_rref_oracle_big_entries(m):
-    assert kernel_basis(m) == reference_basis(m)
+    assert kernel_basis(integer_matrix(m)) == reference_basis(m)
 
 
 def count_primes(monkeypatch, limit=40):
@@ -222,7 +242,7 @@ def test_big_entries_need_several_primes(monkeypatch):
     a, b = F(2**101 + 3, 2**103 - 1), F(-(3**70), 2**107 + 1)
     m = RationalMatrix.from_rows([[a, b, 0], [0, a, b]])
     used = count_primes(monkeypatch)
-    basis = kernel_basis(m)
+    basis = kernel_basis(integer_matrix(m))
     assert basis == reference_basis(m) == [(F(1), -a / b, (a / b) ** 2)]
     assert len(used) >= 3
 
@@ -232,12 +252,12 @@ def test_unlucky_prime_is_discarded(monkeypatch):
     # mod p0 the rank drops: [[p0]] has nullity 1 there and 0 over Q
     assert len(nullspace._kernel_mod([{0: p0}], 1, p0)[1]) == 1
     used = count_primes(monkeypatch)
-    assert kernel_basis(RationalMatrix.from_rows([[p0]])) == []
+    assert kernel_basis(IntMatrix(1, 1, {(0, 0): p0})) == []
     assert len(used) == 2
     # same nullity mod p0, but the pivot moves right: column 0 looks free
     assert nullspace._kernel_mod([{0: p0, 1: 1}], 2, p0)[0] == (1,)
     m = RationalMatrix.from_rows([[p0, 1]])
-    assert kernel_basis(m) == reference_basis(m) == [(F(1), F(-p0))]
+    assert kernel_basis(integer_matrix(m)) == reference_basis(m) == [(F(1), F(-p0))]
 
 
 def test_failed_certificate_adds_a_prime(monkeypatch):
@@ -245,9 +265,10 @@ def test_failed_certificate_adds_a_prime(monkeypatch):
     x = p0 + 5
     m = RationalMatrix.from_rows([[1, -x]])
     # one prime lifts the kernel vector (x, 1) to (5, 1), which m rejects
-    pivots, kernel = nullspace._kernel_mod(nullspace._integer_rows(m), 2, p0)
+    pivots, kernel = nullspace._kernel_mod([{0: 1, 1: -x}], 2, p0)
     lifted = nullspace._reconstruct(kernel[0], p0)
-    assert lifted == [F(5), F(1)] and any(m.matvec(lifted))
+    assert lifted == [5, 1] and any(m.matvec(lifted))
+    assert not nullspace._annihilates([{0: 1, 1: -x}], lifted)
     used = count_primes(monkeypatch)
-    assert kernel_basis(m) == [(F(1), F(1, x))]
+    assert kernel_basis(integer_matrix(m)) == [(F(1), F(1, x))]
     assert len(used) == 2

@@ -16,7 +16,7 @@ from admz.affine import (
 )
 from admz.errors import InvalidInputError, NotAdmissibleError, ResourceCapError
 from admz.exact_core import HPoly, parse_hpoly, poly_proportional, poly_root_check
-from admz.nullspace import RationalMatrix, kernel_basis
+from admz.nullspace import kernel_basis
 from admz.usl2 import (
     MOD_N_MINUS,
     MOD_N_PLUS,
@@ -132,9 +132,8 @@ def test_singular_stacked_kernel_is_one_dimensional():
     bf = weight_space_basis(1, 1)
     from admz.affine import operator_matrix
 
-    stacked = RationalMatrix.vstack(
-        operator_matrix(mode("e", 0), b0, be, lv.k),
-        operator_matrix(mode("f", 1), b0, bf, lv.k),
+    stacked = operator_matrix(mode("e", 0), b0, be, lv.k).vstack(
+        operator_matrix(mode("f", 1), b0, bf, lv.k)
     )
     assert len(kernel_basis(stacked)) == 1
 
