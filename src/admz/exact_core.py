@@ -4,12 +4,15 @@ Every scalar in the library is a ``fractions.Fraction``: arbitrary precision,
 always in lowest terms, denominator positive, no floating point anywhere.
 
 A polynomial in h is at heart its list of coefficients in ascending powers.
-``poly_mul``, ``poly_shift`` and ``poly_eval`` are the one toolkit on such
-lists, with int and Fraction entries alike: ``HPoly`` uses them, and so do
-the integer product kernel of ``usl2``, ``zhu``'s evaluations of Q and the
-action of Q on the dense modules.  ``HPoly`` is the dense polynomial type used
-for the classifying polynomials; its canonical text form is terms in
-decreasing power with "num/den" coefficients, e.g. ``2*h^2 + 2*h``.
+``poly_mul``, ``poly_add``, ``poly_shift`` and ``poly_eval`` are the one
+toolkit on such lists, with int and Fraction entries alike: ``HPoly`` uses
+them, and so do the integer product kernel of ``usl2``, ``zhu``'s evaluations
+of Q and the action of Q on the dense modules.  ``HPoly`` is the dense
+polynomial type used for the classifying polynomials; its canonical text form
+is terms in decreasing power with "num/den" coefficients, e.g.
+``2*h^2 + 2*h``.  Evaluating an ``HPoly`` and dividing roots out of it
+(``poly_root_check``) run on its coefficients cleared to integers, with one
+rational rescaling at the end.
 """
 
 from __future__ import annotations
@@ -90,6 +93,16 @@ def poly_shift(p, s) -> list:
         for i in range(len(out) - 1):
             for k in range(len(out) - 2, i - 1, -1):
                 out[k] += s * out[k + 1]
+    return out
+
+
+def poly_add(p, q) -> list:
+    """The sum of two coefficient lists (ascending powers)."""
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
     return out
 
 
@@ -174,13 +187,7 @@ class HPoly:
     def __add__(self, other):
         if not isinstance(other, HPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return HPoly(out)
+        return HPoly(poly_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
@@ -194,21 +201,24 @@ class HPoly:
         return self.__mul__(other)
 
     def __call__(self, x) -> Fraction:
-        return Fraction(poly_eval(self.coeffs, Fraction(x)))
-
-    def divmod_linear(self, root) -> tuple["HPoly", Fraction]:
-        """Synthetic division by (h - root); returns (quotient, remainder)."""
-        root = Fraction(root)
+        """P(u/v) as one integer sum: with P = A/D, A integral of degree d,
+        P(u/v) = sum a_i u^i v^(d-i) / (D v^d), by Horner's rule in integers."""
         if not self.coeffs:
-            return HPoly.zero(), Fraction(0)
-        quot = []
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * root + c
-            quot.append(acc)
-        rem = quot.pop()
-        quot.reverse()
-        return HPoly(quot), rem
+            return Fraction(0)
+        x = Fraction(x)
+        u, v = x.numerator, x.denominator
+        ints, den = self.integral()
+        acc, vpow = ints[-1], 1
+        for a in reversed(ints[:-1]):
+            vpow *= v
+            acc = acc * u + a * vpow
+        return Fraction(acc, den * vpow)
+
+    def integral(self) -> tuple[list, int]:
+        """(A, D): the integer coefficient list A of D * self, D the lcm of
+        the denominators."""
+        ints, den = clear_denominators(dict(enumerate(self.coeffs)))
+        return list(ints.values()), den
 
     def to_text(self) -> str:
         return format_terms(
@@ -254,24 +264,52 @@ def parse_hpoly(text: str) -> HPoly:
     return HPoly(out)
 
 
+def _divide_root(ints, u: int, v: int):
+    """B with ints = (v*h - u) * B, for the coefficient list ints of an
+    integer polynomial, or None when u/v is not one of its roots.
+
+    v*h - u is primitive, so by Gauss's lemma B is integral whenever u/v is a
+    root.  Comparing coefficients top down gives b_(i-1) = (a_i + u*b_i)/v and
+    a_0 = -u*b_0: a step that leaves a remainder mod v, or a nonzero
+    a_0 + u*b_0, means u/v is not a root."""
+    out, b = [], 0
+    if v == 1:
+        for a in reversed(ints[1:]):
+            b = a + u * b
+            out.append(b)
+    else:
+        for a in reversed(ints[1:]):
+            b, rem = divmod(a + u * b, v)
+            if rem:
+                return None
+            out.append(b)
+    if ints[0] + u * b:
+        return None
+    out.reverse()
+    return out
+
+
 def poly_root_check(p: HPoly, candidates) -> tuple[dict[Fraction, int], HPoly]:
     """Divide p exactly by (h - r) for each candidate root as often as possible.
 
     Returns the multiplicity map (only matched roots) and the remaining
     cofactor. Candidates are processed in ascending order for determinism.
+
+    The divisions run on integers: with p = A/D, A integral, each root
+    r = u/v in lowest terms divides (v*h - u) out of A (`_divide_root`).
+    Since v*h - u = v*(h - r), p = prod (h - r)^m * B * prod v^m / D, and
+    the cofactor is the integer quotient B rescaled once at the end.
     """
     if p.is_zero():
         raise InvalidInputError("poly_root_check requires a nonzero polynomial")
+    ints, den = p.integral()
     matched: dict[Fraction, int] = {}
-    cofactor = p
+    scale = Fraction(1, den)
     for r in sorted(Fraction(c) for c in set(candidates)):
-        while True:
-            quot, rem = cofactor.divmod_linear(r)
-            if rem != 0 or cofactor.is_zero():
-                break
+        while (quot := _divide_root(ints, r.numerator, r.denominator)) is not None:
             matched[r] = matched.get(r, 0) + 1
-            cofactor = quot
-    return matched, cofactor
+            ints, scale = quot, scale * r.denominator
+    return matched, HPoly([c * scale for c in ints])
 
 
 def poly_proportional(a: HPoly, b: HPoly):

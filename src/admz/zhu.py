@@ -7,7 +7,10 @@ substitute for Q^T modulo the lowering ideal (the "mff" route), the
 classifying polynomials p1/p2 by both routes, and the assembled
 category-O / weight-module report.  Every step is exact.  The cross-checks
 on a finished report are the named entries of INVARIANTS, which the pipeline,
-`verify` and the CLI all share.
+`verify` and the CLI all share.  They run on integers after the solve: the
+adjoint-module check is one (ad e) step and a weight count (see
+_spans_adjoint_module), and the root checks and evaluations of p1 and p2 work
+on their coefficients cleared to one denominator (exact_core).
 
 The singular vector and Q live in one record per level, cached on the level
 alone: a level is solved once per process whatever the weight-space cap.  The
@@ -16,7 +19,7 @@ outcome depends on earlier ones.
 
 p1 and the nullspace-route p2 are read off the coefficients of
 Q = sum q_abc e^a h^b f^c by evaluation, group e^a P(h) f^c by group
-(usl2.pbw_groups), with no adjoint descent.  The
+(usl2.pbw_groups, on Q cleared to integers), with no adjoint descent.  The
 projection of a weight-0 element mod U(g)n_+ (mod U(g)n_-) is the scalar by
 which it acts on a highest (lowest) weight vector of weight h.  On a highest
 weight vector v every term of (ad f)^N Q = sum_j binom(N,j) f^(N-j) Q (-f)^j
@@ -51,6 +54,7 @@ from .exact_core import (
     clear_denominators,
     format_scalar,
     parse_scalar,
+    poly_add,
     poly_mul,
     poly_proportional,
     poly_root_check,
@@ -62,6 +66,7 @@ from .usl2 import (
     FinElement,
     fin_ad,
     fin_product,
+    monomial_weight,
     p_factor,
     pbw_groups,
     project_cartan,
@@ -288,9 +293,11 @@ def compute_p2(lv: AdmissibleLevel, route: str = NULLSPACE_ROUTE, max_dim=None) 
     after checking the product's predicted size against the cap (mff_epsilon).
     """
     if route == NULLSPACE_ROUTE:
-        poly = HPoly(pbw_groups(_solve(lv, max_dim).Q.terms).get((lv.N, 0), ()))
+        ints, den = clear_denominators(_solve(lv, max_dim).Q.terms)
+        acc = pbw_groups(ints).get((lv.N, 0), [])
         for m in range(1, lv.N + 1):
-            poly = poly * HPoly.linear(m * (m - 1), m)
+            acc = poly_mul(acc, [m * (m - 1), m])
+        poly = HPoly([Fraction(c, den) for c in acc])
     elif route == MFF_ROUTE:
         f_n = FinElement.monomial((0, 0, lv.N))
         poly = project_cartan(fin_product(f_n, mff_epsilon(lv, max_dim)), MOD_N_MINUS)
@@ -309,14 +316,16 @@ def compute_p1(lv: AdmissibleLevel, max_dim=None) -> HPoly:
     p1(h) = (-1)^N sum q_abc (h-2a)^b prod_{i=1..a} i(h-i+1),
     one group e^a P(h) f^(a-N) of Q at a time, with P(h-2a) its shift.
     """
-    groups = pbw_groups(_solve(lv, max_dim).Q.terms)
-    poly, ea_fa = HPoly.zero(), [1]  # e^a f^a v = ea_fa(h) v
+    ints, den = clear_denominators(_solve(lv, max_dim).Q.terms)
+    groups = pbw_groups(ints)
+    acc, ea_fa = [], [1]  # e^a f^a v = ea_fa(h) v
     for a in range(max((a for a, _ in groups), default=-1) + 1):
         if a:
             ea_fa = poly_mul(ea_fa, [a * (1 - a), a])
         if (a, a - lv.N) in groups:
-            poly = poly + HPoly(poly_mul(poly_shift(groups[a, a - lv.N], -2 * a), ea_fa))
-    poly = poly * (-1) ** lv.N
+            acc = poly_add(acc, poly_mul(poly_shift(groups[a, a - lv.N], -2 * a), ea_fa))
+    den *= (-1) ** lv.N  # the sign of p1 rides on the denominator
+    poly = HPoly([Fraction(c, den) for c in acc])
     if poly.is_zero():
         raise ConsistencyError("p1 projected to the zero polynomial")
     return poly
@@ -412,12 +421,23 @@ class ClassificationReport:
 
 
 def _spans_adjoint_module(Q: FinElement, N: int) -> bool:
-    """(ad e)Q = 0, (ad f)^{2N} Q != 0 and (ad f)^{2N+1} Q = 0."""
-    if not fin_ad("e", Q).is_zero():
-        return False
-    for _ in range(2 * N):
-        Q = fin_ad("f", Q)
-    return not Q.is_zero() and fin_ad("f", Q).is_zero()
+    """(ad e)Q = 0, (ad f)^{2N} Q != 0 and (ad f)^{2N+1} Q = 0, for N >= 0,
+    decided in one adjoint step: (ad e)Q = 0 and the top ad-weight among
+    Q's terms is 2N.
+
+    U(sl2) under the adjoint action is locally finite, a direct sum of
+    finite-dimensional sl2-modules (Humphreys, Introduction to Lie Algebras
+    and Representation Theory, sections 7.2 and 26).  Write Q = sum_w Q_w by
+    ad-weight; ad e raises the weight by 2, so (ad e)Q = 0 gives
+    (ad e)Q_w = 0 for each w, and each nonzero Q_w is a highest weight
+    vector generating a copy of V(w), on which (ad f)^j Q_w != 0 exactly
+    when j <= w.  The components (ad f)^j Q_w have the distinct weights
+    w - 2j, so they cannot cancel, and (ad f)^j Q != 0 exactly when j is at
+    most the top weight w_max.  Hence (ad f)^{2N} Q != 0 = (ad f)^{2N+1} Q
+    exactly when w_max = 2N; Q = 0 has no weight and fails.
+    """
+    top = max(map(monomial_weight, Q.terms), default=None)
+    return top == 2 * N and fin_ad("e", Q).is_zero()
 
 
 # Post-hoc invariants of a ClassificationReport, in the order the pipeline

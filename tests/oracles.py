@@ -13,6 +13,10 @@ RREF, against which the modular integer kernel is checked.  The vacuum
 module's integer evaluation of its action table (`VacuumModule.act`,
 `operator_matrix`) is checked against the same table evaluated in Fractions,
 coefficient by coefficient as a + b*k.
+
+The post-solve checks have their former, literal forms here: the
+adjoint-module predicate as the descent (ad f)^{2N+1} Q, and the root check as
+Fraction synthetic division by (h - r).
 """
 
 from fractions import Fraction
@@ -20,8 +24,9 @@ from math import comb, lcm
 
 from admz.affine import VACUUM, VermaVector
 from admz.errors import InvalidInputError
+from admz.exact_core import HPoly
 from admz.nullspace import IntMatrix
-from admz.usl2 import FinElement
+from admz.usl2 import FinElement, fin_ad
 
 # Letters of the PBW basis monomial (a, b, c) = e^a h^b f^c, left to right.
 LETTERS = ("e", "h", "f")
@@ -409,3 +414,47 @@ def operator_matrix_by_fractions(md, from_basis, to_basis, level) -> RationalMat
         for m2, (a, b) in VACUUM.act_mono(md, mono).items():
             cells[(index[m2], j)] = a + b * level
     return RationalMatrix(len(to_basis), len(from_basis), cells)
+
+
+# -- the post-solve checks, in Fractions and by descent -------------------------
+
+
+def spans_adjoint_module_by_descent(Q: FinElement, N: int) -> bool:
+    """(ad e)Q = 0, (ad f)^{2N} Q != 0 and (ad f)^{2N+1} Q = 0, step by step."""
+    if not fin_ad("e", Q).is_zero():
+        return False
+    for _ in range(2 * N):
+        Q = fin_ad("f", Q)
+    return not Q.is_zero() and fin_ad("f", Q).is_zero()
+
+
+def divmod_linear(p: HPoly, root) -> tuple[HPoly, Fraction]:
+    """Synthetic division by (h - root) in Fractions: (quotient, remainder)."""
+    root = Fraction(root)
+    if p.is_zero():
+        return HPoly.zero(), Fraction(0)
+    quot = []
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * root + c
+        quot.append(acc)
+    rem = quot.pop()
+    quot.reverse()
+    return HPoly(quot), rem
+
+
+def poly_root_check_by_fractions(p: HPoly, candidates) -> tuple[dict, HPoly]:
+    """Divide p by (h - r) for each candidate r, ascending, as often as the
+    remainder is zero: (multiplicity map of the matched roots, cofactor)."""
+    if p.is_zero():
+        raise InvalidInputError("poly_root_check requires a nonzero polynomial")
+    matched: dict[Fraction, int] = {}
+    cofactor = p
+    for r in sorted(Fraction(c) for c in set(candidates)):
+        while True:
+            quot, rem = divmod_linear(cofactor, r)
+            if rem != 0 or cofactor.is_zero():
+                break
+            matched[r] = matched.get(r, 0) + 1
+            cofactor = quot
+    return matched, cofactor

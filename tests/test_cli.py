@@ -14,6 +14,7 @@ from admz import weight_modules
 from admz.cli import main
 from admz.errors import ConsistencyError
 from admz.exact_core import HPoly
+from oracles import divmod_linear
 
 
 def run_cli(capsys, argv):
@@ -337,7 +338,7 @@ def test_zhu_poly_verdict_per_polynomial(capsys, monkeypatch):
     real = zhu_mod.compute_p1
 
     def p1_with_moved_root(lv, max_dim=None):
-        quot, rem = real(lv, max_dim).divmod_linear(1)
+        quot, rem = divmod_linear(real(lv, max_dim), 1)
         assert rem == 0
         return quot * HPoly.linear(-7)
 

@@ -12,9 +12,11 @@ from admz.exact_core import (
     format_scalar,
     parse_hpoly,
     parse_scalar,
+    poly_eval,
     poly_proportional,
     poly_root_check,
 )
+from oracles import poly_root_check_by_fractions
 
 F = Fraction
 
@@ -138,3 +140,34 @@ def test_root_check_reconstructs_input(roots, extra_coeffs):
     # every candidate root was divided out completely
     for r in set(roots):
         assert cofactor(r) != 0 or cofactor.is_zero()
+
+
+nonzero_fraction = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(st.tuples(small_fraction, st.integers(1, 3)), min_size=0, max_size=4),
+    nonzero_fraction,
+    st.lists(small_fraction, min_size=0, max_size=3),
+    st.lists(small_fraction, min_size=0, max_size=4),
+)
+def test_root_check_matches_fraction_division(roots, lead, tail, others):
+    """Integer division against Fraction synthetic division: roots with
+    multiplicities, a non-unit leading coefficient, a cofactor that may share
+    roots, and non-root and repeated candidates."""
+    p = HPoly(list(tail) + [lead])
+    for r, mult in roots:
+        p = p * HPoly.from_roots([r] * mult)
+    candidates = [r for r, _ in roots] * 2 + list(others)
+    got = poly_root_check(p, candidates)
+    expected = poly_root_check_by_fractions(p, candidates)
+    assert list(got[0].items()) == list(expected[0].items())
+    assert got[1] == expected[1]
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_poly, st.fractions(max_denominator=12))
+def test_evaluation_matches_fraction_horner(p, x):
+    assert p(x) == poly_eval(p.coeffs, x)
+    assert p(x.numerator) == poly_eval(p.coeffs, Fraction(x.numerator))

@@ -13,13 +13,21 @@ from admz.affine import AffineWeight
 from admz.errors import ConsistencyError
 from admz.exact_core import HPoly
 from admz.usl2 import FinElement
-from admz.zhu import INVARIANTS, build_report, check_report, classify_category_O, level_from_string
+from admz.zhu import (
+    INVARIANTS,
+    build_report,
+    check_report,
+    classify_category_O,
+    compute_Q,
+    level_from_string,
+)
+from oracles import divmod_linear, spans_adjoint_module_by_descent
 
 LEVEL = "-1/2"  # S = {1, 0, -1/2, -3/2}, N = 2
 
 
 def move_root(p: HPoly, old, new) -> HPoly:
-    quot, rem = p.divmod_linear(old)
+    quot, rem = divmod_linear(p, old)
     assert rem == 0
     return quot * HPoly.linear(-Fraction(new))
 
@@ -115,3 +123,40 @@ def test_verify_reads_route_constant_from_report(valid_report, monkeypatch):
     (row,) = verify_mod.suite_classification([LEVEL])
     assert row.passed
     assert row.detail == f"routes agree up to {valid_report.p2_route_constant / 3}"
+
+
+# the levels whose singular vectors the acceptance criteria certify, and 7
+ADJOINT_LEVELS = ("1", "2", "3", "-1/2", "1/2", "-4/3", "-2/3", "-1/3", "5/2", "7")
+
+
+def adjoint_mutations(Q, N):
+    """Q and elements that change one weight or one group of it."""
+    return {
+        "Q": Q,
+        "Q+1": Q + FinElement.one(),
+        "Q+e^(N+1)f": Q + FinElement.monomial((N + 1, 0, 1)),
+        "Q+e^(N+1)": Q + FinElement.monomial((N + 1, 0, 0)),
+        "Q+e^(N-1)": Q + FinElement.monomial((N - 1, 0, 0)),
+        "Q without e^N": FinElement({m: c for m, c in Q.terms.items() if m[::2] != (N, 0)}),
+        "0": FinElement.zero(),
+    }
+
+
+@pytest.mark.parametrize("text", ADJOINT_LEVELS)
+def test_adjoint_module_matches_the_descent(text):
+    """One (ad e) step and the top weight decide what the (ad f) descent decides."""
+    lv = level_from_string(text)
+    verdicts = {}
+    for name, x in adjoint_mutations(compute_Q(lv), lv.N).items():
+        for n in (lv.N - 1, lv.N, lv.N + 1):
+            verdicts[name, n] = spans_adjoint_module_by_descent(x, n)
+            assert zhu_mod._spans_adjoint_module(x, n) == verdicts[name, n], (name, n)
+    # Q+1 and Q+e^(N-1) keep the top weight 2N, so only Q-adjoint-weight refuses them
+    assert {key for key, ok in verdicts.items() if ok} >= {
+        ("Q", lv.N),
+        ("Q+1", lv.N),
+        ("Q+e^(N-1)", lv.N),
+        ("Q+e^(N+1)", lv.N + 1),
+    }
+    for n in (lv.N - 1, lv.N, lv.N + 1):
+        assert not verdicts["Q+e^(N+1)f", n] and not verdicts["0", n]

@@ -15,7 +15,7 @@ from admz.affine import (
     weight_space_basis,
 )
 from admz.errors import InvalidInputError, NotAdmissibleError, ResourceCapError
-from admz.exact_core import HPoly, parse_hpoly, poly_proportional, poly_root_check
+from admz.exact_core import HPoly, parse_hpoly, poly_eval, poly_proportional, poly_root_check
 from admz.nullspace import kernel_basis
 from admz.usl2 import (
     MOD_N_MINUS,
@@ -41,7 +41,13 @@ from admz.zhu import (
     singular_vector_nullspace,
     zhu_image_F,
 )
-from oracles import eval_mod_n_minus, eval_mod_n_plus, pbw_shape, product_terms
+from oracles import (
+    eval_mod_n_minus,
+    eval_mod_n_plus,
+    pbw_shape,
+    poly_root_check_by_fractions,
+    product_terms,
+)
 
 F = Fraction
 
@@ -380,6 +386,21 @@ def test_p1_p2_degree_and_mirror():
         assert p1.degree == (lv.l + 1) * lv.N == p2.degree
         for r in S:
             assert p1(r) == 0 and p2(-r) == 0
+
+
+@pytest.mark.parametrize("text", ["-1/2", "-4/3", "5/2", "7", "25"])
+def test_root_checks_and_evaluations_match_fractions(text):
+    # S and -S together: each polynomial meets its roots and as many non-roots
+    lv = level_from_string(text)
+    S = set_S(lv)
+    candidates = S + [-r for r in S]
+    for p in (compute_p1(lv), compute_p2(lv), compute_p2(lv, MFF_ROUTE)):
+        matched, cofactor = poly_root_check(p, candidates)
+        expected, expected_cofactor = poly_root_check_by_fractions(p, candidates)
+        assert list(matched.items()) == list(expected.items())
+        assert cofactor == expected_cofactor
+        for r in candidates:
+            assert p(r) == poly_eval(p.coeffs, r)
 
 
 # -- full report ------------------------------------------------------------------------
