@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InvalidInputError, ResourceCapError
@@ -108,13 +108,10 @@ def bracket_modes(x: Mode, y: Mode) -> tuple[list[tuple[Mode, int]], int]:
     return modes, central
 
 
-@dataclass(frozen=True)
-class AffineWeight:
+class AffineWeight(namedtuple("AffineWeight", "lambda0 lambda1 delta", defaults=(Fraction(0),))):
     """Weight in the span of Lambda_0, Lambda_1, delta."""
 
-    lambda0: Fraction
-    lambda1: Fraction
-    delta: Fraction = Fraction(0)
+    __slots__ = ()
 
     @property
     def level_value(self) -> Fraction:

@@ -264,7 +264,7 @@ def parse_hpoly(text: str) -> HPoly:
     return HPoly(out)
 
 
-def _divide_root(ints, u: int, v: int):
+def poly_divide_root(ints, u: int, v: int):
     """B with ints = (v*h - u) * B, for the coefficient list ints of an
     integer polynomial, or None when u/v is not one of its roots.
 
@@ -296,7 +296,7 @@ def poly_root_check(p: HPoly, candidates) -> tuple[dict[Fraction, int], HPoly]:
     cofactor. Candidates are processed in ascending order for determinism.
 
     The divisions run on integers: with p = A/D, A integral, each root
-    r = u/v in lowest terms divides (v*h - u) out of A (`_divide_root`).
+    r = u/v in lowest terms divides (v*h - u) out of A (`poly_divide_root`).
     Since v*h - u = v*(h - r), p = prod (h - r)^m * B * prod v^m / D, and
     the cofactor is the integer quotient B rescaled once at the end.
     """
@@ -306,7 +306,7 @@ def poly_root_check(p: HPoly, candidates) -> tuple[dict[Fraction, int], HPoly]:
     matched: dict[Fraction, int] = {}
     scale = Fraction(1, den)
     for r in sorted(Fraction(c) for c in set(candidates)):
-        while (quot := _divide_root(ints, r.numerator, r.denominator)) is not None:
+        while (quot := poly_divide_root(ints, r.numerator, r.denominator)) is not None:
             matched[r] = matched.get(r, 0) + 1
             ints, scale = quot, scale * r.denominator
     return matched, HPoly([c * scale for c in ints])

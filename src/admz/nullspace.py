@@ -40,20 +40,29 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InvalidInputError
 
 
-@dataclass(slots=True)
 class IntMatrix:
     """Sparse integer matrix: entries maps (row, col) to nonzero ints."""
 
-    nrows: int
-    ncols: int
-    entries: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("nrows", "ncols", "entries")
+
+    def __init__(self, nrows: int, ncols: int, entries: dict | None = None):
+        self.nrows = nrows
+        self.ncols = ncols
+        self.entries = {} if entries is None else entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nrows, self.ncols, self.entries) == (other.nrows, other.ncols, other.entries)
+
+    def __repr__(self):
+        return f"IntMatrix(nrows={self.nrows!r}, ncols={self.ncols!r})"
 
     def vstack(self, bottom: "IntMatrix") -> "IntMatrix":
         if self.ncols != bottom.ncols:

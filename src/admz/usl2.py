@@ -31,10 +31,17 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from math import comb, factorial
 
 from .errors import InvalidInputError
-from .exact_core import HPoly, clear_denominators, format_terms, parse_scalar, poly_mul, poly_shift
+from .exact_core import (
+    HPoly,
+    clear_denominators,
+    format_terms,
+    parse_scalar,
+    poly_divide_root,
+    poly_mul,
+    poly_shift,
+)
 
 # the generators, in the order of the basis monomial e^a h^b f^c
 GENERATORS = ("e", "h", "f")
@@ -76,13 +83,20 @@ def _ungroup(groups: dict) -> dict:
 
 def _kostant(a: int, c: int) -> list:
     """The h-polynomials K_j, j = 0..min(a, c), of f^c e^a = sum_j e^(a-j) K_j f^(c-j):
-    K_j = binom(a,j) binom(c,j) j! prod_{i<j} (-h-a-c+2j-i)."""
-    out = []
-    for j in range(min(a, c) + 1):
-        poly = [comb(a, j) * comb(c, j) * factorial(j)]
-        for i in range(j):
-            poly = poly_mul(poly, [2 * j - a - c - i, -1])
-        out.append(poly)
+    K_j = binom(a,j) binom(c,j) j! prod_{i<j} (-h-a-c+2j-i).
+
+    The product runs over the factors (m-a-c-h), j < m <= 2j, so the next
+    one gains m = 2j+1 and m = 2j+2 and drops m = j+1: one product with a
+    quadratic and one exact division by (h - (j+1-a-c)) per j, so the list
+    takes O(min(a, c)^2) integer steps."""
+    scale, prod = 1, [1]
+    out = [[1]]
+    for j in range(min(a, c)):
+        u = 2 * j + 1 - a - c
+        # prod (u-h)(u+1-h) / (j+1-a-c-h) = prod (-(u-h)(u+1-h)) / (h-(j+1-a-c))
+        prod = poly_divide_root(poly_mul(prod, [-u * (u + 1), 2 * u + 1, -1]), j + 1 - a - c, 1)
+        scale = scale * (a - j) * (c - j) // (j + 1)
+        out.append([scale * x for x in prod])
     return out
 
 

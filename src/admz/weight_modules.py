@@ -19,7 +19,7 @@ at N+1 consecutive indices proves vanishing everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ConsistencyError, InvalidInputError
@@ -28,12 +28,10 @@ from .usl2 import FinElement, pbw_groups
 from .zhu import AdmissibleLevel, ClassificationReport, compute_Q, set_S
 
 
-@dataclass(frozen=True)
-class DenseParams:
+class DenseParams(namedtuple("DenseParams", "r mu")):
     """The pair (r, mu) labelling E(r,mu)."""
 
-    r: Fraction
-    mu: Fraction
+    __slots__ = ()
 
     @property
     def is_irreducible(self) -> bool:
@@ -41,12 +39,10 @@ class DenseParams:
         return self.mu.denominator != 1 and (self.r - self.mu).denominator != 1
 
 
-@dataclass(frozen=True)
-class EActionResult:
+class EActionResult(namedtuple("EActionResult", "shift coefficient")):
     """Image of a weight-homogeneous element on E_i: coefficient * E_{i+shift}."""
 
-    shift: int
-    coefficient: Fraction
+    __slots__ = ()
 
 
 def act_element_on_E(u: FinElement, params: DenseParams, i: int) -> EActionResult:

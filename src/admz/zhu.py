@@ -42,7 +42,7 @@ naming the level.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -77,16 +77,10 @@ NULLSPACE_ROUTE = "nullspace"
 MFF_ROUTE = "mff"
 
 
-@dataclass(frozen=True)
-class AdmissibleLevel:
+class AdmissibleLevel(namedtuple("AdmissibleLevel", "p q k t N l")):
     """Validated parameter pack for an admissible level k = p/q."""
 
-    p: int
-    q: int
-    k: Fraction
-    t: Fraction
-    N: int
-    l: int
+    __slots__ = ()
 
     def __str__(self):
         return format_scalar(self.k)
@@ -149,17 +143,14 @@ def singular_position(lv: AdmissibleLevel) -> tuple[int, int]:
     return lv.q * lv.N, lv.N
 
 
-@dataclass(frozen=True)
-class _Solved:
+class _Solved(namedtuple("_Solved", "v Q dims")):
     """One level's solve: v, Q = F([v]) and ((d, w), dimension) of the three
     weight spaces the kernel search enumerates, in enumeration order.
 
     p1 and p2 are evaluations of Q's coefficients (see the module
     docstring), so nothing else derived from Q is kept."""
 
-    v: VermaVector
-    Q: FinElement
-    dims: tuple
+    __slots__ = ()
 
 
 # The one per-level solve cache, keyed on (p, q) alone.
@@ -379,26 +370,18 @@ def simple_roots(poly: HPoly, expected) -> tuple[dict, bool]:
     return roots, ok
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",))):
+    """One named invariant's verdict, with an optional witness."""
+
+    __slots__ = ()
 
 
-@dataclass
-class ClassificationReport:
-    """Everything the pipeline produces for one admissible level."""
+class ClassificationReport(
+    namedtuple("ClassificationReport", "level S Pk p2 p1 p2_mff singular_vector Q families")
+):
+    """Everything the pipeline produces for one admissible level.
 
-    level: AdmissibleLevel
-    S: list
-    Pk: list
-    p2: HPoly
-    p1: HPoly
-    p2_mff: HPoly
-    singular_vector: VermaVector
-    Q: FinElement
-    families: list
+    No __slots__, so that the cached_property below has a __dict__ to fill."""
 
     @functools.cached_property
     def p2_route_constant(self):

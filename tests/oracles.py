@@ -5,8 +5,8 @@ elements act on explicit lowest-/highest-weight module bases and on the dense
 modules E(r,mu) generator by generator, products are straightened by
 adjacent transpositions rather than the library's closed-form kernel, weight
 spaces are enumerated by a different algorithm, polynomials are recovered by
-Lagrange interpolation, and the term count of a product is predicted from its
-operands' shapes.
+Lagrange interpolation, the term count of a product is predicted from its
+operands' shapes, and Kostant's polynomials are built factor by factor.
 
 Exact linear algebra has a dense Fraction reference: `RationalMatrix` and its
 RREF, against which the modular integer kernel is checked.  The vacuum
@@ -20,11 +20,11 @@ Fraction synthetic division by (h - r).
 """
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 from admz.affine import VACUUM, VermaVector
 from admz.errors import InvalidInputError
-from admz.exact_core import HPoly
+from admz.exact_core import HPoly, poly_mul
 from admz.nullspace import IntMatrix
 from admz.usl2 import FinElement, fin_ad
 
@@ -275,6 +275,20 @@ def product_terms(xs: dict, ys: dict) -> int:
             n = min(c, a2) + 1
             total += n * (d + d2 + 1) + n * (n - 1) // 2
     return total
+
+
+def kostant_by_products(a: int, c: int) -> list:
+    """Kostant's K_j for f^c e^a, each built from scratch as the scalar
+    binom(a,j) binom(c,j) j! times j fresh linear factors (-h-a-c+2j-i),
+    O(min(a, c)^3) steps: the reference for the library's O(min(a, c)^2)
+    list, which reuses each product for the next."""
+    out = []
+    for j in range(min(a, c) + 1):
+        poly = [comb(a, j) * comb(c, j) * factorial(j)]
+        for i in range(j):
+            poly = poly_mul(poly, [2 * j - a - c - i, -1])
+        out.append(poly)
+    return out
 
 
 # -- exact linear algebra: the dense Fraction reference -------------------------

@@ -135,6 +135,68 @@ def test_usage_error_exit_two(capsys):
     assert code == 2
 
 
+def test_level_value_forms_agree(capsys):
+    # a value that starts with "-" is read as the option's value, spaced or joined
+    spaced = run_cli(capsys, ["classify", "--level", "-1/2"])
+    joined = run_cli(capsys, ["classify", "--level=-1/2"])
+    assert spaced == joined and spaced[0] == 0
+
+
+def test_negative_values_of_every_value_option(capsys):
+    code, out, _ = run_cli(capsys, ["check-dense", "--level", "-1/2", "--r", "-1/2", "--mu", "-1/3"])
+    assert code == 0 and out.startswith("member of T:    True\n")
+    code, out, _ = run_cli(
+        capsys, ["verify", "--suite", "classification", "--levels", "-1/2,1"]
+    )
+    assert code == 0
+    assert "[PASS] classification[-1/2]" in out and "[PASS] classification[1]" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],  # no subcommand
+        ["classify", "--level", "1", "--bogus"],
+        ["classify", "--lev", "1"],  # no option is abbreviated
+        ["classify", "--level", "1", "--format", "xml"],
+        ["verify", "--suite", "lemmas", "--max-n", "0"],
+        ["verify", "--suite", "algebra", "--samples", "abc"],
+        ["classify", "--level"],
+        ["classify", "-h"],  # help is --help alone
+    ],
+)
+def test_usage_errors_exit_two_with_empty_stdout(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err
+
+
+def test_keyboard_interrupt_exits_two(capsys, monkeypatch):
+    def interrupted(lv, max_dim=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(zhu_mod, "classify_category_O", interrupted)
+    code, out, _ = run_cli(capsys, ["classify", "--level", "1"])
+    assert (code, out) == (2, "")
+
+
+def test_import_loads_only_what_commands_share():
+    # a fresh interpreter: click, dataclasses (and the inspect it pulls in)
+    # and the verify suites stay unloaded until a command needs them
+    code = (
+        "import sys; before = set(sys.modules); import admz, admz.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = os.path.dirname(os.path.dirname(admz.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env, check=True
+    )
+    loaded = set(proc.stdout.split())
+    assert "admz.cli" in loaded
+    assert loaded.isdisjoint({"click", "dataclasses", "inspect", "admz.verify"})
+
+
 def test_env_var_cap(capsys, monkeypatch):
     monkeypatch.setenv("ADMZ_MAX_WEIGHT_DIM", "4")
     code, _, err = run_cli(capsys, ["classify", "--level", "-2/3"])

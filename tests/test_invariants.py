@@ -1,7 +1,6 @@
 """The invariant registry: each entry is caught by the pipeline, by `verify`
 and by `check_report` when it breaks in an otherwise valid report."""
 
-import dataclasses
 import re
 from fractions import Fraction
 
@@ -79,7 +78,7 @@ def valid_report():
 
 def broken(report, invariant):
     change, _ = BREAKAGES[invariant]
-    return dataclasses.replace(report, **change(report))
+    return report._replace(**change(report))
 
 
 def test_every_invariant_has_a_breakage():
@@ -118,7 +117,7 @@ def test_verify_names_every_broken_invariant(valid_report, monkeypatch, invarian
 
 
 def test_verify_reads_route_constant_from_report(valid_report, monkeypatch):
-    report = dataclasses.replace(valid_report, p2_mff=valid_report.p2_mff * 3)
+    report = valid_report._replace(p2_mff=valid_report.p2_mff * 3)
     monkeypatch.setattr(verify_mod, "build_report", lambda lv, max_dim=None: report)
     (row,) = verify_mod.suite_classification([LEVEL])
     assert row.passed

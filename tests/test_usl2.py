@@ -6,6 +6,7 @@ from math import comb, factorial
 
 import pytest
 
+from admz import usl2
 from admz.errors import InvalidInputError
 from admz.exact_core import HPoly
 from admz.usl2 import (
@@ -25,6 +26,7 @@ from oracles import (
     act_word_lowest_weight,
     eval_mod_n_minus,
     eval_mod_n_plus,
+    kostant_by_products,
     pbw_shape,
     product_by_transpositions,
     product_terms,
@@ -120,6 +122,14 @@ def test_kostant_formula():
             assert FinElement(straighten_by_transpositions(word)) == expected
             got = fin_product(mono(0, 0, c), mono(a, 0, 0))
             assert got == expected, (a, c)
+
+
+def test_kostant_list_matches_fresh_products():
+    # each K_j is the previous one times two factors, divided by one exactly
+    pairs = [(a, c) for a in range(41) for c in range(41)]
+    pairs += [(0, 200), (200, 0), (1, 200), (200, 1), (3, 150), (150, 3), (60, 197), (197, 60)]
+    for a, c in pairs:
+        assert usl2._kostant(a, c) == kostant_by_products(a, c), (a, c)
 
 
 def test_product_terms_bounds_the_product():
