@@ -32,8 +32,6 @@ from .exact_core import (
 )
 from .nullspace import IntMatrix, kernel_basis
 from .usl2 import (
-    MOD_N_MINUS,
-    MOD_N_PLUS,
     FinElement,
     fin_ad,
     fin_product,

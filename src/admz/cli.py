@@ -37,42 +37,42 @@ def classify(level, fmt, max_dim):
     if fmt == "json":
         print(json.dumps({**report.to_dict(), "families": families}, indent=2))
         return
-    print(f"level k = {lv} (p={lv.p}, q={lv.q}, t={lv.t}, N={lv.N}, l={lv.l})")
-    print("S = {" + ", ".join(format_scalar(r) for r in report.S) + "}")
-    print(f"P^k: {len(report.Pk)} weights, h-values match S")
-    print(f"singular vector: {report.singular_vector.to_text()}")
-    print(f"Q = {report.Q.to_text()}")
-    print(f"p1 = {report.p1.to_text()}")
-    print(f"p2 = {report.p2.to_text()}")
-    print(
+    lines = [
+        f"level k = {lv} (p={lv.p}, q={lv.q}, t={lv.t}, N={lv.N}, l={lv.l})",
+        "S = {" + ", ".join(format_scalar(r) for r in report.S) + "}",
+        f"P^k: {len(report.Pk)} weights, h-values match S",
+        f"singular vector: {report.singular_vector.to_text()}",
+        f"Q = {report.Q.to_text()}",
+        f"p1 = {report.p1.to_text()}",
+        f"p2 = {report.p2.to_text()}",
         f"p2 (closed form) = {report.p2_mff.to_text()}"
-        f"   [proportional, constant {format_scalar(report.p2_route_constant)}]"
-    )
-    print("irreducible weight modules:")
+        f"   [proportional, constant {format_scalar(report.p2_route_constant)}]",
+        "irreducible weight modules:",
+    ]
     for fam in families:
         rs = ", ".join(fam["r_values"]) or "(empty)"
-        print(f"  {fam['modules']}: {fam['condition']}; r in {{{rs}}}")
+        lines.append(f"  {fam['modules']}: {fam['condition']}; r in {{{rs}}}")
+    print("\n".join(lines))  # built whole first, so a too-long number prints nothing
 
 
 def singular(level, method, max_dim):
     """Singular vector and/or its closed-form projection; cross-route verdict."""
     lv = zhu.level_from_string(level)
+    lines = []
     if method in ("nullspace", "both"):
-        v = zhu.singular_vector_nullspace(lv, max_dim)
-        print(f"v_sing = {v.to_text()}")
+        lines.append(f"v_sing = {zhu.singular_vector_nullspace(lv, max_dim).to_text()}")
     if method in ("mff", "both"):
-        eps = zhu.mff_epsilon(lv, max_dim)
-        print(f"projected closed form = {eps.to_text()}")
+        lines.append(f"projected closed form = {zhu.mff_epsilon(lv, max_dim).to_text()}")
     if method == "both":
         p2a = zhu.compute_p2(lv, zhu.NULLSPACE_ROUTE, max_dim)
         p2b = zhu.compute_p2(lv, zhu.MFF_ROUTE, max_dim)
         const = zhu.route_constant(p2a, p2b)
-        print(f"p2 via nullspace = {p2a.to_text()}")
-        print(f"p2 via mff       = {p2b.to_text()}")
+        lines += [f"p2 via nullspace = {p2a.to_text()}", f"p2 via mff       = {p2b.to_text()}"]
         if const is None:
-            print("routes DISAGREE")
+            print("\n".join([*lines, "routes DISAGREE"]))
             raise ConsistencyError("p2 routes are not proportional")
-        print(f"routes proportional, constant {format_scalar(const)}")
+        lines.append(f"routes proportional, constant {format_scalar(const)}")
+    print("\n".join(lines))  # built whole first, so a too-long number prints nothing
 
 
 def zhu_poly(level, fmt, max_dim):
@@ -163,7 +163,7 @@ _LEVEL = ("--level", {"required": True, "help": 'Exact level "p/q".'})
 _FORMAT = ("--format", {"dest": "fmt", "choices": ["text", "json"], "default": "text"})
 _MAX_DIM = (
     "--max-dim",
-    {"type": int, "help": "Weight-space dimension cap; also bounds the mff route's product."},
+    {"type": int, "help": "Weight-space dimension cap; also bounds the mff route's epsilon."},
 )
 
 # (command, function, options); each function takes its options as keywords

@@ -22,6 +22,7 @@ class ConsistencyError(AdmzError, RuntimeError):
 
 
 class ResourceCapError(AdmzError, RuntimeError):
-    """A weight-space dimension or the mff route's predicted product size
-    exceeded the configured cap, or a level's cold solve, the only code that
-    recurses, exceeded the interpreter's recursion limit (CLI exit code 3)."""
+    """A weight-space dimension or the size of the mff route's epsilon
+    exceeded the configured cap, a level's cold solve, the only code that
+    recurses, exceeded the interpreter's recursion limit, or a result number
+    is over the interpreter's digit limit for printing (CLI exit code 3)."""

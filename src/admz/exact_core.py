@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceCapError
 
 _SCALAR_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -35,11 +35,22 @@ def parse_scalar(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise InvalidInputError(f"zero denominator in {text!r}") from exc
+    except ValueError as exc:  # over the interpreter's int-string digit limit
+        raise InvalidInputError(f"literal of {len(text)} characters is too long") from exc
 
 
 def format_scalar(x: Fraction) -> str:
-    """Render as "num/den", denominator omitted when 1."""
-    return str(x)
+    """Render as "num/den", denominator omitted when 1.
+
+    A number over the interpreter's int-string digit limit is a
+    ResourceCapError: the result exists but is too long to print."""
+    try:
+        return str(x)
+    except ValueError as exc:
+        bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+        raise ResourceCapError(
+            f"a result number of about {int(bits * 0.30103) + 1} digits is too long to print"
+        ) from exc
 
 
 def format_terms(terms) -> str:

@@ -18,12 +18,10 @@ every evaluation of an element on a module reads it that way too: `zhu`
 reads p1 and p2 off Q's groups, `weight_modules` acts with each group on
 E(r,mu) in closed form.  `straighten` folds a word of generators into the
 basis through the same kernel, one run of equal generators at a time; the
-text parser, the Zhu image and the projection mod U(g)n_+ use it.  Nothing
-recurses and nothing is cached between calls.
+text parser and the Zhu image use it.  Nothing recurses and nothing is
+cached between calls.
 
-The projection mod U(g)n_- keeps the pure-h terms of the expansion.  The
-projection mod U(g)n_+ goes through the Chevalley involution e <-> f,
-h -> -h, an automorphism that maps U(g)n_+ onto U(g)n_-.
+The projection mod U(g)n_- keeps the pure-h terms of the expansion.
 """
 
 from __future__ import annotations
@@ -271,31 +269,12 @@ def fin_ad(g: str, x: FinElement) -> FinElement:
     return _rational(out, den)
 
 
-MOD_N_MINUS = "mod_n_minus"
-MOD_N_PLUS = "mod_n_plus"
-
-
-def project_cartan(x: FinElement, side: str) -> HPoly:
-    """Project an ad-weight-0 element to its pure-h polynomial.
-
-    mod_n_minus keeps the pure-h terms: every other weight-0 term ends in f,
-    hence lies in U(g)n_-.  mod_n_plus applies the Chevalley involution
-    theta: e <-> f, h -> -h, which maps U(g)n_+ onto U(g)n_-.  So if theta(x)
-    has pure-h part P(h), x projects to P(-h) mod U(g)n_+; each term
-    e^a h^b f^c maps to (-1)^b f^a h^b e^c, straightened.
-    """
-    if side not in (MOD_N_MINUS, MOD_N_PLUS):
-        raise InvalidInputError(f"unknown projection side {side!r}")
+def project_cartan(x: FinElement) -> HPoly:
+    """Project an ad-weight-0 element mod U(g)n_- to its pure-h polynomial:
+    every other weight-0 term ends in f, hence lies in U(g)n_-."""
     if x.ad_weight() != 0:
         raise InvalidInputError("project_cartan requires an ad-weight-0 element")
-    if side == MOD_N_MINUS:
-        pure = {b: v for (a, b, c), v in x.terms.items() if a == c == 0}
-    else:
-        pure = {}
-        for (a, b, c), v in x.terms.items():
-            for (a2, b2, c2), w in straighten(("f",) * a + ("h",) * b + ("e",) * c).items():
-                if a2 == c2 == 0:
-                    pure[b2] = pure.get(b2, 0) + (-1) ** (b + b2) * v * w
+    pure = {b: v for (a, b, c), v in x.terms.items() if a == c == 0}
     return HPoly([pure.get(b, 0) for b in range(max(pure, default=-1) + 1)])
 
 

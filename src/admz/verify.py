@@ -17,7 +17,6 @@ from .affine import act_mode, bracket_modes, mode, weight_space_basis
 from .errors import AdmzError
 from .exact_core import HPoly
 from .usl2 import (
-    MOD_N_MINUS,
     FinElement,
     fin_ad,
     fin_product,
@@ -172,7 +171,7 @@ def fn_en_projection(N: int) -> HPoly:
     """f^N e^N projected mod U(g)n_-."""
     f_n = FinElement.monomial((0, 0, N))
     e_n = FinElement.monomial((N, 0, 0))
-    return project_cartan(fin_product(f_n, e_n), MOD_N_MINUS)
+    return project_cartan(fin_product(f_n, e_n))
 
 
 def suite_lemmas(max_n: int = 5, s_values=POMOC_S_VALUES) -> list[CheckResult]:

@@ -17,26 +17,32 @@ alone: a level is solved once per process whatever the weight-space cap.  The
 cap is checked on every call against the recorded dimensions, so no call's
 outcome depends on earlier ones.
 
-p1 and the nullspace-route p2 are read off the coefficients of
-Q = sum q_abc e^a h^b f^c by evaluation, group e^a P(h) f^c by group
-(usl2.pbw_groups, on Q cleared to integers), with no adjoint descent.  The
-projection of a weight-0 element mod U(g)n_+ (mod U(g)n_-) is the scalar by
-which it acts on a highest (lowest) weight vector of weight h.  On a highest
-weight vector v every term of (ad f)^N Q = sum_j binom(N,j) f^(N-j) Q (-f)^j
-with j < N vanishes, since Q f^j v would have weight above v's; likewise on a
-lowest weight vector for (ad e)^N Q^T.  What is left gives (Humphreys,
+p1 and p2 are read off coefficients by evaluation, group e^a P(h) f^c by
+group (usl2.pbw_groups, on the element cleared to integers), with no adjoint
+descent, no product and no Cartan projection.  The projection of a weight-0
+element mod U(g)n_+ (mod U(g)n_-) is the scalar by which it acts on a
+highest (lowest) weight vector of weight h.  On a highest weight vector v
+every term of (ad f)^N Q = sum_j binom(N,j) f^(N-j) Q (-f)^j with j < N
+vanishes, since Q f^j v would have weight above v's; likewise on a lowest
+weight vector for (ad e)^N Q^T.  What is left gives (Humphreys,
 Introduction to Lie Algebras and Representation Theory, sections 21 and 26.2)
 
     p1(h) = (-1)^N sum q_abc (h-2a)^b prod_{i=1..a} i(h-i+1)
     p2(h) = prod_{m=1..N} m(h+m-1) * sum_b q_{N,b,0} h^b
 
-The weight cap also bounds the mff route: its product f^N * epsilon is
-sized in closed form before any arithmetic (mff_terms), and a prediction
-over the cap is a ResourceCapError naming the level and the route.  S and
-P^k, each of (l+1)N elements, are built only after the solve has passed its
-caps.  Only the cold solve recurses (the weight search and the vacuum
-module's straightening); a RecursionError there becomes a ResourceCapError
-naming the level.
+The mff route reads its p2 the same way, off the e^N P(h) group of the
+closed-form product epsilon, with the sign (-1)^N of f^N e^N on a lowest
+weight vector.  Only epsilon is built, by U(sl2) products of its p-factors,
+so the routes meet only at the reading: Q comes from the nullspace vector,
+epsilon from S's parameters alone.
+
+The weight cap also bounds the mff route: the size of epsilon is known in
+closed form before any arithmetic (mff_terms), and a prediction over the
+cap is a ResourceCapError naming the level and the route.  S and P^k, each
+of (l+1)N elements, are built only after the solve has passed its caps.
+Only the cold solve recurses (the weight search and the vacuum module's
+straightening); a RecursionError there becomes a ResourceCapError naming
+the level.
 """
 
 from __future__ import annotations
@@ -62,14 +68,13 @@ from .exact_core import (
 )
 from .nullspace import kernel_basis
 from .usl2 import (
-    MOD_N_MINUS,
     FinElement,
     fin_ad,
     fin_product,
     monomial_weight,
     p_factor,
     pbw_groups,
-    project_cartan,
+    project_cartan,  # unused here; a call-site name that perfbench/tracer.py resolves
     straighten,
 )
 
@@ -229,22 +234,20 @@ def compute_Q(lv: AdmissibleLevel, max_dim=None) -> FinElement:
 
 
 def mff_terms(lv: AdmissibleLevel) -> int:
-    """Predicted PBW-term count of the mff route's product f^N * epsilon,
-    from shapes alone.  Each p-factor ef + (s-1)h - s(s-1) has the groups
-    e^1 f^1 and a linear h-polynomial, so the m = lN factors times e^N give
-    groups e^(N+a) P f^a with deg P = m - a, for a = 0..m.  Against f^N each
-    group forms N+1 polynomials of degrees m-a .. m-a+N, so the count is
-    sum_a (N+1)(m-a+1+N/2) = (N+1)(m+1)(N+m+2)/2."""
+    """PBW-term count of the mff route's epsilon, from shapes alone.  Each
+    p-factor ef + (s-1)h - s(s-1) has the groups e^1 f^1 and a linear
+    h-polynomial, so the m = lN factors times e^N give the groups
+    e^(N+a) P f^a with deg P = m - a, for a = 0..m: (m+1)(m+2)/2 terms."""
     m = lv.l * lv.N
-    return (lv.N + 1) * (m + 1) * (lv.N + m + 2) // 2
+    return (m + 1) * (m + 2) // 2
 
 
 def mff_epsilon(lv: AdmissibleLevel, max_dim=None) -> FinElement:
     """Closed form of the projected singular element:
     prod_{i=1..l, j=1..N} (ef + (it+j-1)h - (it+j)(it+j-1)) * e^N.
 
-    Raises ResourceCapError, before any arithmetic, when the route's product
-    f^N * epsilon is predicted to form more PBW terms than the weight cap."""
+    Raises ResourceCapError, before any arithmetic, when epsilon has more
+    PBW terms than the weight cap (mff_terms)."""
     cap = affine.resolve_max_dim(max_dim)
     terms = mff_terms(lv)
     if terms > cap:
@@ -259,10 +262,10 @@ def mff_epsilon(lv: AdmissibleLevel, max_dim=None) -> FinElement:
 def descend_to_weight_zero(x: FinElement) -> FinElement:
     """(ad f)^n x, of ad-weight 0, for x homogeneous of ad-weight 2n >= 0.
 
-    The pipeline does not call this: p1 and p2 are evaluations of Q (see
-    the module docstring).  It is the reference the tests project, by
-    project_cartan, to check those evaluations.  The transpose turns ad f
-    into -ad e, so (ad e)^n x^T = (-1)^n ((ad f)^n x)^T."""
+    The pipeline does not call this: p1 and p2 are evaluations (see the
+    module docstring).  It is the reference the tests project, mod U(g)n_+,
+    to check those evaluations.  The transpose turns ad f into -ad e, so
+    (ad e)^n x^T = (-1)^n ((ad f)^n x)^T."""
     w = x.ad_weight()
     if w is None or w < 0:
         raise InvalidInputError("descend_to_weight_zero requires a homogeneous weight >= 0")
@@ -280,20 +283,23 @@ def compute_p2(lv: AdmissibleLevel, route: str = NULLSPACE_ROUTE, max_dim=None) 
     a lowest weight vector w, which is (-1)^N Q^T e^N w.  Only the e^N h^b
     terms of Q reach w, and f^N e^N w = prod_{m=1..N} (-m(h+m-1)) w, so
     p2(h) = prod_{m=1..N} m(h+m-1) * sum_b q_{N,b,0} h^b.
-    mff route: straighten f^N * (closed-form product) and project mod U(g)n_-,
-    after checking the product's predicted size against the cap (mff_epsilon).
+    mff route: f^N * epsilon projected mod U(g)n_-, its scalar on w.  Only
+    the e^N P(h) group of epsilon reaches w, so the same reading of
+    epsilon (mff_epsilon, which checks its size against the cap), times
+    (-1)^N, gives it.
     """
     if route == NULLSPACE_ROUTE:
-        ints, den = clear_denominators(_solve(lv, max_dim).Q.terms)
-        acc = pbw_groups(ints).get((lv.N, 0), [])
-        for m in range(1, lv.N + 1):
-            acc = poly_mul(acc, [m * (m - 1), m])
-        poly = HPoly([Fraction(c, den) for c in acc])
+        element, sign = _solve(lv, max_dim).Q, 1
     elif route == MFF_ROUTE:
-        f_n = FinElement.monomial((0, 0, lv.N))
-        poly = project_cartan(fin_product(f_n, mff_epsilon(lv, max_dim)), MOD_N_MINUS)
+        element, sign = mff_epsilon(lv, max_dim), (-1) ** lv.N
     else:
         raise InvalidInputError(f"unknown p2 route {route!r}")
+    ints, den = clear_denominators(element.terms)
+    acc = pbw_groups(ints).get((lv.N, 0), [])
+    for m in range(1, lv.N + 1):
+        acc = poly_mul(acc, [m * (m - 1), m])
+    den *= sign  # the sign rides on the denominator
+    poly = HPoly([Fraction(c, den) for c in acc])
     if poly.is_zero():
         raise ConsistencyError(f"p2 via {route} projected to the zero polynomial")
     return poly

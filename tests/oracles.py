@@ -16,7 +16,9 @@ coefficient by coefficient as a + b*k.
 
 The post-solve checks have their former, literal forms here: the
 adjoint-module predicate as the descent (ad f)^{2N+1} Q, and the root check as
-Fraction synthetic division by (h - r).
+Fraction synthetic division by (h - r).  So do two former readings of the
+classifying polynomials: the projection mod U(g)n_+ through the Chevalley
+involution, and the mff p2 as the product f^N * epsilon projected mod U(g)n_-.
 """
 
 from fractions import Fraction
@@ -26,7 +28,8 @@ from admz.affine import VACUUM, VermaVector
 from admz.errors import InvalidInputError
 from admz.exact_core import HPoly, poly_mul
 from admz.nullspace import IntMatrix
-from admz.usl2 import FinElement, fin_ad
+from admz.usl2 import FinElement, fin_ad, fin_product, project_cartan
+from admz.zhu import mff_epsilon
 
 # Letters of the PBW basis monomial (a, b, c) = e^a h^b f^c, left to right.
 LETTERS = ("e", "h", "f")
@@ -208,6 +211,30 @@ def eval_mod_n_plus(x: FinElement, mu, ad_f=0) -> Fraction:
     for word, coeff in _ad_power_words(x, "f", ad_f):
         total += coeff * act_word_highest_weight(word, mu).get(0, Fraction(0))
     return total
+
+
+def project_mod_n_plus(x: FinElement) -> HPoly:
+    """Project an ad-weight-0 element mod U(g)n_+ through the Chevalley
+    involution theta: e <-> f, h -> -h, which maps U(g)n_+ onto U(g)n_-.  So
+    if theta(x) has pure-h part P(h), x projects to P(-h); each term
+    e^a h^b f^c maps to (-1)^b f^a h^b e^c, straightened."""
+    if x.ad_weight() != 0:
+        raise InvalidInputError("project_mod_n_plus requires an ad-weight-0 element")
+    pure = {}
+    for (a, b, c), v in x.terms.items():
+        word = ["f"] * a + ["h"] * b + ["e"] * c
+        for (a2, b2, c2), w in straighten_by_transpositions(word).items():
+            if a2 == c2 == 0:
+                pure[b2] = pure.get(b2, 0) + (-1) ** (b + b2) * v * w
+    return HPoly([pure.get(b, 0) for b in range(max(pure, default=-1) + 1)])
+
+
+def p2_by_product_and_projection(lv) -> HPoly:
+    """The mff route's p2 as the U(sl2) product f^N * epsilon, projected
+    mod U(g)n_-: the reference for the pipeline's reading of epsilon's
+    e^N P(h) group."""
+    f_n = FinElement.monomial((0, 0, lv.N))
+    return project_cartan(fin_product(f_n, mff_epsilon(lv)))
 
 
 def brute_weight_space(delta_deg: int, alpha_wt: int):

@@ -278,10 +278,10 @@ def run_cli_bounded(argv, seconds=30, address_space=1_500_000_000):
 
 
 # Huge levels: S and P^k (qN elements each), the modes the weight search
-# could try and the mff route's shape groups all number 1e11 or more.  Each
-# command is refused by a cap before any of them is built.  N = 1 at
+# could try and the terms of the mff route's epsilon all number 1e11 or more.
+# Each command is refused by a cap before any of them is built.  N = 1 at
 # -199999999996/99999999999.
-N, M = 199999999998, 99999999998 * 199999999998  # N and m = lN at 1/99999999999
+M = 99999999998 * 199999999998  # m = lN at 1/99999999999
 
 
 @pytest.mark.parametrize(
@@ -310,7 +310,7 @@ N, M = 199999999998, 99999999998 * 199999999998  # N and m = lN at 1/99999999999
         (
             ["singular", "--level", "1/99999999999", "--method", "mff"],
             "error: level 1/99999999999: mff route forms "
-            f"{(N + 1) * (M + 1) * (N + M + 2) // 2}"
+            f"{(M + 1) * (M + 2) // 2}"
             " PBW terms, over cap 20000\n",
         ),
     ],
@@ -334,19 +334,21 @@ def test_huge_level_is_a_verify_fail_row():
 
 
 def test_mff_product_is_bounded_by_the_cap(capsys):
-    # at integer levels the MFF route's f^N * e^N forms (N+1)(N+2)/2 PBW
-    # terms: 903 at k = 40, 181503 at k = 600, over the default cap 20000
-    code, _, err = run_cli(capsys, ["classify", "--level", "40", "--max-dim", "902"])
-    assert code == 3
-    assert err == "error: level 40: mff route forms 903 PBW terms, over cap 902\n"
-    code, _, _ = run_cli(capsys, ["classify", "--level", "40", "--max-dim", "903"])
+    # epsilon has (m+1)(m+2)/2 PBW terms, m = lN: 45 at k = -1/3 (N = 4, l = 2)
+    argv = ["singular", "--level", "-1/3", "--method", "mff", "--max-dim"]
+    code, out, err = run_cli(capsys, [*argv, "44"])
+    assert (code, out) == (3, "")
+    assert err == "error: level -1/3: mff route forms 45 PBW terms, over cap 44\n"
+    code, out, _ = run_cli(capsys, [*argv, "45"])
     assert code == 0
+    assert out.startswith("projected closed form = ")
+
+
+@pytest.mark.slow
+def test_level_600_classify_succeeds(capsys):
+    # at integer levels epsilon is e^N, one term, so the mff route is no limit
     code, _, err = run_cli(capsys, ["classify", "--level", "600"])
-    assert code == 3
-    assert err == "error: level 600: mff route forms 181503 PBW terms, over cap 20000\n"
-    code, _, err = run_cli(capsys, ["singular", "--level", "600", "--method", "mff"])
-    assert code == 3
-    assert "mff route" in err
+    assert code == 0, err
 
 
 @pytest.mark.slow
@@ -355,6 +357,38 @@ def test_level_600_zhu_poly_succeeds(capsys):
     code, out, err = run_cli(capsys, ["zhu-poly", "--level", "600"])
     assert code == 0, err
     assert "p1 roots = S:      yes" in out
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_result_too_long_to_print_is_a_resource_cap(capsys, fmt):
+    # p1 at k = 900 has a coefficient over the int-string digit limit
+    code, out, err = run_cli(capsys, ["zhu-poly", "--level", "900", "--format", fmt])
+    assert (code, out) == (3, "")
+    assert err == "error: a result number of about 4301 digits is too long to print\n"
+
+
+# one more digit than the interpreter converts between int and string
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" + "0" * DIGIT_LIMIT
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no int-string digit limit")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--level", LONG],
+        ["zhu-poly", "--level", f"1/{LONG}"],
+        ["singular", "--level", f"-{LONG}"],
+        ["check-dense", "--level", "-1/2", "--r", LONG, "--mu", "1/3"],
+        ["check-dense", "--level", "-1/2", "--r", "-1/2", "--mu", f"1/{LONG}"],
+    ],
+    ids=["classify", "zhu-poly", "singular", "check-dense-r", "check-dense-mu"],
+)
+def test_over_long_literal_is_invalid_input(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: literal of ") and err.endswith(" characters is too long\n")
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,13 @@
 """exact_core: scalars and classifying polynomials."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admz.errors import InvalidInputError
+from admz.errors import InvalidInputError, ResourceCapError
 from admz.exact_core import (
     HPoly,
     format_scalar,
@@ -16,6 +17,7 @@ from admz.exact_core import (
     poly_proportional,
     poly_root_check,
 )
+from admz.usl2 import parse_fin
 from oracles import poly_root_check_by_fractions
 
 F = Fraction
@@ -29,6 +31,38 @@ def test_scalar_parse_format():
     for bad in ("0.5", "1e3", "", "1/0x", "one", "1/0", "-3/00"):
         with pytest.raises(InvalidInputError):
             parse_scalar(bad)
+
+
+# one more digit than the interpreter converts between int and string
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" + "0" * DIGIT_LIMIT
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no int-string digit limit")
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_scalar, LONG),
+        (parse_scalar, f"-1/{LONG}"),
+        (parse_hpoly, f"{LONG}*h^2 - 1"),
+        (parse_hpoly, f"h - 1/{LONG}"),
+        (parse_fin, f"{LONG}*e*f"),
+        (parse_fin, f"e - 1/{LONG}*h"),
+    ],
+    ids=["scalar", "scalar-den", "hpoly", "hpoly-den", "fin", "fin-den"],
+)
+def test_over_long_literal_is_invalid_input(parse, text):
+    with pytest.raises(InvalidInputError, match="too long"):
+        parse(text)
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no int-string digit limit")
+def test_number_too_long_to_print_is_a_resource_cap():
+    assert format_scalar(F(10**DIGIT_LIMIT - 1)) == "9" * DIGIT_LIMIT
+    with pytest.raises(ResourceCapError, match="too long to print"):
+        format_scalar(F(10**5000))
+    with pytest.raises(ResourceCapError, match="too long to print"):
+        format_scalar(F(1, 10**5000))
 
 
 def test_hpoly_product_examples():

@@ -10,8 +10,6 @@ from admz import usl2
 from admz.errors import InvalidInputError
 from admz.exact_core import HPoly
 from admz.usl2 import (
-    MOD_N_MINUS,
-    MOD_N_PLUS,
     FinElement,
     fin_ad,
     fin_product,
@@ -30,6 +28,7 @@ from oracles import (
     pbw_shape,
     product_by_transpositions,
     product_terms,
+    project_mod_n_plus,
     straighten_by_transpositions,
 )
 
@@ -217,19 +216,19 @@ def test_weight_additivity_random():
 def test_project_examples():
     ef = fin_product(gen("e"), gen("f"))
     fe = fin_product(gen("f"), gen("e"))
-    assert project_cartan(fe, MOD_N_MINUS) == HPoly([0, -1])
-    assert project_cartan(ef, MOD_N_PLUS) == HPoly([0, 1])
-    assert project_cartan(fe, MOD_N_PLUS) == HPoly.zero()
+    assert project_cartan(fe) == HPoly([0, -1])
+    assert project_mod_n_plus(ef) == HPoly([0, 1])
+    assert project_mod_n_plus(fe) == HPoly.zero()
     f2e2 = fin_product(mono(0, 0, 2), mono(2, 0, 0))
-    assert project_cartan(f2e2, MOD_N_MINUS) == HPoly([0, 2, 2])
+    assert project_cartan(f2e2) == HPoly([0, 2, 2])
     h3 = mono(0, 3, 0)
-    assert project_cartan(h3, MOD_N_MINUS) == HPoly([0, 0, 0, 1])
-    assert project_cartan(h3, MOD_N_PLUS) == HPoly([0, 0, 0, 1])
+    assert project_cartan(h3) == HPoly([0, 0, 0, 1])
+    assert project_mod_n_plus(h3) == HPoly([0, 0, 0, 1])
 
 
 def test_project_rejects_nonzero_weight():
     with pytest.raises(InvalidInputError):
-        project_cartan(gen("e"), MOD_N_MINUS)
+        project_cartan(gen("e"))
 
 
 def test_project_agrees_with_evaluation_oracles():
@@ -244,8 +243,8 @@ def test_project_agrees_with_evaluation_oracles():
         if x.is_zero() or x.ad_weight() != 0:
             continue
         count += 1
-        pminus = project_cartan(x, MOD_N_MINUS)
-        pplus = project_cartan(x, MOD_N_PLUS)
+        pminus = project_cartan(x)
+        pplus = project_mod_n_plus(x)
         # both projections have degree at most that of x in the PBW
         # filtration, so agreement at deg + 1 points fixes them exactly
         deg = max(a + b + c for a, b, c in x.terms)
@@ -260,7 +259,7 @@ def test_fn_en_projection_shape():
     # pinned by the lowest-weight oracle before being asserted exactly.
     for N in range(1, 6):
         prod = fin_product(mono(0, 0, N), mono(N, 0, 0))
-        poly = project_cartan(prod, MOD_N_MINUS)
+        poly = project_cartan(prod)
         expected = HPoly.from_roots([-j for j in range(N)]) * F((-1) ** N * factorial(N))
         assert poly == expected
         mu = F(5, 7)

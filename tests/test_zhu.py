@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from admz import usl2
 from admz import zhu as zhu_mod
 from admz.affine import (
     VermaVector,
@@ -18,8 +19,6 @@ from admz.errors import InvalidInputError, NotAdmissibleError, ResourceCapError
 from admz.exact_core import HPoly, parse_hpoly, poly_eval, poly_proportional, poly_root_check
 from admz.nullspace import kernel_basis
 from admz.usl2 import (
-    MOD_N_MINUS,
-    MOD_N_PLUS,
     FinElement,
     fin_ad,
     fin_product,
@@ -44,9 +43,9 @@ from admz.zhu import (
 from oracles import (
     eval_mod_n_minus,
     eval_mod_n_plus,
-    pbw_shape,
+    p2_by_product_and_projection,
     poly_root_check_by_fractions,
-    product_terms,
+    project_mod_n_plus,
 )
 
 F = Fraction
@@ -283,12 +282,10 @@ def test_mff_epsilon_examples():
 
 
 def test_mff_terms_closed_form_counts_the_operands():
-    # the closed form must equal the count from the operands' actual shapes
+    # the closed form must equal the term count of the epsilon it prices
     for text in ("1", "2", "-1/2", "1/2", "-4/3", "-2/3", "3/2", "-5/4", "-1/3", "5/2"):
         lv = level_from_string(text)
-        f_n = FinElement.monomial((0, 0, lv.N))
-        shapes = pbw_shape(f_n), pbw_shape(mff_epsilon(lv))
-        assert zhu_mod.mff_terms(lv) == product_terms(*shapes), text
+        assert zhu_mod.mff_terms(lv) == len(mff_epsilon(lv).terms), text
 
 
 def test_mff_factors_commute():
@@ -315,6 +312,17 @@ def test_p1_k1():
     assert roots == {F(0): 1, F(1): 1} and cof.degree == 0
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1", "2", "3", "-1/2", "1/2", "-4/3", "-2/3", "-1/3", "5/2", "7"]
+    + [pytest.param("30", marks=pytest.mark.slow)],
+)
+def test_mff_p2_is_the_product_projected(text):
+    # reference: straighten f^N * epsilon, then keep its pure-h part
+    lv = level_from_string(text)
+    assert compute_p2(lv, MFF_ROUTE) == p2_by_product_and_projection(lv)
+
+
 def test_routes_proportional_all_levels():
     for text in ("1", "2", "3", "-1/2", "1/2", "-4/3", "-2/3"):
         lv = level_from_string(text)
@@ -331,7 +339,7 @@ def test_nullspace_p2_is_the_descent_of_Q_transpose(text):
     x = compute_Q(lv).transpose()
     for _ in range(lv.N):
         x = fin_ad("e", x)
-    assert compute_p2(lv, NULLSPACE_ROUTE) == project_cartan(x, MOD_N_MINUS)
+    assert compute_p2(lv, NULLSPACE_ROUTE) == project_cartan(x)
 
 
 @pytest.mark.parametrize(
@@ -346,7 +354,7 @@ def test_p1_is_the_descent_of_Q_projected_mod_n_plus(text):
     for _ in range(lv.N):
         x = fin_ad("f", x)
     assert zhu_mod.descend_to_weight_zero(compute_Q(lv)) == x
-    assert compute_p1(lv) == project_cartan(x, MOD_N_PLUS)
+    assert compute_p1(lv) == project_mod_n_plus(x)
 
 
 @pytest.mark.parametrize(
@@ -376,6 +384,17 @@ def test_pipeline_makes_no_adjoint_descent(monkeypatch):
         compute_p2(lv, NULLSPACE_ROUTE)
         compute_p2(lv, MFF_ROUTE)
     assert calls == []
+
+
+def test_pipeline_makes_no_cartan_projection(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("project_cartan called")
+
+    monkeypatch.setattr(zhu_mod, "_SOLVED", {})
+    monkeypatch.setattr(zhu_mod, "project_cartan", refuse)
+    monkeypatch.setattr(usl2, "project_cartan", refuse)
+    for text in ("-1/2", "-1/3", "2"):
+        classify_category_O(level_from_string(text))
 
 
 def test_p1_p2_degree_and_mirror():
