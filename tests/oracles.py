@@ -19,6 +19,8 @@ adjoint-module predicate as the descent (ad f)^{2N+1} Q, and the root check as
 Fraction synthetic division by (h - r).  So do two former readings of the
 classifying polynomials: the projection mod U(g)n_+ through the Chevalley
 involution, and the mff p2 as the product f^N * epsilon projected mod U(g)n_-.
+The latter is the old route itself, so it uses the library's product and
+projection.
 """
 
 from fractions import Fraction
