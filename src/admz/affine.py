@@ -24,7 +24,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InvalidInputError, ResourceCapError
-from .exact_core import clear_denominators, format_scalar, parse_scalar
+from .exact_core import clear_denominators, format_scalar, parse_int, parse_scalar
 from .nullspace import IntMatrix
 from .usl2 import BRACKET
 
@@ -262,8 +262,8 @@ def parse_verma(text: str, level) -> VermaVector:
         for tok in tokens:
             m = _MODE_RE.match(tok)
             if m:
-                g, deg, exp = m.group(1), int(m.group(2)), m.group(3)
-                modes.extend([mode(g, deg)] * (int(exp) if exp else 1))
+                g, deg, exp = m.group(1), parse_int(m.group(2)), m.group(3)
+                modes.extend([mode(g, deg)] * (parse_int(exp) if exp else 1))
             else:
                 coeff *= parse_scalar(tok)
         v = VermaVector.vacuum(level)

@@ -7,12 +7,16 @@ A polynomial in h is at heart its list of coefficients in ascending powers.
 ``poly_mul``, ``poly_add``, ``poly_shift`` and ``poly_eval`` are the one
 toolkit on such lists, with int and Fraction entries alike: ``HPoly`` uses
 them, and so do the integer product kernel of ``usl2``, ``zhu``'s evaluations
-of Q and the action of Q on the dense modules.  ``HPoly`` is the dense
-polynomial type used for the classifying polynomials; its canonical text form
-is terms in decreasing power with "num/den" coefficients, e.g.
-``2*h^2 + 2*h``.  Evaluating an ``HPoly`` and dividing roots out of it
-(``poly_root_check``) run on its coefficients cleared to integers, with one
-rational rescaling at the end.
+of Q and the action of Q on the dense modules; ``poly_eval`` is the one
+evaluator.  ``HPoly`` is the dense polynomial type used for the classifying
+polynomials; its canonical text form is terms in decreasing power with
+"num/den" coefficients, e.g. ``2*h^2 + 2*h``.  Dividing roots out of an
+``HPoly`` (``poly_root_check``) runs on its coefficients cleared to integers,
+with one rational rescaling at the end.
+
+The parsers read every integer token, literal, exponent or degree, through
+``parse_scalar`` or ``parse_int``, so a token over the interpreter's
+int-string digit limit is invalid input, not a crash.
 """
 
 from __future__ import annotations
@@ -37,6 +41,15 @@ def parse_scalar(text: str) -> Fraction:
         raise InvalidInputError(f"zero denominator in {text!r}") from exc
     except ValueError as exc:  # over the interpreter's int-string digit limit
         raise InvalidInputError(f"literal of {len(text)} characters is too long") from exc
+
+
+def parse_int(text: str) -> int:
+    """Read a signed decimal integer token that a parser's pattern matched,
+    such as an exponent or a mode degree; over-long is invalid input."""
+    try:
+        return int(text)
+    except ValueError as exc:  # over the interpreter's int-string digit limit
+        raise InvalidInputError(f"integer of {len(text)} characters is too long") from exc
 
 
 def format_scalar(x: Fraction) -> str:
@@ -129,7 +142,8 @@ class HPoly:
     """Polynomial in h with exact rational coefficients.
 
     Stored dense in ascending powers with the leading coefficient nonzero;
-    the zero polynomial has degree -1.
+    the zero polynomial has degree -1.  Calling it evaluates it by
+    ``poly_eval``, in Fractions.
     """
 
     __slots__ = ("coeffs",)
@@ -212,18 +226,7 @@ class HPoly:
         return self.__mul__(other)
 
     def __call__(self, x) -> Fraction:
-        """P(u/v) as one integer sum: with P = A/D, A integral of degree d,
-        P(u/v) = sum a_i u^i v^(d-i) / (D v^d), by Horner's rule in integers."""
-        if not self.coeffs:
-            return Fraction(0)
-        x = Fraction(x)
-        u, v = x.numerator, x.denominator
-        ints, den = self.integral()
-        acc, vpow = ints[-1], 1
-        for a in reversed(ints[:-1]):
-            vpow *= v
-            acc = acc * u + a * vpow
-        return Fraction(acc, den * vpow)
+        return Fraction(poly_eval(self.coeffs, Fraction(x)))
 
     def integral(self) -> tuple[list, int]:
         """(A, D): the integer coefficient list A of D * self, D the lcm of
@@ -264,7 +267,7 @@ def parse_hpoly(text: str) -> HPoly:
         if m.group("sign") == "-":
             coeff = -coeff
         if m.group("h"):
-            power = int(m.group("pow")) if m.group("pow") else 1
+            power = parse_int(m.group("pow")) if m.group("pow") else 1
         else:
             power = 0
         coeff_map[power] = coeff_map.get(power, Fraction(0)) + coeff

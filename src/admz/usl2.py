@@ -35,6 +35,7 @@ from .exact_core import (
     HPoly,
     clear_denominators,
     format_terms,
+    parse_int,
     parse_scalar,
     poly_divide_root,
     poly_mul,
@@ -335,7 +336,7 @@ def parse_fin(text: str) -> FinElement:
                 raise InvalidInputError(f"empty factor in term {chunk!r}")
             m = _FIN_FACTOR_RE.match(factor)
             if m:
-                word.extend(m.group("g") * (int(m.group("exp")) if m.group("exp") else 1))
+                word.extend(m.group("g") * (parse_int(m.group("exp")) if m.group("exp") else 1))
             else:
                 coeff *= parse_scalar(factor)
         for mono, v in straighten(word).items():

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import ConsistencyError, InvalidInputError
 from .exact_core import format_scalar, poly_eval
 from .usl2 import FinElement, pbw_groups
-from .zhu import AdmissibleLevel, ClassificationReport, compute_Q, set_S
+from .zhu import AdmissibleLevel, ClassificationReport, compute_Q, is_nonneg_int, set_S
 
 
 class DenseParams(namedtuple("DenseParams", "r mu")):
@@ -35,7 +35,7 @@ class DenseParams(namedtuple("DenseParams", "r mu")):
 
     @property
     def is_irreducible(self) -> bool:
-        """Irreducibility of E(r,mu) as a plain sl2-module."""
+        """Irreducibility of E(r,mu) as a plain sl2-module: mu, r-mu not in Z."""
         return self.mu.denominator != 1 and (self.r - self.mu).denominator != 1
 
 
@@ -81,16 +81,15 @@ def q_annihilates_E(lv: AdmissibleLevel, params: DenseParams, max_dim=None) -> b
 
 
 def is_T_member(lv: AdmissibleLevel, params: DenseParams, S=None) -> bool:
-    """(r,mu) in T: r in S minus Z+, mu not in Z, r-mu not in Z.
+    """(r,mu) in T: E(r,mu) irreducible and r in S minus Z+.
 
     S is set_S(lv), computed here when the caller does not already hold it.
     """
-    if params.mu.denominator == 1 or (params.r - params.mu).denominator == 1:
-        return False
-    r = params.r
-    if r.denominator == 1 and r.numerator >= 0:
-        return False
-    return r in set(set_S(lv) if S is None else S)
+    return (
+        params.is_irreducible
+        and not is_nonneg_int(params.r)
+        and params.r in (set_S(lv) if S is None else S)
+    )
 
 
 def classify_weight_modules(report: ClassificationReport, max_dim=None) -> list[dict]:

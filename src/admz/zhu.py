@@ -7,10 +7,10 @@ substitute for Q^T modulo the lowering ideal (the "mff" route), the
 classifying polynomials p1/p2 by both routes, and the assembled
 category-O / weight-module report.  Every step is exact.  The cross-checks
 on a finished report are the named entries of INVARIANTS, which the pipeline,
-`verify` and the CLI all share.  They run on integers after the solve: the
-adjoint-module check is one (ad e) step and a weight count (see
-_spans_adjoint_module), and the root checks and evaluations of p1 and p2 work
-on their coefficients cleared to one denominator (exact_core).
+`verify` and the CLI all share: seven independent facts, none implied by the
+others.  They run on integers after the solve: the adjoint-module check is
+one (ad e) step and a weight test (see _spans_adjoint_module), and the root
+checks divide p1 and p2 cleared to one denominator (exact_core).
 
 The singular vector and Q live in one record per level, cached on the level
 alone: a level is solved once per process whatever the weight-space cap.  The
@@ -71,7 +71,6 @@ from .usl2 import (
     FinElement,
     fin_ad,
     fin_product,
-    monomial_weight,
     p_factor,
     pbw_groups,
     project_cartan,  # unused here; a call-site name that perfbench/tracer.py resolves
@@ -330,7 +329,7 @@ def compute_p1(lv: AdmissibleLevel, max_dim=None) -> HPoly:
 
 def module_families(S) -> list[dict]:
     """The three weight-module families with their parameter conditions."""
-    s_dense = [r for r in S if not _is_nonneg_int(r)]
+    s_dense = [r for r in S if not is_nonneg_int(r)]
     s_text = [format_scalar(r) for r in S]
     return [
         {
@@ -354,7 +353,8 @@ def module_families(S) -> list[dict]:
     ]
 
 
-def _is_nonneg_int(r: Fraction) -> bool:
+def is_nonneg_int(r: Fraction) -> bool:
+    """Whether r is in Z+, which the dense family's r must avoid."""
     return r.denominator == 1 and r.numerator >= 0
 
 
@@ -410,32 +410,30 @@ class ClassificationReport(
 
 
 def _spans_adjoint_module(Q: FinElement, N: int) -> bool:
-    """(ad e)Q = 0, (ad f)^{2N} Q != 0 and (ad f)^{2N+1} Q = 0, for N >= 0,
-    decided in one adjoint step: (ad e)Q = 0 and the top ad-weight among
-    Q's terms is 2N.
+    """Q spans a copy of V(2N) under the adjoint action (N >= 1): Q is
+    homogeneous of ad-weight 2N and (ad e)Q = 0.
 
-    U(sl2) under the adjoint action is locally finite, a direct sum of
-    finite-dimensional sl2-modules (Humphreys, Introduction to Lie Algebras
-    and Representation Theory, sections 7.2 and 26).  Write Q = sum_w Q_w by
-    ad-weight; ad e raises the weight by 2, so (ad e)Q = 0 gives
-    (ad e)Q_w = 0 for each w, and each nonzero Q_w is a highest weight
-    vector generating a copy of V(w), on which (ad f)^j Q_w != 0 exactly
-    when j <= w.  The components (ad f)^j Q_w have the distinct weights
-    w - 2j, so they cannot cancel, and (ad f)^j Q != 0 exactly when j is at
-    most the top weight w_max.  Hence (ad f)^{2N} Q != 0 = (ad f)^{2N+1} Q
-    exactly when w_max = 2N; Q = 0 has no weight and fails.
+    A homogeneous highest weight vector of weight 2N spans V(2N), since
+    U(sl2) is locally finite under ad (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, sections 7.2 and 26).  N >= 1, so
+    Q = 0, of weight 0, fails.
     """
-    top = max(map(monomial_weight, Q.terms), default=None)
-    return top == 2 * N and fin_ad("e", Q).is_zero()
+    return Q.ad_weight() == 2 * N and fin_ad("e", Q).is_zero()
 
 
 # Post-hoc invariants of a ClassificationReport, in the order the pipeline
 # checks them: (name, predicate, what is wrong when the predicate is false).
+# None is implied by the others; in particular deg p2 = |S| and
+# p1(s) = 0 = p2(-s) for s in S follow from S-size and the two root checks.
 # Checks that must pass before a value can exist (S-distinct,
 # kernel-dimension, singular-annihilation, nonzero projections)
 # run where that value is computed instead.
 INVARIANTS = (
-    ("S-size", lambda r: len(r.S) == (r.level.l + 1) * r.level.N, "|S| != (l+1)N"),
+    (
+        "S-size",
+        lambda r: len(r.S) == len(set(r.S)) == (r.level.l + 1) * r.level.N,
+        "S is not (l+1)N distinct values",
+    ),
     (
         "Pk-h-values",
         lambda r: {w.h_value for w in r.Pk} == set(r.S),
@@ -446,29 +444,22 @@ INVARIANTS = (
         lambda r: all(w.level_value == r.level.k for w in r.Pk),
         "weight has wrong level",
     ),
-    ("Q-adjoint-weight", lambda r: r.Q.ad_weight() == 2 * r.level.N, "expected 2N"),
     (
         "adjoint-module",
         lambda r: _spans_adjoint_module(r.Q, r.level.N),
-        "need (ad e)Q = 0, (ad f)^{2N} Q != 0 and (ad f)^{2N+1} Q = 0",
+        "need Q homogeneous of ad-weight 2N with (ad e)Q = 0",
     ),
     (
         "p2-route-agreement",
         lambda r: r.p2_route_constant is not None,
         "routes not proportional",
     ),
-    ("p2-degree", lambda r: r.p2.degree == (r.level.l + 1) * r.level.N, "deg p2 != (l+1)N"),
     (
         "p2-roots",
         lambda r: simple_roots(r.p2, [-s for s in r.S])[1],
         "root multiset is not {-r : r in S}",
     ),
     ("p1-roots", lambda r: simple_roots(r.p1, r.S)[1], "root multiset is not S"),
-    (
-        "p1-p2-mirror",
-        lambda r: all((r.p1(s) == 0) == (r.p2(-s) == 0) for s in r.S),
-        "root correspondence broken",
-    ),
 )
 
 

@@ -15,8 +15,9 @@ module's integer evaluation of its action table (`VacuumModule.act`,
 coefficient by coefficient as a + b*k.
 
 The post-solve checks have their former, literal forms here: the
-adjoint-module predicate as the descent (ad f)^{2N+1} Q, and the root check as
-Fraction synthetic division by (h - r).  So do two former readings of the
+adjoint-module predicate as the descent (ad f)^{2N+1} Q, which the library's
+weight test and one (ad e) step replace for homogeneous Q, and the root check
+as Fraction synthetic division by (h - r).  So do two former readings of the
 classifying polynomials: the projection mod U(g)n_+ through the Chevalley
 involution, and the mff p2 as the product f^N * epsilon projected mod U(g)n_-.
 The latter is the old route itself, so it uses the library's product and

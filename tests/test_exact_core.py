@@ -13,10 +13,10 @@ from admz.exact_core import (
     format_scalar,
     parse_hpoly,
     parse_scalar,
-    poly_eval,
     poly_proportional,
     poly_root_check,
 )
+from admz.affine import parse_verma
 from admz.usl2 import parse_fin
 from oracles import poly_root_check_by_fractions
 
@@ -48,8 +48,23 @@ LONG = "1" + "0" * DIGIT_LIMIT
         (parse_hpoly, f"h - 1/{LONG}"),
         (parse_fin, f"{LONG}*e*f"),
         (parse_fin, f"e - 1/{LONG}*h"),
+        (parse_hpoly, f"h^{LONG}"),
+        (parse_fin, f"e^{LONG}"),
+        (lambda text: parse_verma(text, F(1)), f"e(-1)^{LONG} |0>"),
+        (lambda text: parse_verma(text, F(1)), f"e(-{LONG}) |0>"),
     ],
-    ids=["scalar", "scalar-den", "hpoly", "hpoly-den", "fin", "fin-den"],
+    ids=[
+        "scalar",
+        "scalar-den",
+        "hpoly",
+        "hpoly-den",
+        "fin",
+        "fin-den",
+        "hpoly-exp",
+        "fin-exp",
+        "verma-exp",
+        "verma-degree",
+    ],
 )
 def test_over_long_literal_is_invalid_input(parse, text):
     with pytest.raises(InvalidInputError, match="too long"):
@@ -202,6 +217,6 @@ def test_root_check_matches_fraction_division(roots, lead, tail, others):
 
 @settings(deadline=None, max_examples=150)
 @given(small_poly, st.fractions(max_denominator=12))
-def test_evaluation_matches_fraction_horner(p, x):
-    assert p(x) == poly_eval(p.coeffs, x)
-    assert p(x.numerator) == poly_eval(p.coeffs, Fraction(x.numerator))
+def test_evaluation_matches_the_direct_sum(p, x):
+    assert p(x) == sum(c * x**i for i, c in enumerate(p.coeffs))
+    assert p(x.numerator) == sum(c * x.numerator**i for i, c in enumerate(p.coeffs))
