@@ -11,9 +11,10 @@ the vacuum during straightening.
 The level enters only through the central term, so the one action table
 VACUUM serves every level: it holds each straightened coefficient as
 integers (a, b), meaning a + b*k, for a vector or matrix to evaluate.
-Both evaluate at k = p/q in integers: `operator_matrix` is the matrix of
-q*x(n), entries q*a + p*b, zero exactly where a + b*k is, and
-`VacuumModule.act` sums c*(q*a + p*b) over the cleared vector, dividing once.
+Both evaluate at k = p/q in integers: `operator_matrix` writes q*x(n) as
+sparse integer rows, entry q*a + p*b stored only where a + b*k is nonzero,
+and `VacuumModule.act` sums c*(q*a + p*b) over the cleared vector, dividing
+once.
 """
 
 from __future__ import annotations
@@ -374,11 +375,11 @@ def weight_space_basis(delta_deg: int, alpha_wt: int, max_dim=None) -> list:
 
 def operator_matrix(md: Mode, from_basis, to_basis, level) -> IntMatrix:
     """Integer matrix of q*x(n) between enumerated weight-space bases, at the
-    given level k = p/q: entry q*a + p*b for the table's a + b*k."""
+    given level k = p/q: rows[i][j] is q*a + p*b for the table's a + b*k."""
     level = Fraction(level)
     p, q = level.numerator, level.denominator
     index = {monomial: i for i, monomial in enumerate(to_basis)}
-    entries: dict = {}
+    rows: list = [{} for _ in to_basis]
     for j, monomial in enumerate(from_basis):
         for m2, (a, b) in VACUUM.act_mono(md, monomial).items():
             i = index.get(m2)
@@ -387,5 +388,5 @@ def operator_matrix(md: Mode, from_basis, to_basis, level) -> IntMatrix:
                     "operator image leaves the declared target weight space"
                 )
             if x := q * a + p * b:
-                entries[(i, j)] = x
-    return IntMatrix(len(to_basis), len(from_basis), entries)
+                rows[i][j] = x
+    return IntMatrix(len(from_basis), rows)

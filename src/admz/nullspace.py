@@ -1,11 +1,11 @@
 """Exact sparse linear algebra over the integers: certified kernel bases.
 
-`kernel_basis` takes an `IntMatrix`, the sparse integer record the vacuum
+`kernel_basis` takes an `IntMatrix`, the sparse integer rows the vacuum
 module's operator matrices are built as, and returns the canonical basis of
 its right kernel over Q.  It is a sparse modular solver whose answer is
 certified exactly:
 
-1. the entries are grouped into sparse integer rows, in row order;
+1. the system is the matrix's nonempty rows, in row order, read in place;
 2. for each prime of a fixed descending sequence of 62-bit primes, the sparse
    rows are reduced mod p to row echelon form: rows whose lowest column is
    highest go first, each row is reduced by every pivot it meets, and its
@@ -39,6 +39,7 @@ against, lives with the other test oracles.
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd, lcm
@@ -46,30 +47,28 @@ from math import gcd, lcm
 from .errors import InvalidInputError
 
 
-class IntMatrix:
-    """Sparse integer matrix: entries maps (row, col) to nonzero ints."""
+class IntMatrix(namedtuple("IntMatrix", "ncols rows")):
+    """Sparse integer matrix as rows: rows[i] maps col to a nonzero int.
 
-    __slots__ = ("nrows", "ncols", "entries")
+    The rows are the one copy of the system: `vstack` shares them and
+    `kernel_basis` eliminates them as they are.
+    """
 
-    def __init__(self, nrows: int, ncols: int, entries: dict | None = None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = {} if entries is None else entries
+    __slots__ = ()
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.nrows, self.ncols, self.entries) == (other.nrows, other.ncols, other.entries)
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
 
-    def __repr__(self):
-        return f"IntMatrix(nrows={self.nrows!r}, ncols={self.ncols!r})"
+    @property
+    def entries(self) -> dict:
+        """A fresh {(row, col): value} dict, built on each access."""
+        return {(i, c): v for i, row in enumerate(self.rows) for c, v in row.items()}
 
     def vstack(self, bottom: "IntMatrix") -> "IntMatrix":
         if self.ncols != bottom.ncols:
             raise InvalidInputError("column mismatch in vstack")
-        entries = dict(self.entries)
-        entries.update(((r + self.nrows, c), v) for (r, c), v in bottom.entries.items())
-        return IntMatrix(self.nrows + bottom.nrows, self.ncols, entries)
+        return IntMatrix(self.ncols, self.rows + bottom.rows)
 
 
 def kernel_basis(m: IntMatrix) -> list[tuple[Fraction, ...]]:
@@ -80,10 +79,7 @@ def kernel_basis(m: IntMatrix) -> list[tuple[Fraction, ...]]:
     lifted by CRT and Wang rational reconstruction, and returned only once
     every vector satisfies m v = 0 exactly (see the module docstring).
     """
-    grouped: dict[int, dict[int, int]] = {}
-    for (r, c), v in m.entries.items():
-        grouped.setdefault(r, {})[c] = v
-    rows = [grouped[r] for r in sorted(grouped)]
+    rows = [row for row in m.rows if row]
     best = None
     for p in primes():
         pivots, kernel = _kernel_mod(rows, m.ncols, p)

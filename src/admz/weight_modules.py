@@ -12,9 +12,18 @@ to prod_{j<a} (j-y) E_{i+c-a}, so
 
     e^a P(h) f^c . E_i = prod_{j<c} (x+j-r) * P(r-2y) * prod_{j<a} (j-y) E_{i+c-a}.
 
-An element of U(sl2) of ad-weight 2w sends E_i to a multiple of E_{i-w}; the
-coefficient of Q.E_i is a polynomial of degree <= N in (mu+i), so vanishing
-at N+1 consecutive indices proves vanishing everywhere.
+An element of U(sl2) of ad-weight 2w sends E_i to a multiple of E_{i-w}.
+The ad-weight 2N of Q does not bound the degree of its coefficient in mu+i:
+a group e^(N+c) h^b f^c alone has degree b+2c+N.  The shape of Q does.  It
+is homogeneous of ad-weight 2N with (ad e)Q = 0 (the adjoint-module
+invariant), so Q = e^N z with z central (Kostant), and z = z(Omega) for the
+Casimir Omega = ef + fe + h^2/2 (Harish-Chandra).  Omega acts on E(r,mu) as
+the scalar r(r+2)/2, so
+
+    Q.E_i = z(r(r+2)/2) * prod_{j<N} (j-mu-i) E_{i-N},
+
+of degree N in mu+i, and vanishing at N+1 consecutive indices proves
+vanishing everywhere.
 """
 
 from __future__ import annotations

@@ -430,11 +430,11 @@ def rref(m: RationalMatrix) -> tuple[RationalMatrix, int]:
 def integer_matrix(m: RationalMatrix) -> IntMatrix:
     """The integer matrix with m's kernel: each row scaled by the lcm of its
     denominators."""
-    scales: dict[int, int] = {}
-    for (r, _), v in m.entries.items():
-        scales[r] = lcm(scales.get(r, 1), v.denominator)
-    cells = {(r, c): int(v * scales[r]) for (r, c), v in m.entries.items()}
-    return IntMatrix(m.nrows, m.ncols, cells)
+    scaled = []
+    for row in m.to_rows():
+        scale = lcm(*(v.denominator for v in row))
+        scaled.append({c: int(v * scale) for c, v in enumerate(row) if v})
+    return IntMatrix(m.ncols, scaled)
 
 
 # -- the vacuum module's action table, evaluated in Fractions -------------------

@@ -194,9 +194,9 @@ def test_operator_matrix_examples():
     b11 = weight_space_basis(1, 1)
     m = operator_matrix(mode("f", 1), b22, b11, K)
     # f(1) e(-1)^2 |0> = (2k-2) e(-1)|0>, scaled by q = 2 at k = -1/2
-    assert m == IntMatrix(1, 1, {(0, 0): -6})
+    assert m == IntMatrix(1, [{0: -6}])
     # at k = 1 the entry vanishes and is dropped
-    assert operator_matrix(mode("f", 1), b22, b11, 1) == IntMatrix(1, 1)
+    assert operator_matrix(mode("f", 1), b22, b11, 1) == IntMatrix(1, [{}])
 
     empty = operator_matrix(mode("e", 0), [], [], K)
     assert (empty.nrows, empty.ncols) == (0, 0)

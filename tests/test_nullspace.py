@@ -48,22 +48,27 @@ def test_rref_examples():
 
 
 def test_kernel_examples():
-    m = IntMatrix(1, 2, {(0, 0): 1, (0, 1): 1})
+    m = IntMatrix(2, [{0: 1, 1: 1}])
     basis = kernel_basis(m)
     assert basis == [(F(1), F(-1))]  # first nonzero coordinate scaled to 1
 
-    identity = IntMatrix(2, 2, {(0, 0): 1, (1, 1): 1})
+    identity = IntMatrix(2, [{0: 1}, {1: 1}])
     assert kernel_basis(identity) == []
-    assert kernel_basis(IntMatrix(0, 2)) == [(F(1), F(0)), (F(0), F(1))]
+    assert kernel_basis(IntMatrix(2, [])) == [(F(1), F(0)), (F(0), F(1))]
 
-    stacked = IntMatrix(1, 2, {(0, 0): 1}).vstack(IntMatrix(2, 2, {(1, 1): 5}))
-    assert stacked == IntMatrix(3, 2, {(0, 0): 1, (2, 1): 5})
+    top, bottom = IntMatrix(2, [{0: 1}]), IntMatrix(2, [{}, {1: 5}])
+    stacked = top.vstack(bottom)
+    assert stacked == IntMatrix(2, [{0: 1}, {}, {1: 5}])
+    assert (stacked.nrows, stacked.entries) == (3, {(0, 0): 1, (2, 1): 5})
+    # the stacked rows are the operands' own row dicts, not copies
+    assert all(stacked.rows[i] is top.rows[i] for i in range(top.nrows))
+    assert all(stacked.rows[top.nrows + i] is row for i, row in enumerate(bottom.rows))
     with pytest.raises(InvalidInputError):
-        IntMatrix(1, 2).vstack(IntMatrix(1, 3))
+        IntMatrix(2, [{}]).vstack(IntMatrix(3, [{}]))
 
     # half-integer rows clear to the same integer system
     half = RationalMatrix.from_rows([[F(1, 2), F(-1, 3)], [0, 0], [1, F(-2, 3)]])
-    assert integer_matrix(half) == IntMatrix(3, 2, {(0, 0): 3, (0, 1): -2, (2, 0): 3, (2, 1): -2})
+    assert integer_matrix(half) == IntMatrix(2, [{0: 3, 1: -2}, {}, {0: 3, 1: -2}])
     assert kernel_basis(integer_matrix(half)) == [(F(1), F(3, 2))]
 
 
@@ -72,10 +77,14 @@ def test_kernel_vectors_annihilate_and_rank_nullity():
     for _ in range(30):
         m = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
         red, rank = rref(m)
-        basis = kernel_basis(integer_matrix(m))
+        im = integer_matrix(m)
+        basis = kernel_basis(im)
         assert rank + len(basis) == m.ncols
         for v in basis:
             assert all(x == 0 for x in m.matvec(list(v)))
+        # empty rows interleaved, and at both ends, give the same basis
+        padded = IntMatrix(im.ncols, [r for row in im.rows for r in ({}, row)] + [{}])
+        assert kernel_basis(padded) == basis
         # idempotence and determinism
         red2, rank2 = rref(red)
         assert red2 == red and rank2 == rank
@@ -111,10 +120,7 @@ def singular_system(lv) -> IntMatrix:
 
 
 def dense_rows(m: IntMatrix) -> list[list[int]]:
-    rows = [[0] * m.ncols for _ in range(m.nrows)]
-    for (r, c), v in m.entries.items():
-        rows[r][c] = v
-    return rows
+    return [[row.get(c, 0) for c in range(m.ncols)] for row in m.rows]
 
 
 def first_entry_one(vec):
@@ -252,7 +258,7 @@ def test_unlucky_prime_is_discarded(monkeypatch):
     # mod p0 the rank drops: [[p0]] has nullity 1 there and 0 over Q
     assert len(nullspace._kernel_mod([{0: p0}], 1, p0)[1]) == 1
     used = count_primes(monkeypatch)
-    assert kernel_basis(IntMatrix(1, 1, {(0, 0): p0})) == []
+    assert kernel_basis(IntMatrix(1, [{0: p0}])) == []
     assert len(used) == 2
     # same nullity mod p0, but the pivot moves right: column 0 looks free
     assert nullspace._kernel_mod([{0: p0, 1: 1}], 2, p0)[0] == (1,)

@@ -1,6 +1,9 @@
 """The classification pipeline: parameters, S, P^k, singular vectors, Q, p1/p2."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -181,6 +184,30 @@ def test_cap_checked_after_the_level_is_solved(monkeypatch):
     with pytest.raises(ResourceCapError) as warm:
         compute_Q(lv, 7)
     assert str(warm.value) == str(cold.value)
+
+
+# the peak resident set of a fresh process classifying k = 2/3 (a 13612x8464
+# system with 177k nonzeros, 83 MB of action memo): about 134 MiB with the
+# system held once as rows, 174 MiB with it held three times
+CLASSIFY_2_3_PEAK_MIB = 155
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_classify_peak_memory_at_2_3():
+    # a child process, so that pytest's own memory does not count
+    code = (
+        "from admz.zhu import classify_category_O, level_from_string; "
+        "classify_category_O(level_from_string('2/3')); "
+        "print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')))"
+    )
+    src = os.path.dirname(os.path.dirname(usl2.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env, check=True
+    )
+    peak_mib = int(proc.stdout) / 1024  # VmHWM is in kB
+    assert peak_mib <= CLASSIFY_2_3_PEAK_MIB, f"peak RSS {peak_mib:.1f} MiB"
 
 
 # -- Zhu image ---------------------------------------------------------------------
