@@ -8,6 +8,10 @@ mode of nonnegative degree; canonical monomials list their modes with degree
 ascending, ties broken f < h < e, so annihilation modes bubble rightward to
 the vacuum during straightening.
 
+A mode x(n) is the int 3n + rank, rank f = 0 < h = 1 < e = 2, so ints order
+as the pairs (n, rank) do, and a monomial is an ascending tuple of ints.
+Only this module knows the encoding; others use `mode` and its readers.
+
 The level enters only through the central term, so the one action table
 VACUUM serves every level: it holds each straightened coefficient as
 integers (a, b), meaning a + b*k, for a vector or matrix to evaluate.
@@ -30,45 +34,38 @@ from .nullspace import IntMatrix
 from .usl2 import BRACKET
 
 GEN_RANK = {"f": 0, "h": 1, "e": 2}
-RANK_GEN = {0: "f", 1: "h", 2: "e"}
-GEN_CHARGE = {"f": -1, "h": 0, "e": 1}
+RANK_GEN = "fhe"
+_PAIRING = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}  # the normalized invariant form
 
-# normalized invariant bilinear form
-_PAIRING = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}
+# (rank x, rank y) -> (rank of [x, y], its coefficient, 0 if [x, y] = 0, <x, y>)
+_RANK_BRACKET = {
+    (GEN_RANK[x], GEN_RANK[y]): (GEN_RANK[z], c, _PAIRING.get((x, y), 0))
+    for x in GEN_RANK
+    for y in GEN_RANK
+    for z, c in [BRACKET.get((x, y), ("h", 0))]
+}
 
 DEFAULT_MAX_WEIGHT_DIM = 20000
 MAX_DIM_ENV_VAR = "ADMZ_MAX_WEIGHT_DIM"
-
-# a mode is the key pair (degree, rank); rank orders ties f < h < e
-Mode = tuple
-# the ranks at or after r, for the weight search
-_RANKS_FROM = ((0, 1, 2), (1, 2), (2,))
+_RANKS_FROM = ((0, 1, 2), (1, 2), (2,))  # the ranks at or after r, for the weight search
 
 
-def mode(gen: str, degree: int) -> Mode:
+def mode(gen: str, degree: int) -> int:
     if gen not in GEN_RANK:
         raise InvalidInputError(f"unknown sl2 generator {gen!r}")
-    return (degree, GEN_RANK[gen])
+    return 3 * degree + GEN_RANK[gen]
 
 
-def mode_gen(m: Mode) -> str:
-    return RANK_GEN[m[1]]
+def mode_gen(m: int) -> str:
+    return RANK_GEN[m % 3]
 
 
-def mode_degree(m: Mode) -> int:
-    return m[0]
+def mode_degree(m: int) -> int:
+    return m // 3
 
 
-def mode_charge(m: Mode) -> int:
-    return GEN_CHARGE[RANK_GEN[m[1]]]
-
-
-def monomial_delta_degree(mono) -> int:
-    return -sum(d for d, _ in mono)
-
-
-def monomial_alpha_weight(mono) -> int:
-    return sum(GEN_CHARGE[RANK_GEN[r]] for _, r in mono)
+def mode_charge(m: int) -> int:
+    return m % 3 - 1
 
 
 def resolve_max_dim(explicit=None) -> int:
@@ -96,17 +93,11 @@ def cap_exceeded(delta_deg: int, alpha_wt: int, cap: int) -> ResourceCapError:
     return ResourceCapError(f"weight space W({delta_deg},{alpha_wt}) exceeds cap {cap}")
 
 
-def bracket_modes(x: Mode, y: Mode) -> tuple[list[tuple[Mode, int]], int]:
+def bracket_modes(x: int, y: int) -> tuple[list[tuple[int, int]], int]:
     """[x(m), y(n)] as (list of (mode, coeff), c), the central term being c*k."""
-    gx, gy = mode_gen(x), mode_gen(y)
-    m, n = mode_degree(x), mode_degree(y)
-    modes: list[tuple[Mode, int]] = []
-    br = BRACKET.get((gx, gy))
-    if br is not None:
-        bg, bc = br
-        modes.append((mode(bg, m + n), bc))
-    central = m * _PAIRING.get((gx, gy), 0) if m + n == 0 else 0
-    return modes, central
+    (m, rx), (n, ry) = divmod(x, 3), divmod(y, 3)
+    r, c, pairing = _RANK_BRACKET[rx, ry]
+    return [(3 * (m + n) + r, c)] if c else [], m * pairing if m + n == 0 else 0
 
 
 class AffineWeight(namedtuple("AffineWeight", "lambda0 lambda1 delta", defaults=(Fraction(0),))):
@@ -189,7 +180,7 @@ class VermaVector:
 
     def homogeneous_weight(self):
         """(delta-degree, alpha-weight) if homogeneous, else None."""
-        grades = {(monomial_delta_degree(m), monomial_alpha_weight(m)) for m in self.terms}
+        grades = {(-sum(map(mode_degree, m)), sum(map(mode_charge, m))) for m in self.terms}
         if len(grades) == 1:
             return grades.pop()
         return None
@@ -259,7 +250,7 @@ def parse_verma(text: str, level) -> VermaVector:
             raise InvalidInputError(f"Verma term must end with |0>: {chunk!r}")
         tokens = tokens[:-1]
         coeff = sign
-        modes: list[Mode] = []
+        modes: list[int] = []
         for tok in tokens:
             m = _MODE_RE.match(tok)
             if m:
@@ -283,14 +274,14 @@ class VacuumModule:
         self._memo: dict = {}
 
     # -- single-mode action on a canonical monomial -------------------------
-    def act_mono(self, md: Mode, mono: tuple) -> dict:
+    def act_mono(self, md: int, mono: tuple) -> dict:
         key = (md, mono)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         if not mono:
-            out = {} if md[0] >= 0 else {(md,): (1, 0)}
-        elif md[0] < 0 and md <= mono[0]:
+            out = {} if md >= 0 else {(md,): (1, 0)}
+        elif md < 0 and md <= mono[0]:
             out = {(md,) + mono: (1, 0)}
         else:
             head, rest = mono[0], mono[1:]
@@ -313,7 +304,7 @@ class VacuumModule:
         self._memo[key] = out
         return out
 
-    def act(self, md: Mode, v: VermaVector) -> VermaVector:
+    def act(self, md: int, v: VermaVector) -> VermaVector:
         p, q = v.level.numerator, v.level.denominator
         ints, den = clear_denominators(v.terms)
         out: dict = {}
@@ -351,7 +342,7 @@ class VacuumModule:
                     new_charge = charge + r - 1  # rank r has charge r - 1
                     if abs(alpha_wt - new_charge) > new_remaining:
                         continue
-                    stack.append((d, r))
+                    stack.append(3 * d + r)
                     search(d, r, new_remaining, new_charge, stack)
                     stack.pop()
                 r0 = 0
@@ -364,7 +355,7 @@ class VacuumModule:
 VACUUM = VacuumModule()
 
 
-def act_mode(md: Mode, v: VermaVector) -> VermaVector:
+def act_mode(md: int, v: VermaVector) -> VermaVector:
     """Straightened action of a single mode on a Verma vector."""
     return VACUUM.act(md, v)
 
@@ -373,7 +364,7 @@ def weight_space_basis(delta_deg: int, alpha_wt: int, max_dim=None) -> list:
     return VACUUM.weight_space_basis(delta_deg, alpha_wt, max_dim)
 
 
-def operator_matrix(md: Mode, from_basis, to_basis, level) -> IntMatrix:
+def operator_matrix(md: int, from_basis, to_basis, level) -> IntMatrix:
     """Integer matrix of q*x(n) between enumerated weight-space bases, at the
     given level k = p/q: rows[i][j] is q*a + p*b for the table's a + b*k."""
     level = Fraction(level)

@@ -1,9 +1,10 @@
 """Command-line surface: classify, singular, zhu-poly, check-dense, verify.
 
 Exit codes are a stable contract: 0 success, 1 property violation, 2 invalid
-input, 3 resource cap exceeded.  Levels are exact "p/q" strings (never
-decimals); the weight-space dimension cap comes from --max-dim, falling back
-to the ADMZ_MAX_WEIGHT_DIM environment variable, then to 20000.
+input, 3 resource cap exceeded, 141 (the shell's SIGPIPE status) a closed
+output pipe.  Levels are exact "p/q" strings (never decimals); the
+weight-space dimension cap comes from --max-dim, falling back to the
+ADMZ_MAX_WEIGHT_DIM environment variable, then to 20000.
 
 Every call is its own process, so start-up is part of each command's cost:
 the parser is stdlib argparse, and what only one command needs (verify's
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import weight_modules, zhu
@@ -27,6 +29,7 @@ from .exact_core import format_scalar, parse_scalar
 EXIT_VIOLATION = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
+EXIT_PIPE = 141
 
 
 def classify(level, fmt, max_dim):
@@ -263,6 +266,9 @@ def main(argv=None):
         options.pop("run")(**options)
     except KeyboardInterrupt:
         sys.exit(EXIT_INVALID)
+    except BrokenPipeError:  # stdout to /dev/null, so the final flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_PIPE)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_INVALID)

@@ -53,7 +53,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import affine
-from .affine import AffineWeight, VermaVector, mode
+from .affine import AffineWeight, VermaVector, mode, mode_degree, mode_gen
 from .errors import ConsistencyError, InvalidInputError, NotAdmissibleError, ResourceCapError
 from .exact_core import (
     HPoly,
@@ -216,10 +216,11 @@ def zhu_image_F(v: VermaVector) -> FinElement:
     ints, den = clear_denominators(v.terms)
     words: dict[tuple, int] = {}
     for mono, c in ints.items():
-        if any(d >= 0 for d, _ in mono):
+        if any(mode_degree(md) >= 0 for md in mono):
             raise InvalidInputError("zhu_image_F requires mode degrees <= -1")
-        word = tuple(affine.mode_gen(md) for md in reversed(mono))
-        words[word] = words.get(word, 0) + (-c if sum(-d - 1 for d, _ in mono) % 2 else c)
+        word = tuple(map(mode_gen, reversed(mono)))
+        odd = sum(-mode_degree(md) - 1 for md in mono) % 2
+        words[word] = words.get(word, 0) + (-c if odd else c)
     out: dict[tuple[int, int, int], int] = {}
     for word, c in words.items():
         for m, x in straighten(word).items():

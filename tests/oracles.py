@@ -27,7 +27,7 @@ projection.
 from fractions import Fraction
 from math import comb, factorial, lcm
 
-from admz.affine import VACUUM, VermaVector
+from admz.affine import VACUUM, VermaVector, mode, mode_charge, mode_degree, mode_gen
 from admz.errors import InvalidInputError
 from admz.exact_core import HPoly, poly_mul
 from admz.nullspace import IntMatrix
@@ -240,30 +240,35 @@ def p2_by_product_and_projection(lv) -> HPoly:
     return project_cartan(fin_product(f_n, mff_epsilon(lv)))
 
 
+def _canonical_key(md):
+    """The canonical order of modes: degree ascending, ties f < h < e."""
+    return mode_degree(md), "fhe".index(mode_gen(md))
+
+
 def brute_weight_space(delta_deg: int, alpha_wt: int):
-    """Exhaustive weight-space enumeration by per-mode multiplicity choice."""
-    charge = {0: -1, 1: 0, 2: 1}
-    modes = [(d, r) for d in range(-delta_deg, 0) for r in (0, 1, 2)]
+    """Exhaustive weight-space enumeration by per-mode multiplicity choice,
+    sorted by the canonical order, not by the library's mode values."""
+    modes = [mode(g, d) for d in range(-delta_deg, 0) for g in "fhe"]
     found = []
 
     def rec(idx, remaining, ch, acc):
         if remaining == 0:
             if ch == alpha_wt:
-                found.append(tuple(sorted(acc)))
+                found.append(tuple(sorted(acc, key=_canonical_key)))
             return
         if idx == len(modes):
             return
-        d, r = modes[idx]
-        cost = -d
+        md = modes[idx]
+        cost = -mode_degree(md)
         count = 0
         while count * cost <= remaining:
-            rec(idx + 1, remaining - count * cost, ch + count * charge[r], acc + [(d, r)] * count)
+            rec(idx + 1, remaining - count * cost, ch + count * mode_charge(md), acc + [md] * count)
             count += 1
 
     if delta_deg == 0:
         return [()] if alpha_wt == 0 else []
     rec(0, delta_deg, 0, [])
-    return sorted(found)
+    return sorted(found, key=lambda mono: [_canonical_key(md) for md in mono])
 
 
 def lagrange_fit(points):

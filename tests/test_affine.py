@@ -14,6 +14,7 @@ from admz.affine import (
     mode,
     mode_charge,
     mode_degree,
+    mode_gen,
     monomial_to_text,
     operator_matrix,
     parse_verma,
@@ -30,6 +31,23 @@ K = F(-1, 2)  # a convenient generic level for module tests
 
 def vec(monos, level=K):
     return VermaVector(level, {m: F(1) for m in monos})
+
+
+# -- modes -------------------------------------------------------------------
+
+
+def test_mode_order_is_degree_then_rank_and_helpers_round_trip():
+    rank = {"f": 0, "h": 1, "e": 2}
+    charge = {"f": -1, "h": 0, "e": 1}
+    keyed = [((n, rank[g]), mode(g, n)) for g in "fhe" for n in range(-6, 7)]
+    for key, md in keyed:
+        for key2, md2 in keyed:
+            assert (md < md2) == (key < key2), (key, key2)
+    for g in "fhe":
+        for n in range(-6, 7):
+            md = mode(g, n)
+            assert (mode_gen(md), mode_degree(md), mode_charge(md)) == (g, n, charge[g])
+            assert mode(mode_gen(md), mode_degree(md)) == md
 
 
 # -- bracket -----------------------------------------------------------------

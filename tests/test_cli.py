@@ -1,5 +1,7 @@
 """CLI surface: commands, formats, and the exit-code contract."""
 
+import contextlib
+import io
 import json
 import os
 import resource
@@ -7,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import admz
 import admz.zhu as zhu_mod
@@ -22,6 +26,12 @@ def run_cli(capsys, argv):
         main(argv)
     out = capsys.readouterr()
     return exc.value.code, out.out, out.err
+
+
+def child_env():
+    """The environment for a child interpreter that imports this admz."""
+    src = os.path.dirname(os.path.dirname(admz.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 def test_classify_text(capsys):
@@ -180,6 +190,25 @@ def test_keyboard_interrupt_exits_two(capsys, monkeypatch):
     assert (code, out) == (2, "")
 
 
+def test_closed_output_pipe_exits_141_with_empty_stderr():
+    # the read end is closed before the child starts, so its first write fails
+    # whatever the output's size; a reader such as `head -c1` races instead
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "admz.cli", "classify", "--level", "-1/2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
 def test_import_loads_only_what_commands_share():
     # a fresh interpreter: click, dataclasses (and the inspect it pulls in)
     # and the verify suites stay unloaded until a command needs them
@@ -187,10 +216,13 @@ def test_import_loads_only_what_commands_share():
         "import sys; before = set(sys.modules); import admz, admz.cli; "
         "print(*sorted(set(sys.modules) - before))"
     )
-    src = os.path.dirname(os.path.dirname(admz.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env, check=True
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=child_env(),
+        check=True,
     )
     loaded = set(proc.stdout.split())
     assert "admz.cli" in loaded
@@ -264,15 +296,13 @@ def run_cli_bounded(argv, seconds=30, address_space=1_500_000_000):
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
-    src = os.path.dirname(os.path.dirname(admz.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-m", "admz.cli", *argv],
         capture_output=True,
         text=True,
         timeout=seconds,
         preexec_fn=limit,
-        env=env,
+        env=child_env(),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -446,3 +476,68 @@ def test_zhu_poly_verdict_per_polynomial(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["zhu-poly", "--level", "-1/2", "--format", "json"])
     assert code == 1
     assert json.loads(out)["roots_match"] is False
+
+
+# -- the exit-code contract over drawn argument vectors -------------------------
+
+SMALL_ADMISSIBLE = ["1", "2", "7", "25", "-1/2", "1/2", "-4/3", "-2/3", "-1/3", "3/2", "5/2"]
+MALFORMED = ["0.5", "1/0", "1/2/3", "abc", "", " ", "--", "-", "1e3", "+-1", "0x10", "1 /2"]
+
+# Integer levels in [200, 1000) are left out: they solve for seconds before
+# their answer's print-limit exit 3.
+levels = st.one_of(
+    st.sampled_from(SMALL_ADMISSIBLE),
+    st.integers(-3, 199).map(str),
+    st.builds("{}/{}".format, st.integers(-40, 40), st.integers(1, 6)),  # some not admissible
+    st.sampled_from(MALFORMED),
+    st.text(alphabet="/-+.eE x", max_size=6),
+    st.integers(10**4, 10**30).map(str),  # huge: refused by the recursion guard
+    st.integers(10**4, 10**30).map("1/{}".format),
+    st.integers(10**4, 10**30).map("-{}".format),
+    st.just("1" + "0" * 4300),  # over the interpreter's int-string digit limit
+)
+rationals = st.one_of(
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 5)), st.sampled_from(MALFORMED)
+)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["classify", "singular", "zhu-poly", "check-dense", "verify"]))
+    if command == "verify":
+        suite = draw(st.sampled_from(["algebra", "lemmas", "classification"]))
+        argv = ["verify", "--suite", suite]
+        if suite == "algebra":
+            argv += ["--samples", str(draw(st.integers(-1, 20)))]
+        elif suite == "lemmas":
+            argv += ["--max-n", str(draw(st.integers(-1, 5)))]
+        else:
+            argv += ["--levels", ",".join(draw(st.lists(levels, min_size=1, max_size=2)))]
+    else:
+        argv = [command, "--level", draw(levels)]
+    if command in ("classify", "zhu-poly"):
+        argv += ["--format", draw(st.sampled_from(["text", "json"]))]
+    elif command == "singular":
+        argv += ["--method", draw(st.sampled_from(["nullspace", "mff", "both"]))]
+    elif command == "check-dense":
+        argv += ["--r", draw(rationals), "--mu", draw(rationals)]
+    return argv + ["--max-dim", str(draw(st.integers(-2, 200)))]
+
+
+# the lines that name what exit 1 reports: a failed invariant, the routes'
+# verdict, a dense sample, or one of verify's own failed checks
+VIOLATION_LINES = ("invariant ", "routes DISAGREE", "dense sample", "[FAIL] ")
+
+
+@settings(max_examples=60, deadline=None)
+@given(argvs())
+def test_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    code, out, err = exc.value.code, out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, argv
+    if code == 1:
+        assert any(line in out + err for line in VIOLATION_LINES), (argv, out, err)

@@ -14,6 +14,7 @@ from admz.affine import (
     VermaVector,
     act_mode,
     mode,
+    mode_degree,
     mode_gen,
     parse_verma,
     weight_space_basis,
@@ -187,9 +188,9 @@ def test_cap_checked_after_the_level_is_solved(monkeypatch):
 
 
 # the peak resident set of a fresh process classifying k = 2/3 (a 13612x8464
-# system with 177k nonzeros, 83 MB of action memo): about 134 MiB with the
-# system held once as rows, 174 MiB with it held three times
-CLASSIFY_2_3_PEAK_MIB = 155
+# system with 177k nonzeros): about 123 MiB with modes as ints, 134 MiB with
+# modes as (degree, rank) pairs, 174 MiB with the system held three times
+CLASSIFY_2_3_PEAK_MIB = 130
 
 
 @pytest.mark.slow
@@ -233,7 +234,7 @@ def _zhu_image_by_products(v):
         word = FinElement.one()
         for md in mono:
             word = fin_product(FinElement.generator(mode_gen(md)), word)
-        out = out + word * (coeff * (-1) ** sum(-d - 1 for d, _ in mono))
+        out = out + word * (coeff * (-1) ** sum(-mode_degree(md) - 1 for md in mono))
     return out
 
 
@@ -242,9 +243,11 @@ def test_zhu_image_matches_per_generator_products():
     for _ in range(40):
         terms = {}
         for _ in range(rng.randint(1, 4)):
-            length = rng.randint(0, 6)
-            mono = tuple(sorted((rng.randint(-3, -1), rng.randint(0, 2)) for _ in range(length)))
-            terms[mono] = F(rng.randint(-5, 5), rng.randint(1, 4))
+            mono = []
+            for _ in range(rng.randint(0, 6)):
+                degree = rng.randint(-3, -1)
+                mono.append(mode(rng.choice("fhe"), degree))
+            terms[tuple(sorted(mono))] = F(rng.randint(-5, 5), rng.randint(1, 4))
         v = VermaVector(F(rng.randint(-3, 3), rng.randint(1, 3)), terms)
         assert zhu_image_F(v) == _zhu_image_by_products(v)
     for text in ("1", "-1/2", "1/2", "-4/3", "-2/3", "-1/3", "5/2"):
