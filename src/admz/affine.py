@@ -68,6 +68,10 @@ def mode_charge(m: int) -> int:
     return m % 3 - 1
 
 
+def mode_to_text(m: int) -> str:
+    return f"{mode_gen(m)}({mode_degree(m)})"
+
+
 def resolve_max_dim(explicit=None) -> int:
     """Weight-space dimension cap: explicit arg, else env var, else default.
 
@@ -181,9 +185,7 @@ class VermaVector:
     def homogeneous_weight(self):
         """(delta-degree, alpha-weight) if homogeneous, else None."""
         grades = {(-sum(map(mode_degree, m)), sum(map(mode_charge, m))) for m in self.terms}
-        if len(grades) == 1:
-            return grades.pop()
-        return None
+        return grades.pop() if len(grades) == 1 else None
 
     def to_text(self) -> str:
         if not self.terms:
@@ -212,7 +214,7 @@ def monomial_to_text(mono) -> str:
         while j < len(mono) and mono[j] == mono[i]:
             j += 1
         count = j - i
-        base = f"{mode_gen(mono[i])}({mode_degree(mono[i])})"
+        base = mode_to_text(mono[i])
         pieces.append(base if count == 1 else f"{base}^{count}")
         i = j
     return " ".join(pieces) + " |0>"

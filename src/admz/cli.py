@@ -19,11 +19,7 @@ import os
 import sys
 
 from . import weight_modules, zhu
-from .errors import (
-    ConsistencyError,
-    InvalidInputError,
-    ResourceCapError,
-)
+from .errors import ConsistencyError, InvalidInputError, ResourceCapError
 from .exact_core import format_scalar, parse_scalar
 
 EXIT_VIOLATION = 1
@@ -262,8 +258,11 @@ def _parse(argv: list[str]) -> dict:
 
 def main(argv=None):
     try:
-        options = _parse(sys.argv[1:] if argv is None else argv)
-        options.pop("run")(**options)
+        try:
+            options = _parse(sys.argv[1:] if argv is None else argv)
+            options.pop("run")(**options)
+        finally:  # a pipe that stdout's buffer would fill only at shutdown fails here
+            sys.stdout.flush()
     except KeyboardInterrupt:
         sys.exit(EXIT_INVALID)
     except BrokenPipeError:  # stdout to /dev/null, so the final flush stays silent

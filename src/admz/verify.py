@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import affine
-from .affine import act_mode, bracket_modes, mode, weight_space_basis
+from .affine import act_mode, bracket_modes, mode, mode_to_text, weight_space_basis
 from .errors import AdmzError
 from .exact_core import HPoly
 from .usl2 import (
@@ -85,7 +85,7 @@ def suite_algebra(samples: int = 120, seed: int = DEFAULT_SEED) -> list[CheckRes
                     total_scalar += outer_scalar
                 if any(total_modes.values()) or total_scalar:
                     ok = False
-                    witness = f"{x},{y},{z}"
+                    witness = ",".join(map(mode_to_text, (x, y, z)))
                     break
             if not ok:
                 break
@@ -113,7 +113,7 @@ def suite_algebra(samples: int = 120, seed: int = DEFAULT_SEED) -> list[CheckRes
             rhs = rhs + act_mode(bm, v) * bc
         if lhs != rhs:
             ok = False
-            witness = f"x={x}, y={y}, v={v.to_text()}"
+            witness = f"x={mode_to_text(x)}, y={mode_to_text(y)}, v={v.to_text()}"
             break
     results.append(CheckResult("affine-module-axiom", ok, witness))
 
@@ -130,11 +130,11 @@ def suite_algebra(samples: int = 120, seed: int = DEFAULT_SEED) -> list[CheckRes
                 expected = (d - affine.mode_degree(md), w + affine.mode_charge(md))
                 if not img.is_zero() and grade != expected:
                     ok = False
-                    witness = f"{md} on {mono}"
+                    witness = f"{mode_to_text(md)} on {affine.monomial_to_text(mono)}"
             hv = act_mode(mode("h", 0), v)
             if hv != v * (2 * w):
                 ok = False
-                witness = f"h(0) on {mono}"
+                witness = f"h(0) on {affine.monomial_to_text(mono)}"
     results.append(CheckResult("affine-grading", ok, witness))
 
     # U(sl2): associativity, transpose, derivation, weight additivity

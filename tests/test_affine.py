@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,32 @@ def test_mode_order_is_degree_then_rank_and_helpers_round_trip():
             md = mode(g, n)
             assert (mode_gen(md), mode_degree(md), mode_charge(md)) == (g, n, charge[g])
             assert mode(mode_gen(md), mode_degree(md)) == md
+
+
+def test_algebra_suite_witnesses_print_modes_as_text(monkeypatch):
+    # a central term off by one breaks the Jacobi identity and the module
+    # axiom, an action by the identity breaks the grading: each witness names
+    # its modes as x(n), not as their integer codes
+    import admz.verify as verify_mod
+
+    def bracket_off_by_one(x, y):
+        modes, central = real(x, y)
+        return modes, central + 1
+
+    real = verify_mod.bracket_modes
+    monkeypatch.setattr(verify_mod, "bracket_modes", bracket_off_by_one)
+    monkeypatch.setattr(verify_mod, "act_mode", lambda md, v: v)
+    results = {r.name: r for r in verify_mod.suite_algebra(samples=20)}
+    text_mode = r"[efh]\(-?\d+\)"
+    vector = r".*\|0>"
+    patterns = {
+        "affine-jacobi": rf"{text_mode},{text_mode},{text_mode}",
+        "affine-module-axiom": rf"x={text_mode}, y={text_mode}, v={vector}",
+        "affine-grading": rf"{text_mode} on {vector}",
+    }
+    for name, pattern in patterns.items():
+        assert not results[name].passed, name
+        assert re.fullmatch(pattern, results[name].detail), results[name]
 
 
 # -- bracket -----------------------------------------------------------------

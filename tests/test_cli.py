@@ -16,8 +16,9 @@ import admz
 import admz.zhu as zhu_mod
 from admz import weight_modules
 from admz.cli import main
-from admz.errors import ConsistencyError
+from admz.errors import AdmzError, ConsistencyError
 from admz.exact_core import HPoly
+from admz.zhu import build_report, level_from_string
 from oracles import divmod_linear
 
 
@@ -190,19 +191,23 @@ def test_keyboard_interrupt_exits_two(capsys, monkeypatch):
     assert (code, out) == (2, "")
 
 
-def test_closed_output_pipe_exits_141_with_empty_stderr():
+@pytest.mark.parametrize("argv", [["classify", "--level", "-1/2"], ["--help"]])
+def test_closed_output_pipe_exits_141_with_empty_stderr(argv):
     # the read end is closed before the child starts, so its first write fails
-    # whatever the output's size; a reader such as `head -c1` races instead
+    # whatever the output's size; a reader such as `head -c1` races instead.
+    # stdout is block-buffered, as on a pipe by default, so the output (under
+    # the buffer's size) is first written when main flushes it
+    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "admz.cli", "classify", "--level", "-1/2"],
+            [sys.executable, "-m", "admz.cli", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
             timeout=60,
-            env=child_env(),
+            env=env,
         )
     finally:
         os.close(write_end)
@@ -525,8 +530,25 @@ def argvs(draw):
 
 
 # the lines that name what exit 1 reports: a failed invariant, the routes'
-# verdict, a dense sample, or one of verify's own failed checks
-VIOLATION_LINES = ("invariant ", "routes DISAGREE", "dense sample", "[FAIL] ")
+# verdict or a dense sample
+VIOLATION_LINES = ("invariant ", "routes DISAGREE", "dense sample")
+
+
+def verify_failures_are_named(argv, out):
+    """Whether verify printed failed rows, each a failed check or a level whose
+    own build raises the very error the row reports."""
+    failed = [line[len("[FAIL] ") :] for line in out.splitlines() if line.startswith("[FAIL] ")]
+    for row in failed:
+        name, _, detail = row.partition("  (")
+        if not name.startswith("classification[") or detail.startswith("invariant "):
+            continue
+        try:
+            build_report(level_from_string(name[len("classification[") : -1]), int(argv[-1]))
+        except AdmzError as exc:
+            if detail == f"{exc})":
+                continue
+        return False
+    return bool(failed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -539,5 +561,7 @@ def test_exit_code_contract(argv):
     code, out, err = exc.value.code, out.getvalue(), err.getvalue()
     assert code in (0, 1, 2, 3), (argv, code, err)
     assert "Traceback" not in err, argv
-    if code == 1:
+    if argv[0] == "verify" and code in (0, 1):
+        assert verify_failures_are_named(argv, out) == (code == 1), (argv, out, err)
+    elif code == 1:
         assert any(line in out + err for line in VIOLATION_LINES), (argv, out, err)
