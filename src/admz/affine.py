@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 import re
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 
 from .errors import InvalidInputError, ResourceCapError
@@ -366,20 +366,16 @@ def weight_space_basis(delta_deg: int, alpha_wt: int, max_dim=None) -> list:
     return VACUUM.weight_space_basis(delta_deg, alpha_wt, max_dim)
 
 
-def operator_matrix(md: int, from_basis, to_basis, level) -> IntMatrix:
-    """Integer matrix of q*x(n) between enumerated weight-space bases, at the
-    given level k = p/q: rows[i][j] is q*a + p*b for the table's a + b*k."""
+def operator_matrix(md: int, from_basis, level) -> IntMatrix:
+    """Integer matrix of q*x(n) on an enumerated weight-space basis, at the
+    given level k = p/q: one row per image monomial with a nonzero entry, in
+    ascending monomial order (the order weight_space_basis enumerates), and
+    row[j] is q*a + p*b for the table's a + b*k."""
     level = Fraction(level)
     p, q = level.numerator, level.denominator
-    index = {monomial: i for i, monomial in enumerate(to_basis)}
-    rows: list = [{} for _ in to_basis]
+    rows: dict = defaultdict(dict)
     for j, monomial in enumerate(from_basis):
         for m2, (a, b) in VACUUM.act_mono(md, monomial).items():
-            i = index.get(m2)
-            if i is None:
-                raise InvalidInputError(
-                    "operator image leaves the declared target weight space"
-                )
             if x := q * a + p * b:
-                rows[i][j] = x
-    return IntMatrix(len(from_basis), rows)
+                rows[m2][j] = x
+    return IntMatrix(len(from_basis), [rows[m2] for m2 in sorted(rows)])

@@ -131,12 +131,12 @@ def check_dense(level, r, mu, max_dim):
 
 def verify(suite, max_n, levels, samples, max_dim):
     """Run an invariant suite; exit 0 iff all checks pass."""
-    from .verify import POMOC_S_VALUES, suite_algebra, suite_classification, suite_lemmas
+    from .verify import suite_algebra, suite_classification, suite_lemmas
 
     if suite == "algebra":
         results = suite_algebra(samples=samples)
     elif suite == "lemmas":
-        results = suite_lemmas(max_n=max_n, s_values=POMOC_S_VALUES)
+        results = suite_lemmas(max_n=max_n)
     else:
         level_list = [s.strip() for s in levels.split(",") if s.strip()]
         if not level_list:

@@ -14,8 +14,9 @@ checks divide p1 and p2 cleared to one denominator (exact_core).
 
 The singular vector and Q live in one record per level, cached on the level
 alone: a level is solved once per process whatever the weight-space cap.  The
-cap is checked on every call against the recorded dimensions, so no call's
-outcome depends on earlier ones.
+solve enumerates one weight space, W(qN, N), and the cap is checked on every
+call against its recorded dimension, so no call's outcome depends on earlier
+ones.
 
 p1 and p2 are read off coefficients by evaluation, group e^a P(h) f^c by
 group (usl2.pbw_groups, on the element cleared to integers), with no adjoint
@@ -147,9 +148,9 @@ def singular_position(lv: AdmissibleLevel) -> tuple[int, int]:
     return lv.q * lv.N, lv.N
 
 
-class _Solved(namedtuple("_Solved", "v Q dims")):
-    """One level's solve: v, Q = F([v]) and ((d, w), dimension) of the three
-    weight spaces the kernel search enumerates, in enumeration order.
+class _Solved(namedtuple("_Solved", "v Q dim")):
+    """One level's solve: v, Q = F([v]) and dim W(qN, N), the one weight
+    space the kernel search enumerates.
 
     p1 and p2 are evaluations of Q's coefficients (see the module
     docstring), so nothing else derived from Q is kept."""
@@ -164,8 +165,11 @@ _SOLVED: dict[tuple[int, int], _Solved] = {}
 def _solve(lv: AdmissibleLevel, max_dim) -> _Solved:
     """Solve lv once per process; check the caller's cap on every call.
 
-    A hit raises the ResourceCapError a cold solve under this cap would: the
-    first of the three spaces, in enumeration order, that exceeds the cap.
+    A hit raises the ResourceCapError a cold solve under this cap would:
+    W(qN, N) over the cap.  The targets of e(0) and f(1) are never
+    enumerated and are no larger: W(qN, N+1) is a higher weight space of the
+    finite-dimensional sl2-module the zero modes make of degree qN, and
+    e(-1) maps W(qN-1, N-1) injectively into W(qN, N).
     """
     cap = affine.resolve_max_dim(max_dim)
     solved = _SOLVED.get((lv.p, lv.q))
@@ -174,18 +178,16 @@ def _solve(lv: AdmissibleLevel, max_dim) -> _Solved:
             solved = _SOLVED[lv.p, lv.q] = _solve_cold(lv, cap)
         except RecursionError as exc:
             raise ResourceCapError(f"level {lv}: weight search exceeds recursion limit") from exc
-    for (d, w), dim in solved.dims:
-        if dim > cap:
-            raise affine.cap_exceeded(d, w, cap)
+    if solved.dim > cap:
+        raise affine.cap_exceeded(*singular_position(lv), cap)
     return solved
 
 
 def _solve_cold(lv: AdmissibleLevel, cap: int) -> _Solved:
     d, w = singular_position(lv)
-    spaces = ((d, w), (d, w + 1), (d - 1, w - 1))
-    basis0, basis_e, basis_f = (affine.weight_space_basis(*dw, cap) for dw in spaces)
-    m_e = affine.operator_matrix(mode("e", 0), basis0, basis_e, lv.k)
-    m_f = affine.operator_matrix(mode("f", 1), basis0, basis_f, lv.k)
+    basis0 = affine.weight_space_basis(d, w, cap)
+    m_e = affine.operator_matrix(mode("e", 0), basis0, lv.k)
+    m_f = affine.operator_matrix(mode("f", 1), basis0, lv.k)
     kernel = kernel_basis(m_e.vstack(m_f))
     if len(kernel) != 1:
         raise ConsistencyError(
@@ -200,8 +202,7 @@ def _solve_cold(lv: AdmissibleLevel, cap: int) -> _Solved:
             raise ConsistencyError(
                 "invariant singular-annihilation: solver output not singular"
             )
-    dims = tuple(zip(spaces, map(len, (basis0, basis_e, basis_f))))
-    return _Solved(v=v, Q=zhu_image_F(v), dims=dims)
+    return _Solved(v=v, Q=zhu_image_F(v), dim=len(basis0))
 
 
 def singular_vector_nullspace(lv: AdmissibleLevel, max_dim=None) -> VermaVector:

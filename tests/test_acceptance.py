@@ -81,10 +81,8 @@ def test_A2_level_minus_half():
         t0 = time.monotonic()
         lv = level_from_string("-1/2")
         b0 = weight_space_basis(4, 2)
-        be = weight_space_basis(4, 3)
-        bf = weight_space_basis(3, 1)
-        stacked = operator_matrix(mode("e", 0), b0, be, lv.k).vstack(
-            operator_matrix(mode("f", 1), b0, bf, lv.k)
+        stacked = operator_matrix(mode("e", 0), b0, lv.k).vstack(
+            operator_matrix(mode("f", 1), b0, lv.k)
         )
         assert len(kernel_basis(stacked)) == 1
         S = set_S(lv)

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -41,10 +42,12 @@ from admz.zhu import (
     level_from_string,
     mff_epsilon,
     set_S,
+    singular_position,
     singular_vector_nullspace,
     zhu_image_F,
 )
 from oracles import (
+    brute_weight_space,
     eval_mod_n_minus,
     eval_mod_n_plus,
     p2_by_product_and_projection,
@@ -137,12 +140,10 @@ def test_singular_integer_levels():
 def test_singular_stacked_kernel_is_one_dimensional():
     lv = admissible_params(1, 1)
     b0 = weight_space_basis(2, 2)
-    be = weight_space_basis(2, 3)
-    bf = weight_space_basis(1, 1)
     from admz.affine import operator_matrix
 
-    stacked = operator_matrix(mode("e", 0), b0, be, lv.k).vstack(
-        operator_matrix(mode("f", 1), b0, bf, lv.k)
+    stacked = operator_matrix(mode("e", 0), b0, lv.k).vstack(
+        operator_matrix(mode("f", 1), b0, lv.k)
     )
     assert len(kernel_basis(stacked)) == 1
 
@@ -185,6 +186,36 @@ def test_cap_checked_after_the_level_is_solved(monkeypatch):
     with pytest.raises(ResourceCapError) as warm:
         compute_Q(lv, 7)
     assert str(warm.value) == str(cold.value)
+
+
+def test_cold_solve_enumerates_only_the_singular_space(monkeypatch):
+    calls = []
+    monkeypatch.setattr(zhu_mod, "_SOLVED", {})
+    monkeypatch.setattr(
+        zhu_mod.affine,
+        "weight_space_basis",
+        lambda *args: calls.append(args[:2]) or weight_space_basis(*args),
+    )
+    singular_vector_nullspace(level_from_string("-2/3"))
+    assert calls == [(9, 3)]
+
+
+def test_target_spaces_are_no_larger_than_the_singular_space():
+    # why the cap needs only W(qN, N): e(0) maps it to W(qN, N+1), a weight
+    # space of the same finite-dimensional sl2-module, and f(1) to
+    # W(qN-1, N-1), which e(-1) maps injectively back into W(qN, N)
+    levels = [
+        admissible_params(p, q)
+        for q in range(1, 13)
+        for p in range(2 - 2 * q, 13)
+        if 1 <= 2 * q + p - 1 <= 12 // q and gcd(p, q) == 1
+    ]
+    assert len(levels) == 24
+    for lv in levels:
+        d, w = singular_position(lv)
+        dim = len(brute_weight_space(d, w))
+        assert len(brute_weight_space(d, w + 1)) <= dim, lv
+        assert len(brute_weight_space(d - 1, w - 1)) <= dim, lv
 
 
 # the peak resident set of a fresh process classifying k = 2/3 (a 13612x8464
