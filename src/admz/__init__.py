@@ -25,7 +25,6 @@ from .errors import (
 from .exact_core import (
     HPoly,
     format_scalar,
-    parse_hpoly,
     parse_scalar,
     poly_proportional,
     poly_root_check,
@@ -35,7 +34,6 @@ from .usl2 import (
     FinElement,
     fin_ad,
     fin_product,
-    parse_fin,
     project_cartan,
     verify_pomoc_identity,
 )

@@ -24,12 +24,11 @@ once.
 from __future__ import annotations
 
 import os
-import re
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 
 from .errors import InvalidInputError, ResourceCapError
-from .exact_core import clear_denominators, format_scalar, parse_int, parse_scalar
+from .exact_core import clear_denominators, format_scalar
 from .nullspace import IntMatrix
 from .usl2 import BRACKET
 
@@ -218,54 +217,6 @@ def monomial_to_text(mono) -> str:
         pieces.append(base if count == 1 else f"{base}^{count}")
         i = j
     return " ".join(pieces) + " |0>"
-
-
-_MODE_RE = re.compile(r"^([efh])\((-?\d+)\)(?:\^(\d+))?$")
-
-
-def parse_verma(text: str, level) -> VermaVector:
-    """Parse a signed sum of scalars times mode words on |0>, such as the
-    canonical text form.  Each term's modes act on the vacuum right to left,
-    so "e(0) |0>" parses to 0."""
-    text = text.strip()
-    if not text:
-        raise InvalidInputError("empty Verma-vector text")
-    if text == "0":
-        return VermaVector(level)
-    total: dict = {}
-    # split into signed terms on top-level +/-
-    chunks = re.split(r"\s+(?=[+-]\s)", " " + text)
-    for chunk in chunks:
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        sign = Fraction(1)
-        if chunk.startswith("+"):
-            chunk = chunk[1:].strip()
-        elif chunk.startswith("-"):
-            sign = Fraction(-1)
-            chunk = chunk[1:].strip()
-        tokens = chunk.split()
-        if not tokens:
-            raise InvalidInputError(f"empty term in {text!r}")
-        if tokens[-1] != "|0>":
-            raise InvalidInputError(f"Verma term must end with |0>: {chunk!r}")
-        tokens = tokens[:-1]
-        coeff = sign
-        modes: list[int] = []
-        for tok in tokens:
-            m = _MODE_RE.match(tok)
-            if m:
-                g, deg, exp = m.group(1), parse_int(m.group(2)), m.group(3)
-                modes.extend([mode(g, deg)] * (parse_int(exp) if exp else 1))
-            else:
-                coeff *= parse_scalar(tok)
-        v = VermaVector.vacuum(level)
-        for md in reversed(modes):
-            v = act_mode(md, v)
-        for mono, c in v.terms.items():
-            total[mono] = total.get(mono, Fraction(0)) + coeff * c
-    return VermaVector(level, total)
 
 
 class VacuumModule:

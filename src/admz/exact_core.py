@@ -14,9 +14,8 @@ polynomials; its canonical text form is terms in decreasing power with
 ``HPoly`` (``poly_root_check``) runs on its coefficients cleared to integers,
 with one rational rescaling at the end.
 
-The parsers read every integer token, literal, exponent or degree, through
-``parse_scalar`` or ``parse_int``, so a token over the interpreter's
-int-string digit limit is invalid input, not a crash.
+``parse_scalar`` reads every literal the CLI takes, so a literal over the
+interpreter's int-string digit limit is invalid input, not a crash.
 """
 
 from __future__ import annotations
@@ -41,15 +40,6 @@ def parse_scalar(text: str) -> Fraction:
         raise InvalidInputError(f"zero denominator in {text!r}") from exc
     except ValueError as exc:  # over the interpreter's int-string digit limit
         raise InvalidInputError(f"literal of {len(text)} characters is too long") from exc
-
-
-def parse_int(text: str) -> int:
-    """Read a signed decimal integer token that a parser's pattern matched,
-    such as an exponent or a mode degree; over-long is invalid input."""
-    try:
-        return int(text)
-    except ValueError as exc:  # over the interpreter's int-string digit limit
-        raise InvalidInputError(f"integer of {len(text)} characters is too long") from exc
 
 
 def format_scalar(x: Fraction) -> str:
@@ -240,42 +230,6 @@ class HPoly:
             for power in range(self.degree, -1, -1)
             if self.coeffs[power]
         )
-
-
-# a "*" is read only between a coefficient and h, so "2*" and "*h" are refused
-_TERM_RE = re.compile(
-    r"^(?P<sign>[+-]?)(?P<coeff>\d+(?:/\d+)?)?(?:(?:(?<=\d)\*)?(?P<h>h)(?:\^(?P<pow>\d+))?)?$"
-)
-
-
-def parse_hpoly(text: str) -> HPoly:
-    """Parse the canonical text form of HPoly (round-trip of to_text)."""
-    compact = text.replace(" ", "")
-    if not compact:
-        raise InvalidInputError("empty polynomial text")
-    if compact == "0":
-        return HPoly.zero()
-    terms = re.findall(r"[+-]?[^+-]+", compact)
-    if "".join(terms) != compact:
-        raise InvalidInputError(f"cannot parse polynomial: {text!r}")
-    coeff_map: dict[int, Fraction] = {}
-    for term in terms:
-        m = _TERM_RE.match(term)
-        if not m or (m.group("coeff") is None and m.group("h") is None):
-            raise InvalidInputError(f"cannot parse polynomial term: {term!r}")
-        coeff = parse_scalar(m.group("coeff")) if m.group("coeff") else Fraction(1)
-        if m.group("sign") == "-":
-            coeff = -coeff
-        if m.group("h"):
-            power = parse_int(m.group("pow")) if m.group("pow") else 1
-        else:
-            power = 0
-        coeff_map[power] = coeff_map.get(power, Fraction(0)) + coeff
-    size = max(coeff_map) + 1
-    out = [Fraction(0)] * size
-    for p, c in coeff_map.items():
-        out[p] = c
-    return HPoly(out)
 
 
 def poly_divide_root(ints, u: int, v: int):

@@ -18,7 +18,7 @@ every evaluation of an element on a module reads it that way too: `zhu`
 reads p1 and p2 off Q's groups, `weight_modules` acts with each group on
 E(r,mu) in closed form.  `straighten` folds a word of generators into the
 basis through the same kernel, one run of equal generators at a time; the
-text parser and the Zhu image use it.  Nothing recurses and nothing is
+Zhu image alone uses it.  Nothing recurses and nothing is
 cached between calls.
 
 The projection mod U(g)n_- keeps the pure-h terms of the expansion.
@@ -27,7 +27,6 @@ The projection mod U(g)n_- keeps the pure-h terms of the expansion.
 from __future__ import annotations
 
 import itertools
-import re
 from fractions import Fraction
 
 from .errors import InvalidInputError
@@ -35,8 +34,6 @@ from .exact_core import (
     HPoly,
     clear_denominators,
     format_terms,
-    parse_int,
-    parse_scalar,
     poly_divide_root,
     poly_mul,
     poly_shift,
@@ -305,40 +302,3 @@ def verify_pomoc_identity(N: int, it_plus_j) -> bool:
     lhs, rhs = pomoc_sides(N, it_plus_j)
     return lhs == rhs
 
-
-_FIN_FACTOR_RE = re.compile(r"^(?P<g>[efh])(?:\^(?P<exp>\d+))?$")
-
-
-def parse_fin(text: str) -> FinElement:
-    """Parse a signed sum of products of scalars and generator powers, such
-    as the canonical text form.  Each term's word of generators is
-    straightened, so "f*e" parses to e*f - h."""
-    compact = text.replace(" ", "")
-    if not compact:
-        raise InvalidInputError("empty element text")
-    if compact == "0":
-        return FinElement.zero()
-    terms: dict[tuple[int, int, int], Fraction] = {}
-    chunks = re.findall(r"[+-]?[^+-]+", compact)
-    if "".join(chunks) != compact:
-        raise InvalidInputError(f"cannot parse element: {text!r}")
-    for chunk in chunks:
-        sign = Fraction(1)
-        if chunk.startswith("+"):
-            chunk = chunk[1:]
-        elif chunk.startswith("-"):
-            sign = Fraction(-1)
-            chunk = chunk[1:]
-        coeff = Fraction(1)
-        word: list[str] = []
-        for factor in chunk.split("*"):
-            if not factor:
-                raise InvalidInputError(f"empty factor in term {chunk!r}")
-            m = _FIN_FACTOR_RE.match(factor)
-            if m:
-                word.extend(m.group("g") * (parse_int(m.group("exp")) if m.group("exp") else 1))
-            else:
-                coeff *= parse_scalar(factor)
-        for mono, v in straighten(word).items():
-            terms[mono] = terms.get(mono, Fraction(0)) + sign * coeff * v
-    return FinElement(terms)

@@ -17,17 +17,15 @@ from admz.affine import (
     mode,
     mode_degree,
     mode_gen,
-    parse_verma,
     weight_space_basis,
 )
 from admz.errors import InvalidInputError, NotAdmissibleError, ResourceCapError
-from admz.exact_core import HPoly, parse_hpoly, poly_eval, poly_proportional, poly_root_check
+from admz.exact_core import HPoly, poly_eval, poly_proportional, poly_root_check
 from admz.nullspace import kernel_basis
 from admz.usl2 import (
     FinElement,
     fin_ad,
     fin_product,
-    parse_fin,
     project_cartan,
 )
 from admz.zhu import (
@@ -151,7 +149,7 @@ def test_singular_stacked_kernel_is_one_dimensional():
 def test_singular_half_regression_and_certificate():
     lv = level_from_string("-1/2")
     v = singular_vector_nullspace(lv)
-    assert v == parse_verma(V_SING_HALF, lv.k)
+    assert v.to_text() == V_SING_HALF
     # certificate, independent of the linear solver
     assert act_mode(mode("e", 0), v).is_zero()
     assert act_mode(mode("f", 1), v).is_zero()
@@ -296,7 +294,7 @@ def test_compute_Q_examples():
     assert compute_Q(admissible_params(2, 1)) == FinElement.monomial((3, 0, 0))
     lv = level_from_string("-1/2")
     Q = compute_Q(lv)
-    assert Q == parse_fin(Q_HALF)
+    assert Q.to_text() == Q_HALF
     assert Q.ad_weight() == 2 * lv.N
 
 
@@ -501,9 +499,9 @@ def test_classification_report():
         "families",
     }
     assert data["S"] == ["1", "0", "-1/2", "-3/2"]
-    assert parse_hpoly(data["p2"]) == rep.p2
-    assert parse_fin(data["Q"]["text"]) == rep.Q
-    assert parse_verma(data["singular_vector"], lv.k) == rep.singular_vector
+    assert data["p2"] == rep.p2.to_text()
+    assert data["Q"]["text"] == rep.Q.to_text()
+    assert data["singular_vector"] == rep.singular_vector.to_text()
     dense = data["families"][2]
     assert dense["r_values"] == ["-1/2", "-3/2"]
 
