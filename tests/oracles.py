@@ -22,8 +22,13 @@ classifying polynomials: the projection mod U(g)n_+ through the Chevalley
 involution, and the mff p2 as the product f^N * epsilon projected mod U(g)n_-.
 The latter is the old route itself, so it uses the library's product and
 projection.
+
+The library renders elements as text and reads none back.  Strict readers of
+the three canonical text forms live here, so the tests can check that the
+text determines the element.
 """
 
+import re
 from fractions import Fraction
 from math import comb, factorial, lcm
 
@@ -507,3 +512,84 @@ def poly_root_check_by_fractions(p: HPoly, candidates) -> tuple[dict, HPoly]:
             matched[r] = matched.get(r, 0) + 1
             cofactor = quot
     return matched, cofactor
+
+
+# -- readers of the canonical text forms -----------------------------------------
+# A round trip is only as strong as its reader is strict: each reader accepts
+# the canonical shape alone and raises ValueError on anything else.
+
+_SCALAR = r"\d+(?:/\d+)?"
+_HPOLY_TERM = re.compile(rf"(?:(?P<c>{_SCALAR})\*)?h(?:\^(?P<p>\d+))?|(?P<const>{_SCALAR})")
+_FIN_FACTOR = re.compile(r"(?P<g>[ehf])(?:\^(?P<exp>\d+))?")
+_VERMA_MODE = re.compile(r"(?P<g>[efh])\((?P<deg>-?\d+)\)(?:\^(?P<exp>\d+))?")
+
+
+def _scalar(text: str) -> Fraction:
+    if not re.fullmatch(_SCALAR, text) or re.fullmatch(r"\d+/0+", text):
+        raise ValueError(f"not a scalar: {text!r}")
+    return Fraction(text)
+
+
+def _signed_terms(text: str, lead: str):
+    """(sign, body) for each term of a signed sum whose first minus is written
+    `lead` and whose later signs are spaced, " + " or " - "."""
+    if not text:
+        raise ValueError("empty text")
+    pieces = re.split(r" ([+-]) ", text)
+    first = pieces[0]
+    signs = [-1 if first.startswith(lead) else 1] + [1 if s == "+" else -1 for s in pieces[1::2]]
+    bodies = [first[len(lead) :] if signs[0] < 0 else first] + pieces[2::2]
+    return zip(signs, bodies)
+
+
+def parse_hpoly(text: str) -> HPoly:
+    """Read HPoly.to_text: "-2/3*h^2 + h - 1/2"."""
+    coeffs: dict[int, Fraction] = {}
+    for sign, body in _signed_terms(text, "-") if text != "0" else ():
+        m = _HPOLY_TERM.fullmatch(body)
+        if not m:
+            raise ValueError(f"not a polynomial term: {body!r}")
+        if m["const"]:
+            power, c = 0, _scalar(m["const"])
+        else:
+            power, c = int(m["p"] or 1), _scalar(m["c"]) if m["c"] else Fraction(1)
+        coeffs[power] = coeffs.get(power, 0) + sign * c
+    return HPoly([coeffs.get(p, 0) for p in range(max(coeffs, default=-1) + 1)])
+
+
+def parse_fin(text: str) -> FinElement:
+    """Read FinElement.to_text: "2*e*h^2*f^3 - 1/2*h + 1", each word in PBW
+    order e, h, f."""
+    terms: dict[tuple, Fraction] = {}
+    for sign, body in _signed_terms(text, "-") if text != "0" else ():
+        factors = body.split("*")
+        coeff = _scalar(factors.pop(0)) if factors[0][:1].isdigit() else Fraction(1)
+        word = [_FIN_FACTOR.fullmatch(f) for f in factors]
+        letters = "".join(m["g"] for m in word if m)
+        if not all(word) or letters != "".join(g for g in LETTERS if g in letters):
+            raise ValueError(f"not a PBW word: {body!r}")
+        exps = {m["g"]: int(m["exp"] or 1) for m in word}
+        key = tuple(exps.get(g, 0) for g in LETTERS)
+        terms[key] = terms.get(key, 0) + sign * coeff
+    return FinElement(terms)
+
+
+def parse_verma(text: str, level) -> VermaVector:
+    """Read VermaVector.to_text: "- 1/2 |0> + 3 h(-3) e(-1)^2 |0>", each word
+    in canonical mode order."""
+    terms: dict[tuple, Fraction] = {}
+    for sign, body in _signed_terms(text, "- ") if text != "0" else ():
+        tokens = body.split(" ")
+        if tokens.pop() != "|0>":
+            raise ValueError(f"Verma term must end with |0>: {body!r}")
+        coeff = _scalar(tokens.pop(0)) if tokens and tokens[0][:1].isdigit() else Fraction(1)
+        mono = []
+        for tok in tokens:
+            m = _VERMA_MODE.fullmatch(tok)
+            if not m:
+                raise ValueError(f"not a mode: {tok!r}")
+            mono += [mode(m["g"], int(m["deg"]))] * int(m["exp"] or 1)
+        if mono != sorted(mono):
+            raise ValueError(f"modes out of canonical order: {body!r}")
+        terms[tuple(mono)] = terms.get(tuple(mono), 0) + sign * coeff
+    return VermaVector(level, terms)

@@ -16,13 +16,19 @@ from admz.affine import (
     mode_charge,
     mode_degree,
     mode_gen,
+    monomial_to_text,
     operator_matrix,
     weight_space_basis,
 )
 from admz.errors import ResourceCapError
 from admz.nullspace import IntMatrix
 from admz.zhu import level_from_string, singular_position, singular_vector_nullspace
-from oracles import act_by_fractions, brute_weight_space, operator_matrix_by_fractions
+from oracles import (
+    act_by_fractions,
+    brute_weight_space,
+    operator_matrix_by_fractions,
+    parse_verma,
+)
 
 F = Fraction
 K = F(-1, 2)  # a convenient generic level for module tests
@@ -319,3 +325,39 @@ def test_operator_matrix_is_q_times_fraction_reference():
 )
 def test_verma_to_text(terms, text):
     assert VermaVector(K, terms).to_text() == text
+
+
+def test_verma_text_round_trip():
+    rng = random.Random(37)
+    pool = weight_space_basis(4, 0) + weight_space_basis(3, 1)
+    for _ in range(40):
+        terms = {}
+        for mono in rng.sample(pool, k=min(3, len(pool))):
+            terms[mono] = F(rng.randint(-5, 5), rng.randint(1, 4))
+        v = VermaVector(K, terms)
+        assert parse_verma(v.to_text(), K) == v
+    assert monomial_to_text((mode("h", -3), mode("e", -1), mode("e", -1))) == (
+        "h(-3) e(-1)^2 |0>"
+    )
+    assert parse_verma("|0>", K) == VermaVector.vacuum(K)
+    assert parse_verma("0", K).is_zero()
+
+
+# the round trip's reader (tests/oracles.py) refuses anything but canonical text
+@pytest.mark.parametrize(
+    "text",
+    (
+        "1/0 e(-1) |0>",
+        "+",
+        "e(-1) |0> + + f(-1) |0>",
+        "0.5 e(-1) |0>",
+        "1e3 |0>",
+        "x |0>",
+        "e(-1)^ |0>",
+        "e(-1)",
+        "",
+    ),
+)
+def test_parse_verma_rejects(text):
+    with pytest.raises(ValueError):
+        parse_verma(text, K)

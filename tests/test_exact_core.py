@@ -15,7 +15,7 @@ from admz.exact_core import (
     poly_proportional,
     poly_root_check,
 )
-from oracles import poly_root_check_by_fractions
+from oracles import parse_hpoly, poly_root_check_by_fractions
 
 F = Fraction
 
@@ -119,6 +119,29 @@ def test_poly_proportional_examples():
 )
 def test_hpoly_to_text(coeffs, text):
     assert HPoly(coeffs).to_text() == text
+
+
+def test_hpoly_text_round_trip():
+    cases = [
+        HPoly([0, 2, 2]),
+        HPoly([F(-1, 2), F(3, 4)]),
+        HPoly([5]),
+        HPoly.zero(),
+        HPoly([0, -1, 0, F(7, 3)]),
+        HPoly([1, -1, 1, -1, 1]),
+    ]
+    for p in cases:
+        assert parse_hpoly(p.to_text()) == p
+    assert parse_hpoly("2*h^2 + 2*h") == HPoly([0, 2, 2])
+
+
+# the round trip's reader (tests/oracles.py) refuses anything but canonical text
+@pytest.mark.parametrize(
+    "text", ("1/0*h", "2.5*h", "1e3", "2**h", "2*", "*h", "h^", "h+", "-", "x", "")
+)
+def test_parse_hpoly_rejects(text):
+    with pytest.raises(ValueError):
+        parse_hpoly(text)
 
 
 small_fraction = st.fractions(

@@ -24,6 +24,7 @@ from oracles import (
     eval_mod_n_minus,
     eval_mod_n_plus,
     kostant_by_products,
+    parse_fin,
     pbw_shape,
     product_by_transpositions,
     product_terms,
@@ -319,3 +320,25 @@ def test_pomoc_difference_lands_in_lowering_ideal():
 )
 def test_fin_to_text(terms, text):
     assert FinElement(terms).to_text() == text
+
+
+def test_fin_text_round_trip():
+    rng = random.Random(31)
+    for _ in range(50):
+        x = rand_elem(rng)
+        assert parse_fin(x.to_text()) == x
+    q = FinElement({(2, 0, 0): 1})
+    assert q.to_text() == "e^2"
+    assert parse_fin("e^2") == q
+    f2e2 = fin_product(mono(0, 0, 2), mono(2, 0, 0))
+    assert parse_fin(f2e2.to_text()) == f2e2
+
+
+# the round trip's reader (tests/oracles.py) refuses anything but canonical text
+@pytest.mark.parametrize(
+    "text",
+    ("x*e", "e^", "e^2.5", "1/0*e", "2.5*e", "1e3*e", "2**e", "*e", "e*", "e+", "+", "e--f"),
+)
+def test_parse_fin_rejects(text):
+    with pytest.raises(ValueError):
+        parse_fin(text)
