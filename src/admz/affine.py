@@ -6,7 +6,8 @@ where the invariant form is normalized <e,f> = 1, <h,h> = 2 and the central
 element has been replaced by the level k.  The vacuum is annihilated by every
 mode of nonnegative degree; canonical monomials list their modes with degree
 ascending, ties broken f < h < e, so annihilation modes bubble rightward to
-the vacuum during straightening.
+the vacuum during straightening.  A VermaVector, a vector of M(k,0), is an
+exact_core.ExactSum of such monomials that carries its level.
 
 A mode x(n) is the int 3n + rank, rank f = 0 < h = 1 < e = 2, so ints order
 as the pairs (n, rank) do, and a monomial is an ascending tuple of ints.
@@ -28,7 +29,7 @@ from collections import defaultdict, namedtuple
 from fractions import Fraction
 
 from .errors import InvalidInputError, ResourceCapError
-from .exact_core import clear_denominators, format_scalar
+from .exact_core import ExactSum, clear_denominators, format_scalar, format_terms
 from .nullspace import IntMatrix
 from .usl2 import BRACKET
 
@@ -127,59 +128,29 @@ class AffineWeight(namedtuple("AffineWeight", "lambda0 lambda1 delta", defaults=
         }
 
 
-class VermaVector:
+class VermaVector(ExactSum):
     """Element of the vacuum module M(k,0): finite sum of canonical monomials.
 
     Monomials are tuples of modes (all of negative degree) sorted ascending;
-    the empty tuple is the vacuum.  Immutable by convention.
+    the empty tuple is the vacuum.  The level k fixes the module, so every
+    result carries it and a sum of two levels is invalid input.
     """
 
-    __slots__ = ("level", "terms")
+    __slots__ = ("level",)
 
     def __init__(self, level, terms=None):
+        super().__init__(terms)
         self.level = Fraction(level)
-        clean = {}
-        for mono, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[mono] = coeff
-        self.terms = clean
 
     @classmethod
     def vacuum(cls, level) -> "VermaVector":
         return cls(level, {(): Fraction(1)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _space(self):
+        return self.level
 
-    def __eq__(self, other):
-        if not isinstance(other, VermaVector):
-            return NotImplemented
-        return self.level == other.level and self.terms == other.terms
-
-    def __repr__(self):
-        return f"VermaVector(level={self.level}, {self.to_text()!r})"
-
-    def __add__(self, other):
-        if not isinstance(other, VermaVector):
-            return NotImplemented
-        if self.level != other.level:
-            raise InvalidInputError("mixed levels in Verma-vector addition")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return VermaVector(self.level, out)
-
-    def __neg__(self):
-        return VermaVector(self.level, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        return VermaVector(self.level, {m: c * Fraction(scalar) for m, c in self.terms.items()})
-
-    __rmul__ = __mul__
+    def _like(self, terms) -> "VermaVector":
+        return VermaVector(self.level, terms)
 
     def homogeneous_weight(self):
         """(delta-degree, alpha-weight) if homogeneous, else None."""
@@ -187,20 +158,8 @@ class VermaVector:
         return grades.pop() if len(grades) == 1 else None
 
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms):
-            coeff = self.terms[mono]
-            body = monomial_to_text(mono)
-            mag = abs(coeff)
-            if mag != 1:
-                body = f"{format_scalar(mag)} {body}"
-            if not parts:
-                parts.append(body if coeff > 0 else "- " + body)
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(parts)
+        terms = ((self.terms[mono], monomial_to_text(mono)) for mono in sorted(self.terms))
+        return format_terms(terms, joiner=" ", lead_minus="- ")
 
 
 def monomial_to_text(mono) -> str:
@@ -240,7 +199,9 @@ class VacuumModule:
             head, rest = mono[0], mono[1:]
             acc: dict = {}
             # head has negative degree, so it meets no central term: its
-            # coefficients are (a3, 0) and every product stays linear in k
+            # coefficients are (a3, 0) and every product stays linear in k.
+            # Nor does an md of degree <= 0 (central part 0*<x,y>, recursion at
+            # degree <= 0): only entries under a positive mode have b != 0
             for m2, (a2, b2) in self.act_mono(md, rest).items():
                 for m3, (a3, _) in self.act_mono(head, m2).items():
                     a, b = acc.get(m3, (0, 0))

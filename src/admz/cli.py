@@ -32,9 +32,11 @@ def classify(level, fmt, max_dim):
     """Full classification report for one admissible level."""
     lv = zhu.level_from_string(level)
     report = zhu.classify_category_O(lv, max_dim)
-    families = weight_modules.classify_weight_modules(report, max_dim)
+    # rendered before the O(N^2) dense samples, so a too-long number stops first
     if fmt == "json":
-        print(json.dumps({**report.to_dict(), "families": families}, indent=2))
+        out = report.to_dict()
+        out["families"] = weight_modules.classify_weight_modules(report, max_dim)
+        print(json.dumps(out, indent=2))
         return
     lines = [
         f"level k = {lv} (p={lv.p}, q={lv.q}, t={lv.t}, N={lv.N}, l={lv.l})",
@@ -48,7 +50,7 @@ def classify(level, fmt, max_dim):
         f"   [proportional, constant {format_scalar(report.p2_route_constant)}]",
         "irreducible weight modules:",
     ]
-    for fam in families:
+    for fam in weight_modules.classify_weight_modules(report, max_dim):
         rs = ", ".join(fam["r_values"]) or "(empty)"
         lines.append(f"  {fam['modules']}: {fam['condition']}; r in {{{rs}}}")
     print("\n".join(lines))  # built whole first, so a too-long number prints nothing

@@ -14,6 +14,12 @@ polynomials; its canonical text form is terms in decreasing power with
 ``HPoly`` (``poly_root_check``) runs on its coefficients cleared to integers,
 with one rational rescaling at the end.
 
+``ExactSum`` is the one base of the exact sums, ``affine.VermaVector`` and
+``usl2.FinElement``: a dict of nonzero Fraction terms with the vector-space
+operations.  ``format_terms`` is the one signed-sum renderer, in two styles:
+magnitude joiner "*" and leading minus "-" for HPoly and FinElement
+(``-2*h + 1/2``), " " and "- " for VermaVector (``- 1/2 |0> + 2 e(-1) |0>``).
+
 ``parse_scalar`` reads every literal the CLI takes, so a literal over the
 interpreter's int-string digit limit is invalid input, not a crash.
 """
@@ -56,12 +62,12 @@ def format_scalar(x: Fraction) -> str:
         ) from exc
 
 
-def format_terms(terms) -> str:
+def format_terms(terms, joiner="*", lead_minus="-") -> str:
     """Render nonzero (coefficient, body) pairs as a signed sum, e.g. ``-h^2 + 2*h - 1/2``.
 
-    The first sign is attached ("-body"), later ones are spaced ("+ body",
-    "- body"); the magnitude is written as a "mag*" prefix unless it is 1,
-    and an empty body (a constant term) is written as the magnitude alone.
+    The first sign is attached (lead_minus + body), later ones are spaced
+    ("+ body", "- body"); the magnitude is a prefix, mag + joiner, unless it
+    is 1, and an empty body (a constant term) is the magnitude alone.
     """
     parts = []
     for coeff, body in terms:
@@ -69,12 +75,64 @@ def format_terms(terms) -> str:
         if not body:
             body = format_scalar(mag)
         elif mag != 1:
-            body = f"{format_scalar(mag)}*{body}"
+            body = f"{format_scalar(mag)}{joiner}{body}"
         if not parts:
-            parts.append(body if coeff > 0 else "-" + body)
+            parts.append(body if coeff > 0 else lead_minus + body)
         else:
             parts.append(("+ " if coeff > 0 else "- ") + body)
     return " ".join(parts) or "0"
+
+
+class ExactSum:
+    """A finite sum: ``terms`` maps basis keys to nonzero Fractions.  Immutable
+    by convention.  A subclass renders its basis with ``to_text``; one whose
+    space is fixed by more than its type returns that from ``_space`` and
+    builds results through ``_like``."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {key: c for key, coeff in (terms or {}).items() if (c := Fraction(coeff))}
+
+    def _space(self):
+        return None  # sums whose spaces differ neither compare equal nor add
+
+    def _like(self, terms) -> "ExactSum":
+        """A sum in the same space as self, with the given terms."""
+        return type(self)(terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._space() == other._space() and self.terms == other.terms
+
+    def __repr__(self):
+        space = "" if self._space() is None else f"{self._space()}, "
+        return f"{type(self).__name__}({space}{self.to_text()!r})"
+
+    def __neg__(self):
+        return self._like({m: -c for m, c in self.terms.items()})
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self._space() != other._space():
+            raise InvalidInputError(f"sum over mixed spaces {self._space()} and {other._space()}")
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + c
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, scalar):
+        return self._like({m: c * Fraction(scalar) for m, c in self.terms.items()})
+
+    __rmul__ = __mul__
 
 
 def clear_denominators(terms: dict) -> tuple[dict, int]:

@@ -1,8 +1,8 @@
 """U(sl2) with exact products in the PBW basis e^a h^b f^c.
 
-Generators e, h, f with [h,f] = -2f, [h,e] = 2e, [e,f] = h.  Elements are
-finite maps from exponent triples (a, b, c), the basis monomial e^a h^b f^c,
-to rational coefficients.
+Generators e, h, f with [h,f] = -2f, [h,e] = 2e, [e,f] = h.  An element, a
+FinElement, is an exact_core.ExactSum: a finite map from exponent triples
+(a, b, c), the basis monomial e^a h^b f^c, to rational coefficients.
 
 Every product runs through one closed-form kernel on integer coefficients.
 An operand is grouped as sum e^a P_ac(h) f^c, its denominators are cleared
@@ -31,6 +31,7 @@ from fractions import Fraction
 
 from .errors import InvalidInputError
 from .exact_core import (
+    ExactSum,
     HPoly,
     clear_denominators,
     format_terms,
@@ -139,22 +140,14 @@ def _rational(terms: dict, den: int) -> "FinElement":
     return FinElement({m: Fraction(v, den) for m, v in terms.items() if v})
 
 
-class FinElement:
+class FinElement(ExactSum):
     """Element of U(sl2) in the PBW basis e^a h^b f^c.
 
-    terms maps exponent triples (a, b, c) to nonzero Fractions.  Treated as
-    immutable after construction.
+    terms maps exponent triples (a, b, c) to nonzero Fractions.  ``*`` of two
+    elements is their product; with a scalar it scales.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean: dict[tuple[int, int, int], Fraction] = {}
-        for mono, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[mono] = coeff
-        self.terms = clean
+    __slots__ = ()
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -180,43 +173,13 @@ class FinElement:
         return cls({(0, b, 0): c for b, c in enumerate(poly.coeffs)})
 
     # -- basic structure ---------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, FinElement):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        return f"FinElement({self.to_text()!r})"
-
-    def __neg__(self):
-        return FinElement({m: -c for m, c in self.terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, FinElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return FinElement(out)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, FinElement):
             return fin_product(self, other)
-        return FinElement({m: c * Fraction(other) for m, c in self.terms.items()})
-
-    def __rmul__(self, other):
-        if isinstance(other, FinElement):
-            return NotImplemented
-        return self.__mul__(other)
+        return super().__mul__(other)
 
     def ad_weight(self):
         """Common ad-h weight of all monomials, or None if inhomogeneous.

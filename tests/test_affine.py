@@ -20,7 +20,7 @@ from admz.affine import (
     operator_matrix,
     weight_space_basis,
 )
-from admz.errors import ResourceCapError
+from admz.errors import InvalidInputError, ResourceCapError
 from admz.nullspace import IntMatrix
 from admz.zhu import level_from_string, singular_position, singular_vector_nullspace
 from oracles import (
@@ -210,6 +210,21 @@ def test_one_table_serves_every_level(monkeypatch):
             assert act_mode(x, act_mode(y, v)) - act_mode(y, act_mode(x, v)) == rhs
 
 
+def test_only_positive_modes_meet_the_central_term(monkeypatch):
+    # [x(0), y(n)] has central part 0*<x, y>, and the straightening of a
+    # mode of degree <= 0 recurses only into modes of degree <= 0, so every
+    # table entry under such a mode is (a, 0)
+    monkeypatch.setattr(VACUUM, "_memo", {})
+    monkeypatch.setattr("admz.zhu._SOLVED", {})
+    singular_vector_nullspace(level_from_string("-1/3"))
+    needs_k = set()
+    for (md, _), images in VACUUM._memo.items():
+        if any(b for _, b in images.values()):
+            needs_k.add(mode_degree(md))
+    assert needs_k and min(needs_k) > 0, sorted(needs_k)
+    assert {mode_degree(md) for md, _ in VACUUM._memo} >= {-1, 0, 1}
+
+
 # -- weight spaces ------------------------------------------------------------
 
 
@@ -317,14 +332,40 @@ def test_operator_matrix_is_q_times_fraction_reference():
             {(mode("f", -2), mode("e", -1)): F(-3, 4), (mode("h", -3),): 1},
             "h(-3) |0> - 3/4 f(-2) e(-1) |0>",
         ),
+        ({(mode("e", -1),): F(2, 3)}, "2/3 e(-1) |0>"),
         ({(mode("h", -3), mode("e", -1), mode("e", -1)): 2}, "2 h(-3) e(-1)^2 |0>"),
         ({(): F(-1, 2), (mode("e", -1),): 1}, "- 1/2 |0> + e(-1) |0>"),
         ({}, "0"),
     ],
-    ids=["negative-first", "magnitude-1", "fraction", "repeated-mode", "vacuum-term", "zero"],
+    ids=[
+        "negative-first",
+        "magnitude-1",
+        "fraction",
+        "fraction-first",
+        "repeated-mode",
+        "vacuum-term",
+        "zero",
+    ],
 )
 def test_verma_to_text(terms, text):
     assert VermaVector(K, terms).to_text() == text
+
+
+def test_verma_arithmetic_keeps_the_level():
+    e1 = (mode("e", -1),)
+    v = VermaVector(K, {e1: F(2, 3), (): 1})
+    w = VermaVector(K, {e1: F(1, 3)})
+    for got in (-v, v - w, 2 * v, v * 2, v + w):
+        assert type(got) is VermaVector and got.level == K
+    assert v - w == VermaVector(K, {e1: F(1, 3), (): 1})
+    assert 2 * v == v * 2 == v + v
+    assert (v - v).is_zero() and -(-v) == v
+    # the level fixes the module: equal terms at two levels are different vectors
+    assert v != VermaVector(1, v.terms)
+    with pytest.raises(InvalidInputError):
+        v + VermaVector(1, w.terms)
+    with pytest.raises(InvalidInputError):
+        v - VermaVector(1, w.terms)
 
 
 def test_verma_text_round_trip():

@@ -16,7 +16,7 @@ import admz
 import admz.zhu as zhu_mod
 from admz import weight_modules
 from admz.cli import main
-from admz.errors import AdmzError, ConsistencyError
+from admz.errors import AdmzError, ConsistencyError, ResourceCapError
 from admz.exact_core import HPoly
 from admz.zhu import build_report, level_from_string
 from oracles import divmod_linear
@@ -399,6 +399,21 @@ def test_level_600_zhu_poly_succeeds(capsys):
 def test_result_too_long_to_print_is_a_resource_cap(capsys, fmt):
     # p1 at k = 900 has a coefficient over the int-string digit limit
     code, out, err = run_cli(capsys, ["zhu-poly", "--level", "900", "--format", fmt])
+    assert (code, out) == (3, "")
+    assert err == "error: a result number of about 4301 digits is too long to print\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_classify_print_limit_stops_before_the_dense_samples(capsys, monkeypatch, fmt):
+    def too_long(self):
+        raise ResourceCapError("a result number of about 4301 digits is too long to print")
+
+    def samples(*args):
+        raise AssertionError("the dense samples ran before the report rendered")
+
+    monkeypatch.setattr(HPoly, "to_text", too_long)
+    monkeypatch.setattr(weight_modules, "classify_weight_modules", samples)
+    code, out, err = run_cli(capsys, ["classify", "--level", "-1/2", "--format", fmt])
     assert (code, out) == (3, "")
     assert err == "error: a result number of about 4301 digits is too long to print\n"
 

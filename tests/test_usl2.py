@@ -60,6 +60,27 @@ def test_product_e_times_f_in_f_order():
     assert fin_product(gen("f"), gen("e")) == FinElement({(1, 0, 1): 1, (0, 1, 0): -1})
 
 
+def test_star_is_the_product_between_elements_and_scales_by_a_scalar():
+    x, y = gen("e"), gen("f")
+    assert x * y == fin_product(x, y) == mono(1, 0, 1)
+    assert y * x == fin_product(y, x)
+    assert 3 * x == x * 3 == x + x + x == mono(1, 0, 0, 3)
+    assert F(-1, 2) * (x - y) == FinElement({(1, 0, 0): F(-1, 2), (0, 0, 1): F(1, 2)})
+    assert (x - x).is_zero() and -(-x) == x
+    for z in (-x, x - y, 3 * x, x * y):
+        assert type(z) is FinElement
+
+
+def test_equal_elements_hash_equal():
+    rng = random.Random(41)
+    for _ in range(20):
+        x = rand_elem(rng)
+        same = FinElement(dict(reversed(x.terms.items())))  # the terms in another order
+        assert same == x and hash(same) == hash(x)
+        assert hash(x + x - x) == hash(x)
+    assert len({gen("e") * gen("f"), mono(1, 0, 1), mono(1, 0, 1, F(2, 2))}) == 1
+
+
 def test_product_h_times_f_in_f_order():
     # the f-first word f*h in the basis: h*f + 2f
     assert fin_product(gen("h"), gen("f")) == mono(0, 1, 1)
