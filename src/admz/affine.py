@@ -18,8 +18,8 @@ VACUUM serves every level: it holds each straightened coefficient as
 integers (a, b), meaning a + b*k, for a vector or matrix to evaluate.
 Both evaluate at k = p/q in integers: `operator_matrix` writes q*x(n) as
 sparse integer rows, entry q*a + p*b stored only where a + b*k is nonzero,
-and `VacuumModule.act` sums c*(q*a + p*b) over the cleared vector, dividing
-once.
+and `VacuumModule.act` sums c*(q*a + p*b) over the vector's integral form
+(ExactSum.integral), and `from_integral` divides once, at the vector's level.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from collections import defaultdict, namedtuple
 from fractions import Fraction
 
 from .errors import InvalidInputError, ResourceCapError
-from .exact_core import ExactSum, clear_denominators, format_scalar, format_terms
+from .exact_core import ExactSum, format_scalar, format_terms, from_integral
 from .nullspace import IntMatrix
 from .usl2 import BRACKET
 
@@ -220,12 +220,12 @@ class VacuumModule:
 
     def act(self, md: int, v: VermaVector) -> VermaVector:
         p, q = v.level.numerator, v.level.denominator
-        ints, den = clear_denominators(v.terms)
+        ints, den = v.integral()
         out: dict = {}
         for mono, c in ints.items():
             for m2, (a, b) in self.act_mono(md, mono).items():
                 out[m2] = out.get(m2, 0) + c * (q * a + p * b)
-        return VermaVector(v.level, {m: Fraction(x, den * q) for m, x in out.items() if x})
+        return from_integral(v._like, out, den * q)
 
     # -- weight spaces -------------------------------------------------------
     def weight_space_basis(self, delta_deg: int, alpha_wt: int, max_dim=None) -> list:

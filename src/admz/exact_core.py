@@ -8,15 +8,18 @@ A polynomial in h is at heart its list of coefficients in ascending powers.
 toolkit on such lists, with int and Fraction entries alike: ``HPoly`` uses
 them, and so do the integer product kernel of ``usl2``, ``zhu``'s evaluations
 of Q and the action of Q on the dense modules; ``poly_eval`` is the one
-evaluator.  ``HPoly`` is the dense polynomial type used for the classifying
-polynomials; its canonical text form is terms in decreasing power with
-"num/den" coefficients, e.g. ``2*h^2 + 2*h``.  Dividing roots out of an
-``HPoly`` (``poly_root_check``) runs on its coefficients cleared to integers,
-with one rational rescaling at the end.
+evaluator.
 
-``ExactSum`` is the one base of the exact sums, ``affine.VermaVector`` and
-``usl2.FinElement``: a dict of nonzero Fraction terms with the vector-space
-operations.  ``format_terms`` is the one signed-sum renderer, in two styles:
+``ExactSum`` is the one base of the exact sums, ``HPoly``,
+``affine.VermaVector`` and ``usl2.FinElement``: a dict of nonzero Fraction
+terms with the vector-space operations and a hash.  ``HPoly``, the type of
+the classifying polynomials, is an ExactSum keyed by power; its canonical text
+form is terms in decreasing power with "num/den" coefficients, e.g.
+``2*h^2 + 2*h``.  ``ExactSum.integral`` is the one integral form, integer
+terms over one denominator, and ``from_integral`` its one inverse: the integer
+kernels run between the two.  Dividing roots out of an ``HPoly``
+(``poly_root_check``) runs on its integral form, with one rational rescaling
+at the end.  ``format_terms`` is the one signed-sum renderer, in two styles:
 magnitude joiner "*" and leading minus "-" for HPoly and FinElement
 (``-2*h + 1/2``), " " and "- " for VermaVector (``- 1/2 |0> + 2 e(-1) |0>``).
 
@@ -109,6 +112,9 @@ class ExactSum:
             return NotImplemented
         return self._space() == other._space() and self.terms == other.terms
 
+    def __hash__(self):
+        return hash((self._space(), frozenset(self.terms.items())))
+
     def __repr__(self):
         space = "" if self._space() is None else f"{self._space()}, "
         return f"{type(self).__name__}({space}{self.to_text()!r})"
@@ -134,12 +140,17 @@ class ExactSum:
 
     __rmul__ = __mul__
 
+    def integral(self) -> tuple[dict, int]:
+        """The integral form (ints, D): integer terms with self = ints / D,
+        D the lcm of the denominators.  `from_integral` is its inverse."""
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        return {m: c.numerator * (den // c.denominator) for m, c in self.terms.items()}, den
 
-def clear_denominators(terms: dict) -> tuple[dict, int]:
-    """(ints, D) with integer ints and terms = ints / D, D the lcm of the
-    denominators."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+def from_integral(make, ints: dict, den: int):
+    """make(ints / D), the exact sum back from an integral form: make is a
+    constructor from terms, a class or a sum's ``_like``."""
+    return make({m: Fraction(x, den) for m, x in ints.items() if x})
 
 
 def poly_mul(p, q) -> list:
@@ -186,21 +197,20 @@ def poly_eval(p, x):
     return acc
 
 
-class HPoly:
-    """Polynomial in h with exact rational coefficients.
+class HPoly(ExactSum):
+    """Polynomial in h with exact rational coefficients: an ExactSum keyed by
+    power, built from its coefficient list in ascending powers or from a
+    {power: coefficient} map.
 
-    Stored dense in ascending powers with the leading coefficient nonzero;
-    the zero polynomial has degree -1.  Calling it evaluates it by
-    ``poly_eval``, in Fractions.
+    ``coeffs`` is the dense tuple, leading coefficient nonzero; the zero
+    polynomial has degree -1.  ``*`` of two polynomials is their product; with
+    a scalar it scales.  Calling it evaluates it by ``poly_eval``, in Fractions.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        super().__init__(coeffs if isinstance(coeffs, dict) else dict(enumerate(coeffs)))
 
     @classmethod
     def zero(cls) -> "HPoly":
@@ -208,85 +218,54 @@ class HPoly:
 
     @classmethod
     def one(cls) -> "HPoly":
-        return cls((Fraction(1),))
+        return cls((1,))
 
     @classmethod
     def h(cls) -> "HPoly":
-        return cls((Fraction(0), Fraction(1)))
+        return cls((0, 1))
 
     @classmethod
     def constant(cls, c) -> "HPoly":
-        return cls((Fraction(c),))
+        return cls((c,))
 
     @classmethod
     def linear(cls, const, lead=1) -> "HPoly":
         """lead*h + const"""
-        return cls((Fraction(const), Fraction(lead)))
+        return cls((const, lead))
 
     @classmethod
     def from_roots(cls, roots) -> "HPoly":
         """Monic product of (h - r) over the given roots."""
         out = cls.one()
         for r in roots:
-            out = out * cls((-Fraction(r), Fraction(1)))
+            out = out * cls((-Fraction(r), 1))
         return out
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return max(self.terms, default=-1)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(self.terms.get(power, Fraction(0)) for power in range(self.degree + 1))
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.terms:
             raise InvalidInputError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __eq__(self, other):
-        if not isinstance(other, HPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"HPoly({self.to_text()!r})"
-
-    def __neg__(self):
-        return HPoly(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other):
-        if not isinstance(other, HPoly):
-            return NotImplemented
-        return HPoly(poly_add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
+        return self.terms[self.degree]
 
     def __mul__(self, other):
         if isinstance(other, HPoly):
             return HPoly(poly_mul(self.coeffs, other.coeffs))
-        return HPoly(tuple(c * Fraction(other) for c in self.coeffs))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
+        return super().__mul__(other)
 
     def __call__(self, x) -> Fraction:
         return Fraction(poly_eval(self.coeffs, Fraction(x)))
 
-    def integral(self) -> tuple[list, int]:
-        """(A, D): the integer coefficient list A of D * self, D the lcm of
-        the denominators."""
-        ints, den = clear_denominators(dict(enumerate(self.coeffs)))
-        return list(ints.values()), den
-
     def to_text(self) -> str:
         return format_terms(
-            (self.coeffs[power], "" if power == 0 else "h" if power == 1 else f"h^{power}")
-            for power in range(self.degree, -1, -1)
-            if self.coeffs[power]
+            (self.terms[power], "" if power == 0 else "h" if power == 1 else f"h^{power}")
+            for power in sorted(self.terms, reverse=True)
         )
 
 
@@ -329,6 +308,7 @@ def poly_root_check(p: HPoly, candidates) -> tuple[dict[Fraction, int], HPoly]:
     if p.is_zero():
         raise InvalidInputError("poly_root_check requires a nonzero polynomial")
     ints, den = p.integral()
+    ints = [ints.get(power, 0) for power in range(p.degree + 1)]
     matched: dict[Fraction, int] = {}
     scale = Fraction(1, den)
     for r in sorted(Fraction(c) for c in set(candidates)):

@@ -5,13 +5,14 @@ FinElement, is an exact_core.ExactSum: a finite map from exponent triples
 (a, b, c), the basis monomial e^a h^b f^c, to rational coefficients.
 
 Every product runs through one closed-form kernel on integer coefficients.
-An operand is grouped as sum e^a P_ac(h) f^c, its denominators are cleared
-once, and f^c e^a' in the middle is expanded by Kostant's formula
+An operand's integral form (ExactSum.integral) is grouped as
+sum e^a P_ac(h) f^c, and f^c e^a' in the middle is expanded by Kostant's formula
 (Humphreys, Introduction to Lie Algebras and Representation Theory, 26.2)
 
     f^c e^a = sum_j binom(a,j) binom(c,j) j! e^(a-j) prod_{i<j} (-h-a-c+2j-i) f^(c-j)
 
-followed by the shifts P(h) e^m = e^m P(h+2m) and f^m P(h) = P(h+2m) f^m.
+followed by the shifts P(h) e^m = e^m P(h+2m) and f^m P(h) = P(h+2m) f^m,
+and exact_core.from_integral turns the integer result back into an element.
 The P_ac are coefficient lists, multiplied and shifted by the polynomial
 toolkit of `exact_core`.  The grouped form is public as `pbw_groups`, and
 every evaluation of an element on a module reads it that way too: `zhu`
@@ -33,8 +34,8 @@ from .errors import InvalidInputError
 from .exact_core import (
     ExactSum,
     HPoly,
-    clear_denominators,
     format_terms,
+    from_integral,
     poly_divide_root,
     poly_mul,
     poly_shift,
@@ -135,11 +136,6 @@ def straighten(word, acc=None) -> dict:
     return {m: v for m, v in acc.items() if v}
 
 
-def _rational(terms: dict, den: int) -> "FinElement":
-    """The FinElement terms / D."""
-    return FinElement({m: Fraction(v, den) for m, v in terms.items() if v})
-
-
 class FinElement(ExactSum):
     """Element of U(sl2) in the PBW basis e^a h^b f^c.
 
@@ -170,12 +166,9 @@ class FinElement(ExactSum):
 
     @classmethod
     def from_h_poly(cls, poly: HPoly) -> "FinElement":
-        return cls({(0, b, 0): c for b, c in enumerate(poly.coeffs)})
+        return cls({(0, b, 0): c for b, c in poly.terms.items()})
 
     # -- basic structure ---------------------------------------------------
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __mul__(self, other):
         if isinstance(other, FinElement):
             return fin_product(self, other)
@@ -216,18 +209,18 @@ class FinElement(ExactSum):
 
 def fin_product(x: FinElement, y: FinElement) -> FinElement:
     """Product straightened into the basis."""
-    (xi, dx), (yi, dy) = clear_denominators(x.terms), clear_denominators(y.terms)
-    return _rational(_int_product(xi, yi), dx * dy)
+    (xi, dx), (yi, dy) = x.integral(), y.integral()
+    return from_integral(FinElement, _int_product(xi, yi), dx * dy)
 
 
 def fin_ad(g: str, x: FinElement) -> FinElement:
     """ad g (x) = g*x - x*g, straightened."""
     (gen,) = FinElement.generator(g).terms
-    xi, den = clear_denominators(x.terms)
+    xi, den = x.integral()
     out = _int_product({gen: 1}, xi)
     for m, v in _int_product(xi, {gen: 1}).items():
         out[m] = out.get(m, 0) - v
-    return _rational(out, den)
+    return from_integral(FinElement, out, den)
 
 
 def project_cartan(x: FinElement) -> HPoly:
@@ -235,8 +228,7 @@ def project_cartan(x: FinElement) -> HPoly:
     every other weight-0 term ends in f, hence lies in U(g)n_-."""
     if x.ad_weight() != 0:
         raise InvalidInputError("project_cartan requires an ad-weight-0 element")
-    pure = {b: v for (a, b, c), v in x.terms.items() if a == c == 0}
-    return HPoly([pure.get(b, 0) for b in range(max(pure, default=-1) + 1)])
+    return HPoly({b: v for (a, b, c), v in x.terms.items() if a == c == 0})
 
 
 def p_factor(s) -> FinElement:

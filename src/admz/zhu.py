@@ -58,8 +58,8 @@ from .affine import AffineWeight, VermaVector, mode, mode_degree, mode_gen
 from .errors import ConsistencyError, InvalidInputError, NotAdmissibleError, ResourceCapError
 from .exact_core import (
     HPoly,
-    clear_denominators,
     format_scalar,
+    from_integral,
     parse_scalar,
     poly_add,
     poly_mul,
@@ -214,7 +214,7 @@ def zhu_image_F(v: VermaVector) -> FinElement:
     """Image of a Verma vector in U(sl2): reverse each monomial and apply
     the sign (-1)^(i_1+...+i_n) with x(-i-1) carrying index i.  Each distinct
     generator word is straightened once, with its summed integer coefficient."""
-    ints, den = clear_denominators(v.terms)
+    ints, den = v.integral()
     words: dict[tuple, int] = {}
     for mono, c in ints.items():
         if any(mode_degree(md) >= 0 for md in mono):
@@ -226,7 +226,7 @@ def zhu_image_F(v: VermaVector) -> FinElement:
     for word, c in words.items():
         for m, x in straighten(word).items():
             out[m] = out.get(m, 0) + c * x
-    return FinElement({m: Fraction(x, den) for m, x in out.items() if x})
+    return from_integral(FinElement, out, den)
 
 
 def compute_Q(lv: AdmissibleLevel, max_dim=None) -> FinElement:
@@ -295,12 +295,12 @@ def compute_p2(lv: AdmissibleLevel, route: str = NULLSPACE_ROUTE, max_dim=None) 
         element, sign = mff_epsilon(lv, max_dim), (-1) ** lv.N
     else:
         raise InvalidInputError(f"unknown p2 route {route!r}")
-    ints, den = clear_denominators(element.terms)
+    ints, den = element.integral()
     acc = pbw_groups(ints).get((lv.N, 0), [])
     for m in range(1, lv.N + 1):
         acc = poly_mul(acc, [m * (m - 1), m])
     den *= sign  # the sign rides on the denominator
-    poly = HPoly([Fraction(c, den) for c in acc])
+    poly = from_integral(HPoly, dict(enumerate(acc)), den)
     if poly.is_zero():
         raise ConsistencyError(f"p2 via {route} projected to the zero polynomial")
     return poly
@@ -314,7 +314,7 @@ def compute_p1(lv: AdmissibleLevel, max_dim=None) -> HPoly:
     p1(h) = (-1)^N sum q_abc (h-2a)^b prod_{i=1..a} i(h-i+1),
     one group e^a P(h) f^(a-N) of Q at a time, with P(h-2a) its shift.
     """
-    ints, den = clear_denominators(_solve(lv, max_dim).Q.terms)
+    ints, den = _solve(lv, max_dim).Q.integral()
     groups = pbw_groups(ints)
     acc, ea_fa = [], [1]  # e^a f^a v = ea_fa(h) v
     for a in range(max((a for a, _ in groups), default=-1) + 1):
@@ -323,7 +323,7 @@ def compute_p1(lv: AdmissibleLevel, max_dim=None) -> HPoly:
         if (a, a - lv.N) in groups:
             acc = poly_add(acc, poly_mul(poly_shift(groups[a, a - lv.N], -2 * a), ea_fa))
     den *= (-1) ** lv.N  # the sign of p1 rides on the denominator
-    poly = HPoly([Fraction(c, den) for c in acc])
+    poly = from_integral(HPoly, dict(enumerate(acc)), den)
     if poly.is_zero():
         raise ConsistencyError("p1 projected to the zero polynomial")
     return poly
@@ -361,8 +361,11 @@ def is_nonneg_int(r: Fraction) -> bool:
 
 
 def route_constant(p2: HPoly, p2_mff: HPoly):
-    """Route-agreement verdict: the nonzero c with p2 == c * p2_mff, else None."""
-    return poly_proportional(p2, p2_mff) or None
+    """Route-agreement verdict: the nonzero c with p2 == c * p2_mff, else None.
+
+    poly_proportional's verdict as it is: its c is 1 or a ratio of nonzero
+    leading coefficients, never 0."""
+    return poly_proportional(p2, p2_mff)
 
 
 def simple_roots(poly: HPoly, expected) -> tuple[dict, bool]:

@@ -21,6 +21,7 @@ from admz.affine import (
     weight_space_basis,
 )
 from admz.errors import InvalidInputError, ResourceCapError
+from admz.exact_core import from_integral
 from admz.nullspace import IntMatrix
 from admz.zhu import level_from_string, singular_position, singular_vector_nullspace
 from oracles import (
@@ -360,6 +361,7 @@ def test_verma_arithmetic_keeps_the_level():
     assert v - w == VermaVector(K, {e1: F(1, 3), (): 1})
     assert 2 * v == v * 2 == v + v
     assert (v - v).is_zero() and -(-v) == v
+    assert hash(v + w - w) == hash(v) == hash(VermaVector(K, dict(reversed(v.terms.items()))))
     # the level fixes the module: equal terms at two levels are different vectors
     assert v != VermaVector(1, v.terms)
     with pytest.raises(InvalidInputError):
@@ -377,6 +379,7 @@ def test_verma_text_round_trip():
             terms[mono] = F(rng.randint(-5, 5), rng.randint(1, 4))
         v = VermaVector(K, terms)
         assert parse_verma(v.to_text(), K) == v
+        assert from_integral(v._like, *v.integral()) == v
     assert monomial_to_text((mode("h", -3), mode("e", -1), mode("e", -1))) == (
         "h(-3) e(-1)^2 |0>"
     )

@@ -11,10 +11,12 @@ from admz.errors import InvalidInputError, ResourceCapError
 from admz.exact_core import (
     HPoly,
     format_scalar,
+    from_integral,
     parse_scalar,
     poly_proportional,
     poly_root_check,
 )
+from admz.usl2 import FinElement
 from oracles import parse_hpoly, poly_root_check_by_fractions
 
 F = Fraction
@@ -59,6 +61,21 @@ def test_hpoly_product_examples():
     a = HPoly([1, 2, 3])
     b = HPoly([F(1, 2), 0, 0, 1])
     assert (a * b).degree == a.degree + b.degree
+
+
+def test_hpoly_is_an_exact_sum_keyed_by_power():
+    p, q = HPoly([1, 2]), HPoly([0, F(1, 2), 3])
+    for got in (-p, p - q, 2 * p, p * 2, p * q):
+        assert type(got) is HPoly
+    assert 2 * p == p * 2 == p + p and p - q == HPoly([1, F(3, 2), -3])
+    assert len({HPoly([1, 2]), HPoly([1, 2, 0]), HPoly.linear(1, 2)}) == 1
+    assert HPoly([1, 0, 2]).coeffs == (1, 0, 2) and HPoly([1, 0, 2]).degree == 2
+    assert HPoly([0, 0]).coeffs == () and HPoly([0, 0]).degree == -1
+    assert repr(HPoly([1, 2])) == "HPoly('2*h + 1')"
+    # a polynomial and a U(sl2) element are sums over different bases
+    assert (HPoly.one() == FinElement.one()) is False
+    with pytest.raises(TypeError):
+        HPoly.one() + FinElement.one()
 
 
 def test_hpoly_s_product_for_half_integer_level():
@@ -200,6 +217,14 @@ def test_root_check_matches_fraction_division(roots, lead, tail, others):
     expected = poly_root_check_by_fractions(p, candidates)
     assert list(got[0].items()) == list(expected[0].items())
     assert got[1] == expected[1]
+
+
+@settings(deadline=None, max_examples=80)
+@given(small_poly)
+def test_integral_form_round_trips(p):
+    ints, den = p.integral()
+    assert all(type(x) is int for x in ints.values()) and den >= 1
+    assert from_integral(HPoly, ints, den) == p
 
 
 @settings(deadline=None, max_examples=150)

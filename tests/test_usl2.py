@@ -8,7 +8,7 @@ import pytest
 
 from admz import usl2
 from admz.errors import InvalidInputError
-from admz.exact_core import HPoly
+from admz.exact_core import HPoly, from_integral
 from admz.usl2 import (
     FinElement,
     fin_ad,
@@ -78,6 +78,7 @@ def test_equal_elements_hash_equal():
         same = FinElement(dict(reversed(x.terms.items())))  # the terms in another order
         assert same == x and hash(same) == hash(x)
         assert hash(x + x - x) == hash(x)
+        assert from_integral(FinElement, *x.integral()) == x
     assert len({gen("e") * gen("f"), mono(1, 0, 1), mono(1, 0, 1, F(2, 2))}) == 1
 
 
