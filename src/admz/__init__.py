@@ -35,7 +35,6 @@ from .usl2 import (
     fin_ad,
     fin_product,
     project_cartan,
-    verify_pomoc_identity,
 )
 from .weight_modules import (
     DenseParams,

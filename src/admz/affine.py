@@ -142,10 +142,6 @@ class VermaVector(ExactSum):
         super().__init__(terms)
         self.level = Fraction(level)
 
-    @classmethod
-    def vacuum(cls, level) -> "VermaVector":
-        return cls(level, {(): Fraction(1)})
-
     def _space(self):
         return self.level
 

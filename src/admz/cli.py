@@ -18,9 +18,9 @@ import json
 import os
 import sys
 
-from . import weight_modules, zhu
+from . import affine, weight_modules, zhu
 from .errors import ConsistencyError, InvalidInputError, ResourceCapError
-from .exact_core import format_scalar, parse_scalar
+from .exact_core import format_scalar, parse_scalar, poly_proportional
 
 EXIT_VIOLATION = 1
 EXIT_INVALID = 2
@@ -67,7 +67,7 @@ def singular(level, method, max_dim):
     if method == "both":
         p2a = zhu.compute_p2(lv, zhu.NULLSPACE_ROUTE, max_dim)
         p2b = zhu.compute_p2(lv, zhu.MFF_ROUTE, max_dim)
-        const = zhu.route_constant(p2a, p2b)
+        const = poly_proportional(p2a, p2b)
         lines += [f"p2 via nullspace = {p2a.to_text()}", f"p2 via mff       = {p2b.to_text()}"]
         if const is None:
             print("\n".join([*lines, "routes DISAGREE"]))
@@ -135,6 +135,7 @@ def verify(suite, max_n, levels, samples, max_dim):
     """Run an invariant suite; exit 0 iff all checks pass."""
     from .verify import suite_algebra, suite_classification, suite_lemmas
 
+    cap = affine.resolve_max_dim(max_dim)  # a bad cap is invalid input for every suite
     if suite == "algebra":
         results = suite_algebra(samples=samples)
     elif suite == "lemmas":
@@ -143,7 +144,7 @@ def verify(suite, max_n, levels, samples, max_dim):
         level_list = [s.strip() for s in levels.split(",") if s.strip()]
         if not level_list:
             raise InvalidInputError(f"--levels names no level: {levels!r}")
-        results = suite_classification(level_list, max_dim)
+        results = suite_classification(level_list, cap)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"

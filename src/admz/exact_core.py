@@ -213,30 +213,9 @@ class HPoly(ExactSum):
         super().__init__(coeffs if isinstance(coeffs, dict) else dict(enumerate(coeffs)))
 
     @classmethod
-    def zero(cls) -> "HPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "HPoly":
-        return cls((1,))
-
-    @classmethod
-    def h(cls) -> "HPoly":
-        return cls((0, 1))
-
-    @classmethod
-    def constant(cls, c) -> "HPoly":
-        return cls((c,))
-
-    @classmethod
-    def linear(cls, const, lead=1) -> "HPoly":
-        """lead*h + const"""
-        return cls((const, lead))
-
-    @classmethod
     def from_roots(cls, roots) -> "HPoly":
         """Monic product of (h - r) over the given roots."""
-        out = cls.one()
+        out = cls((1,))
         for r in roots:
             out = out * cls((-Fraction(r), 1))
         return out
@@ -319,12 +298,8 @@ def poly_root_check(p: HPoly, candidates) -> tuple[dict[Fraction, int], HPoly]:
 
 
 def poly_proportional(a: HPoly, b: HPoly):
-    """Return c with a == c*b (nonzero c) when it exists, else None.
-
-    Degenerate convention: both zero -> 1 (never hit by the main pipeline).
-    """
-    if a.is_zero() and b.is_zero():
-        return Fraction(1)
+    """Return c with a == c*b (nonzero c) when it exists, else None; a zero
+    polynomial is proportional to nothing."""
     if a.is_zero() or b.is_zero():
         return None
     if a.degree != b.degree:

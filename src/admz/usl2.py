@@ -147,26 +147,14 @@ class FinElement(ExactSum):
 
     # -- constructors -----------------------------------------------------
     @classmethod
-    def zero(cls) -> "FinElement":
-        return cls({})
-
-    @classmethod
-    def one(cls) -> "FinElement":
-        return cls({(0, 0, 0): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, mono, coeff=1) -> "FinElement":
-        return cls({tuple(mono): Fraction(coeff)})
+    def monomial(cls, mono) -> "FinElement":
+        return cls({tuple(mono): Fraction(1)})
 
     @classmethod
     def generator(cls, g: str) -> "FinElement":
         if g not in GENERATORS:
             raise InvalidInputError(f"unknown sl2 generator {g!r}")
         return cls({tuple(int(x == g) for x in GENERATORS): Fraction(1)})
-
-    @classmethod
-    def from_h_poly(cls, poly: HPoly) -> "FinElement":
-        return cls({(0, b, 0): c for b, c in poly.terms.items()})
 
     # -- basic structure ---------------------------------------------------
     def __mul__(self, other):
@@ -250,10 +238,4 @@ def pomoc_sides(N: int, s) -> tuple[FinElement, FinElement]:
         raise InvalidInputError("N must be a positive integer")
     f_n = FinElement.monomial((0, 0, N))
     return fin_product(f_n, p_factor(s)), fin_product(p_factor(s - N), f_n)
-
-
-def verify_pomoc_identity(N: int, it_plus_j) -> bool:
-    """Exact check of the transport identity with s = it+j."""
-    lhs, rhs = pomoc_sides(N, it_plus_j)
-    return lhs == rhs
 

@@ -1,4 +1,5 @@
-"""Dense weight modules E(r,mu) and the annihilation test against Q.
+"""Dense weight modules E(r,mu), the annihilation test against Q, and the
+three-family list of irreducible weight modules.
 
 E(r,mu) is the span of basis vectors E_i (i integer) with the sl2 action
 
@@ -24,6 +25,10 @@ the scalar r(r+2)/2, so
 
 of degree N in mu+i, and vanishing at N+1 consecutive indices proves
 vanishing everywhere.
+
+classify_weight_modules is the one builder of the families: highest weight
+V(r*omega) and lowest weight V(r*omega)* for r in S, and dense E(r,mu),
+whose r and mu it samples both ways, by T-membership and by Q-annihilation.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from fractions import Fraction
 from .errors import ConsistencyError, InvalidInputError
 from .exact_core import format_scalar, poly_eval
 from .usl2 import FinElement, pbw_groups
-from .zhu import AdmissibleLevel, ClassificationReport, compute_Q, is_nonneg_int, set_S
+from .zhu import AdmissibleLevel, ClassificationReport, compute_Q, set_S
 
 
 class DenseParams(namedtuple("DenseParams", "r mu")):
@@ -46,6 +51,11 @@ class DenseParams(namedtuple("DenseParams", "r mu")):
     def is_irreducible(self) -> bool:
         """Irreducibility of E(r,mu) as a plain sl2-module: mu, r-mu not in Z."""
         return self.mu.denominator != 1 and (self.r - self.mu).denominator != 1
+
+
+def is_nonneg_int(r: Fraction) -> bool:
+    """Whether r is in Z+, which the dense family's r must avoid."""
+    return r.denominator == 1 and r.numerator >= 0
 
 
 class EActionResult(namedtuple("EActionResult", "shift coefficient")):
@@ -102,13 +112,13 @@ def is_T_member(lv: AdmissibleLevel, params: DenseParams, S=None) -> bool:
 
 
 def classify_weight_modules(report: ClassificationReport, max_dim=None) -> list[dict]:
-    """The report's three weight-module families, the dense one carrying
-    verified samples.
+    """The three weight-module families of a report's level, with their
+    parameter conditions: V(r*omega) and V(r*omega)* for r in S, and the
+    dense E(r,mu), whose family carries verified samples.
 
     Each irreducible (r, mu) with r in report.S and mu in {1/3, 1/4} is
     tested both ways, by T-membership and by Q-annihilation of E(r,mu); the
-    first sample where the two disagree raises ConsistencyError.  Returns new
-    family dicts; report.families is left as it is.
+    first sample where the two disagree raises ConsistencyError.
     """
     lv = report.level
     samples = []
@@ -133,5 +143,25 @@ def classify_weight_modules(report: ClassificationReport, max_dim=None) -> list[
                     "agrees": True,
                 }
             )
-    *fixed, dense = report.families
-    return [*fixed, {**dense, "verified_samples": samples}]
+    s_text = [format_scalar(r) for r in report.S]
+    return [
+        {
+            "family": "highest_weight",
+            "modules": "V(r*omega)",
+            "condition": "r in S",
+            "r_values": s_text,
+        },
+        {
+            "family": "lowest_weight",
+            "modules": "V(r*omega)*",
+            "condition": "r in S",
+            "r_values": s_text,
+        },
+        {
+            "family": "dense",
+            "modules": "E(r,mu)",
+            "condition": "r in S minus Z+, mu not in Z, r - mu not in Z",
+            "r_values": [format_scalar(r) for r in report.S if not is_nonneg_int(r)],
+            "verified_samples": samples,
+        },
+    ]

@@ -5,12 +5,15 @@ the admissible h-value set S, the weight box P^k, the vacuum singular vector
 (by an exact nullspace search), its image Q in U(sl2), the closed-form
 substitute for Q^T modulo the lowering ideal (the "mff" route), the
 classifying polynomials p1/p2 by both routes, and the assembled
-category-O / weight-module report.  Every step is exact.  The cross-checks
-on a finished report are the named entries of INVARIANTS, which the pipeline,
-`verify` and the CLI all share: seven independent facts, none implied by the
-others.  They run on integers after the solve: the adjoint-module check is
-one (ad e) step and a weight test (see _spans_adjoint_module), and the root
-checks divide p1 and p2 cleared to one denominator (exact_core).
+category-O report.  The three weight-module families are not part of it:
+weight_modules.classify_weight_modules builds them, with the dense one's
+verified samples, from a finished report.  Every step is exact.  The
+cross-checks on a finished report are the named entries of INVARIANTS,
+which the pipeline, `verify` and the CLI all share: seven independent facts,
+none implied by the others.  They run on integers after the solve: the
+adjoint-module check is one (ad e) step and a weight test (see
+_spans_adjoint_module), the root checks divide p1 and p2 cleared to one
+denominator (exact_core), and route agreement is poly_proportional's verdict.
 
 The singular vector and Q live in one record per level, cached on the level
 alone: a level is solved once per process whatever the weight-space cap.  The
@@ -329,45 +332,6 @@ def compute_p1(lv: AdmissibleLevel, max_dim=None) -> HPoly:
     return poly
 
 
-def module_families(S) -> list[dict]:
-    """The three weight-module families with their parameter conditions."""
-    s_dense = [r for r in S if not is_nonneg_int(r)]
-    s_text = [format_scalar(r) for r in S]
-    return [
-        {
-            "family": "highest_weight",
-            "modules": "V(r*omega)",
-            "condition": "r in S",
-            "r_values": s_text,
-        },
-        {
-            "family": "lowest_weight",
-            "modules": "V(r*omega)*",
-            "condition": "r in S",
-            "r_values": s_text,
-        },
-        {
-            "family": "dense",
-            "modules": "E(r,mu)",
-            "condition": "r in S minus Z+, mu not in Z, r - mu not in Z",
-            "r_values": [format_scalar(r) for r in s_dense],
-        },
-    ]
-
-
-def is_nonneg_int(r: Fraction) -> bool:
-    """Whether r is in Z+, which the dense family's r must avoid."""
-    return r.denominator == 1 and r.numerator >= 0
-
-
-def route_constant(p2: HPoly, p2_mff: HPoly):
-    """Route-agreement verdict: the nonzero c with p2 == c * p2_mff, else None.
-
-    poly_proportional's verdict as it is: its c is 1 or a ratio of nonzero
-    leading coefficients, never 0."""
-    return poly_proportional(p2, p2_mff)
-
-
 def simple_roots(poly: HPoly, expected) -> tuple[dict, bool]:
     """Root-set verdict: the roots of poly among `expected`, with multiplicity,
     and whether they are exactly the distinct values of `expected`, each simple,
@@ -388,7 +352,7 @@ class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",)
 
 
 class ClassificationReport(
-    namedtuple("ClassificationReport", "level S Pk p2 p1 p2_mff singular_vector Q families")
+    namedtuple("ClassificationReport", "level S Pk p2 p1 p2_mff singular_vector Q")
 ):
     """Everything the pipeline produces for one admissible level.
 
@@ -397,7 +361,7 @@ class ClassificationReport(
     @functools.cached_property
     def p2_route_constant(self):
         """c with p2 == c * p2_mff, or None when the two p2 routes disagree."""
-        return route_constant(self.p2, self.p2_mff)
+        return poly_proportional(self.p2, self.p2_mff)
 
     def to_dict(self) -> dict:
         return {
@@ -410,7 +374,6 @@ class ClassificationReport(
             "p2_route_constant": format_scalar(self.p2_route_constant),
             "singular_vector": self.singular_vector.to_text(),
             "Q": {"order": "e_first", "text": self.Q.to_text()},
-            "families": self.families,
         }
 
 
@@ -481,17 +444,15 @@ def build_report(lv: AdmissibleLevel, max_dim=None) -> ClassificationReport:
     # the mff route before the nullspace p2: its cap check fails fast; S and
     # P^k, which grow with the level, wait until both caps have passed
     p2_mff = compute_p2(lv, MFF_ROUTE, max_dim)
-    S = set_S(lv)
     return ClassificationReport(
         level=lv,
-        S=S,
+        S=set_S(lv),
         Pk=enumerate_Pk(lv),
         singular_vector=v,
         Q=compute_Q(lv, max_dim),
         p2_mff=p2_mff,
         p2=compute_p2(lv, NULLSPACE_ROUTE, max_dim),
         p1=compute_p1(lv, max_dim),
-        families=module_families(S),
     )
 
 

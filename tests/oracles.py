@@ -486,7 +486,7 @@ def divmod_linear(p: HPoly, root) -> tuple[HPoly, Fraction]:
     """Synthetic division by (h - root) in Fractions: (quotient, remainder)."""
     root = Fraction(root)
     if p.is_zero():
-        return HPoly.zero(), Fraction(0)
+        return HPoly(), Fraction(0)
     quot = []
     acc = Fraction(0)
     for c in reversed(p.coeffs):

@@ -50,6 +50,10 @@ def test_classify_json(capsys):
     assert data["S"] == ["1", "0", "-1/2", "-3/2"]
     assert data["level"]["p"] == -1 and data["level"]["q"] == 2
     assert len(data["families"]) == 3
+    # the report's own fields, then the families built from it
+    report = zhu_mod.classify_category_O(level_from_string("-1/2"))
+    expected = {**report.to_dict(), "families": weight_modules.classify_weight_modules(report)}
+    assert data == expected and list(data) == list(expected)
 
 
 def test_classify_not_admissible(capsys):
@@ -458,15 +462,33 @@ def test_verify_that_checks_nothing_is_invalid_input(capsys, argv):
     assert err
 
 
+# commands that take the weight-space cap, each suite of verify included
+CAP_COMMANDS = (
+    ["classify", "--level", "1"],
+    ["verify", "--suite", "algebra", "--samples", "1"],
+    ["verify", "--suite", "lemmas", "--max-n", "1"],
+    ["verify", "--suite", "classification", "--levels", "1"],
+)
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_non_positive_cap_is_invalid_input(capsys, monkeypatch, cap):
-    code, _, err = run_cli(capsys, ["classify", "--level", "1", "--max-dim", cap])
-    assert code == 2
-    assert "at least 1" in err
+    for argv in CAP_COMMANDS:
+        code, out, err = run_cli(capsys, [*argv, "--max-dim", cap])
+        assert (code, out) == (2, ""), argv
+        assert "at least 1" in err
     monkeypatch.setenv("ADMZ_MAX_WEIGHT_DIM", cap)
-    code, _, err = run_cli(capsys, ["classify", "--level", "1"])
-    assert code == 2
-    assert "at least 1" in err
+    for argv in CAP_COMMANDS:
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert "at least 1" in err
+
+
+def test_non_integer_cap_variable_is_invalid_input(capsys, monkeypatch):
+    monkeypatch.setenv("ADMZ_MAX_WEIGHT_DIM", "abc")
+    for argv in CAP_COMMANDS:
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (2, "", "error: bad ADMZ_MAX_WEIGHT_DIM value 'abc'\n"), argv
 
 
 def test_classify_fails_on_dense_disagreement(capsys, monkeypatch):
@@ -486,7 +508,7 @@ def test_zhu_poly_verdict_per_polynomial(capsys, monkeypatch):
     def p1_with_moved_root(lv, max_dim=None):
         quot, rem = divmod_linear(real(lv, max_dim), 1)
         assert rem == 0
-        return quot * HPoly.linear(-7)
+        return quot * HPoly([-7, 1])
 
     monkeypatch.setattr(zhu_mod, "compute_p1", p1_with_moved_root)
     code, out, _ = run_cli(capsys, ["zhu-poly", "--level", "-1/2"])

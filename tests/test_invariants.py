@@ -30,7 +30,7 @@ LEVEL = "-1/2"  # S = {1, 0, -1/2, -3/2}, N = 2
 def move_root(p: HPoly, old, new) -> HPoly:
     quot, rem = divmod_linear(p, old)
     assert rem == 0
-    return quot * HPoly.linear(-Fraction(new))
+    return quot * HPoly([-Fraction(new), 1])
 
 
 def first_weight_off_level(Pk):
@@ -50,7 +50,7 @@ BREAKAGES = {
         {"adjoint-module"},
     ),
     "p2-route-agreement": (
-        lambda r: {"p2_mff": r.p2_mff + HPoly.one()},
+        lambda r: {"p2_mff": r.p2_mff + HPoly([1])},
         {"p2-route-agreement"},
     ),
     "p2-roots": (
@@ -64,9 +64,12 @@ BREAKAGES = {
 # caught, and an S of the right size with a repeated value, with the entries
 # that still refuse them.
 FORMER = {
-    "Q-adjoint-weight": (lambda r: {"Q": r.Q + FinElement.one()}, {"adjoint-module"}),
+    "Q-adjoint-weight": (
+        lambda r: {"Q": r.Q + FinElement.monomial((0, 0, 0))},
+        {"adjoint-module"},
+    ),
     "p2-degree": (
-        lambda r: {"p2": r.p2 * HPoly.h(), "p2_mff": r.p2_mff * HPoly.h()},
+        lambda r: {"p2": r.p2 * HPoly([0, 1]), "p2_mff": r.p2_mff * HPoly([0, 1])},
         {"p2-roots"},
     ),
     "p1-p2-mirror": (lambda r: {"p1": move_root(r.p1, 0, 7)}, {"p1-roots"}),
@@ -140,12 +143,12 @@ def adjoint_mutations(Q, N):
     """Q and elements that change one weight or one group of it."""
     return {
         "Q": Q,
-        "Q+1": Q + FinElement.one(),
+        "Q+1": Q + FinElement.monomial((0, 0, 0)),
         "Q+e^(N+1)f": Q + FinElement.monomial((N + 1, 0, 1)),
         "Q+e^(N+1)": Q + FinElement.monomial((N + 1, 0, 0)),
         "Q+e^(N-1)": Q + FinElement.monomial((N - 1, 0, 0)),
         "Q without e^N": FinElement({m: c for m, c in Q.terms.items() if m[::2] != (N, 0)}),
-        "0": FinElement.zero(),
+        "0": FinElement({}),
     }
 
 

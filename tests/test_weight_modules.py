@@ -63,7 +63,7 @@ def test_act_element_examples():
         x = p.mu + i
         assert res.shift == -2 and res.coefficient == x * (x - 1)
 
-    res = act_element_on_E(FinElement.one(), p, 5)
+    res = act_element_on_E(FinElement.monomial((0, 0, 0)), p, 5)
     assert res.shift == 0 and res.coefficient == 1
 
     for i in (-3, 0, 7):
@@ -113,7 +113,7 @@ def random_homogeneous(rng, w):
 
 def test_act_element_matches_word_walk_on_random_elements():
     rng = random.Random(10)
-    elements = [FinElement.zero(), FinElement.one()]
+    elements = [FinElement({}), FinElement.monomial((0, 0, 0))]
     elements += [random_homogeneous(rng, w) for w in (-3, -2, -1, 0, 1, 2, 3) for _ in range(6)]
     elements += [
         FinElement({(0, b, 0): F(rng.randint(-9, 9), rng.randint(1, 6)) for b in range(4)})
@@ -201,10 +201,17 @@ def test_classify_weight_modules_families():
     report = classify_category_O(level_from_string("-4/3"))
     fams = classify_weight_modules(report)
     assert [f["family"] for f in fams] == ["highest_weight", "lowest_weight", "dense"]
-    assert fams[0]["r_values"] == ["0", "-2/3", "-4/3"]
+    assert [list(f) for f in fams] == [
+        ["family", "modules", "condition", "r_values"],
+        ["family", "modules", "condition", "r_values"],
+        ["family", "modules", "condition", "r_values", "verified_samples"],
+    ]
+    assert [f["modules"] for f in fams] == ["V(r*omega)", "V(r*omega)*", "E(r,mu)"]
+    assert fams[0]["r_values"] == fams[1]["r_values"] == ["0", "-2/3", "-4/3"]
     assert fams[2]["r_values"] == ["-2/3", "-4/3"]
     assert all(s["agrees"] for s in fams[2]["verified_samples"])
 
-    assert "verified_samples" not in report.families[2]
+    # the families are built here alone: the report holds no copy
+    assert "families" not in report._fields and "families" not in report.to_dict()
     fams1 = classify_weight_modules(classify_category_O(level_from_string("1")))
     assert fams1[2]["r_values"] == []

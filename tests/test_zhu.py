@@ -28,9 +28,11 @@ from admz.usl2 import (
     fin_product,
     project_cartan,
 )
+from admz.weight_modules import classify_weight_modules
 from admz.zhu import (
     MFF_ROUTE,
     NULLSPACE_ROUTE,
+    ClassificationReport,
     admissible_params,
     classify_category_O,
     compute_p1,
@@ -250,7 +252,7 @@ def test_zhu_image_examples():
     ) == FinElement.monomial((2, 0, 0))
     assert zhu_image_F(
         VermaVector(k, {(mode("h", -2),): F(1)})
-    ) == FinElement.monomial((0, 1, 0), -1)
+    ) == -FinElement.monomial((0, 1, 0))
     # e(-2)f(-1)|0> carries (-1)^1 and reverses to -f*e = -ef + h
     got = zhu_image_F(VermaVector(k, {(mode("e", -2), mode("f", -1)): F(1)}))
     assert got == FinElement({(1, 0, 1): -1, (0, 1, 0): 1})
@@ -258,9 +260,9 @@ def test_zhu_image_examples():
 
 def _zhu_image_by_products(v):
     """Reference: one fin_product per generator of each reversed monomial."""
-    out = FinElement.zero()
+    out = FinElement({})
     for mono, coeff in v.terms.items():
-        word = FinElement.one()
+        word = FinElement.monomial((0, 0, 0))
         for md in mono:
             word = fin_product(FinElement.generator(mode_gen(md)), word)
         out = out + word * (coeff * (-1) ** sum(-mode_degree(md) - 1 for md in mono))
@@ -488,25 +490,36 @@ def test_classification_report():
     lv = level_from_string("-1/2")
     rep = classify_category_O(lv)
     data = rep.to_dict()
-    assert set(data) >= {
+    assert ClassificationReport._fields == (
+        "level",
+        "S",
+        "Pk",
+        "p2",
+        "p1",
+        "p2_mff",
+        "singular_vector",
+        "Q",
+    )
+    assert list(data) == [
         "level",
         "S",
         "Pk",
         "p1",
         "p2",
+        "p2_mff",
+        "p2_route_constant",
         "singular_vector",
         "Q",
-        "families",
-    }
+    ]
     assert data["S"] == ["1", "0", "-1/2", "-3/2"]
     assert data["p2"] == rep.p2.to_text()
     assert data["Q"]["text"] == rep.Q.to_text()
     assert data["singular_vector"] == rep.singular_vector.to_text()
-    dense = data["families"][2]
+    dense = classify_weight_modules(rep)[2]
     assert dense["r_values"] == ["-1/2", "-3/2"]
 
     rep1 = classify_category_O(level_from_string("1"))
-    assert [f["r_values"] for f in rep1.to_dict()["families"]] == [
+    assert [f["r_values"] for f in classify_weight_modules(rep1)] == [
         ["1", "0"],
         ["1", "0"],
         [],
