@@ -3,18 +3,11 @@ affine sl2 vertex algebras at admissible rational levels.
 
 Everything is computed in exact rational arithmetic, with two independent
 routes (a brute-force nullspace search and a closed-form product) that are
-cross-checked against each other.
+cross-checked against each other.  The package exports the functions the
+README documents and the errors they raise; everything else is read from
+its module (admz.zhu, admz.usl2, ...).
 """
 
-from .affine import (
-    AffineWeight,
-    VermaVector,
-    act_mode,
-    bracket_modes,
-    mode,
-    operator_matrix,
-    weight_space_basis,
-)
 from .errors import (
     AdmzError,
     ConsistencyError,
@@ -22,42 +15,7 @@ from .errors import (
     NotAdmissibleError,
     ResourceCapError,
 )
-from .exact_core import (
-    HPoly,
-    format_scalar,
-    parse_scalar,
-    poly_proportional,
-    poly_root_check,
-)
-from .nullspace import IntMatrix, kernel_basis
-from .usl2 import (
-    FinElement,
-    fin_ad,
-    fin_product,
-    project_cartan,
-)
-from .weight_modules import (
-    DenseParams,
-    EActionResult,
-    act_element_on_E,
-    classify_weight_modules,
-    is_T_member,
-    q_annihilates_E,
-)
-from .zhu import (
-    AdmissibleLevel,
-    ClassificationReport,
-    admissible_params,
-    classify_category_O,
-    compute_p1,
-    compute_p2,
-    compute_Q,
-    enumerate_Pk,
-    level_from_string,
-    mff_epsilon,
-    set_S,
-    singular_vector_nullspace,
-    zhu_image_F,
-)
+from .weight_modules import DenseParams, classify_weight_modules, q_annihilates_E
+from .zhu import classify_category_O, level_from_string
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ and `VacuumModule.act` sums c*(q*a + p*b) over the vector's integral form
 
 from __future__ import annotations
 
-import os
+import itertools
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 
@@ -46,7 +46,6 @@ _RANK_BRACKET = {
 }
 
 DEFAULT_MAX_WEIGHT_DIM = 20000
-MAX_DIM_ENV_VAR = "ADMZ_MAX_WEIGHT_DIM"
 _RANKS_FROM = ((0, 1, 2), (1, 2), (2,))  # the ranks at or after r, for the weight search
 
 
@@ -70,26 +69,6 @@ def mode_charge(m: int) -> int:
 
 def mode_to_text(m: int) -> str:
     return f"{mode_gen(m)}({mode_degree(m)})"
-
-
-def resolve_max_dim(explicit=None) -> int:
-    """Weight-space dimension cap: explicit arg, else env var, else default.
-
-    A cap below 1 is invalid input, not a cap that every weight space exceeds.
-    """
-    env = os.environ.get(MAX_DIM_ENV_VAR)
-    if explicit is not None:
-        cap = int(explicit)
-    elif env:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise InvalidInputError(f"bad {MAX_DIM_ENV_VAR} value {env!r}") from exc
-    else:
-        return DEFAULT_MAX_WEIGHT_DIM
-    if cap < 1:
-        raise InvalidInputError(f"weight-space dimension cap must be at least 1, got {cap}")
-    return cap
 
 
 def cap_exceeded(delta_deg: int, alpha_wt: int, cap: int) -> ResourceCapError:
@@ -159,19 +138,11 @@ class VermaVector(ExactSum):
 
 
 def monomial_to_text(mono) -> str:
-    if not mono:
-        return "|0>"
     pieces = []
-    i = 0
-    while i < len(mono):
-        j = i
-        while j < len(mono) and mono[j] == mono[i]:
-            j += 1
-        count = j - i
-        base = mode_to_text(mono[i])
-        pieces.append(base if count == 1 else f"{base}^{count}")
-        i = j
-    return " ".join(pieces) + " |0>"
+    for md, run in itertools.groupby(mono):
+        count = len(list(run))
+        pieces.append(mode_to_text(md) + (f"^{count}" if count > 1 else ""))
+    return " ".join([*pieces, "|0>"])
 
 
 class VacuumModule:
@@ -224,12 +195,12 @@ class VacuumModule:
         return from_integral(v._like, out, den * q)
 
     # -- weight spaces -------------------------------------------------------
-    def weight_space_basis(self, delta_deg: int, alpha_wt: int, max_dim=None) -> list:
+    def weight_space_basis(self, delta_deg: int, alpha_wt: int, max_dim=DEFAULT_MAX_WEIGHT_DIM):
         """All canonical monomials with the given delta-degree and alpha-weight,
-        in lexicographically ascending order."""
+        in lexicographically ascending order; more than max_dim of them is a
+        ResourceCapError."""
         if delta_deg < 0:
             raise InvalidInputError("delta-degree must be nonnegative")
-        cap = resolve_max_dim(max_dim)
         if delta_deg == 0:
             return [()] if alpha_wt == 0 else []
         out: list = []
@@ -238,8 +209,8 @@ class VacuumModule:
             if remaining == 0:
                 if charge == alpha_wt:
                     out.append(tuple(stack))
-                    if len(out) > cap:
-                        raise cap_exceeded(delta_deg, alpha_wt, cap)
+                    if len(out) > max_dim:
+                        raise cap_exceeded(delta_deg, alpha_wt, max_dim)
                 return
             # a mode changes the charge by at most 1, so none costing more
             # than remaining - |alpha_wt - charge| + 1 fits: start no lower
@@ -270,7 +241,7 @@ def act_mode(md: int, v: VermaVector) -> VermaVector:
     return VACUUM.act(md, v)
 
 
-def weight_space_basis(delta_deg: int, alpha_wt: int, max_dim=None) -> list:
+def weight_space_basis(delta_deg: int, alpha_wt: int, max_dim=DEFAULT_MAX_WEIGHT_DIM) -> list:
     return VACUUM.weight_space_basis(delta_deg, alpha_wt, max_dim)
 
 

@@ -1,10 +1,13 @@
 """Command-line surface: classify, singular, zhu-poly, check-dense, verify.
 
-Exit codes are a stable contract: 0 success, 1 property violation, 2 invalid
-input, 3 resource cap exceeded, 141 (the shell's SIGPIPE status) a closed
-output pipe.  Levels are exact "p/q" strings (never decimals); the
-weight-space dimension cap comes from --max-dim, falling back to the
-ADMZ_MAX_WEIGHT_DIM environment variable, then to 20000.
+This is the one module that reads argv or the environment, and the one that
+turns errors into exit codes.  Exit codes are a stable contract: 0 success,
+1 property violation, 2 invalid input, 3 resource cap exceeded (each error
+type carries its code, see errors.py), 141 (the shell's SIGPIPE status) a
+closed output pipe.  Levels are exact "p/q" strings (never decimals).  The
+weight-space dimension cap is resolved once, before any command runs: from
+--max-dim, falling back to the ADMZ_MAX_WEIGHT_DIM environment variable,
+then to 20000; the library takes it as an int argument.
 
 Every call is its own process, so start-up is part of each command's cost:
 the parser is stdlib argparse, and what only one command needs (verify's
@@ -18,14 +21,29 @@ import json
 import os
 import sys
 
-from . import affine, weight_modules, zhu
-from .errors import ConsistencyError, InvalidInputError, ResourceCapError
+from . import weight_modules, zhu
+from .affine import DEFAULT_MAX_WEIGHT_DIM
+from .errors import AdmzError, ConsistencyError, InvalidInputError
 from .exact_core import format_scalar, parse_scalar, poly_proportional
 
-EXIT_VIOLATION = 1
 EXIT_INVALID = 2
-EXIT_RESOURCE = 3
 EXIT_PIPE = 141
+MAX_DIM_ENV_VAR = "ADMZ_MAX_WEIGHT_DIM"
+
+
+def resolve_max_dim(explicit: int | None) -> int:
+    """Weight-space dimension cap: --max-dim, else the environment variable,
+    else the default.  A cap below 1 is invalid input, not a cap that every
+    weight space exceeds."""
+    cap, env = explicit, os.environ.get(MAX_DIM_ENV_VAR)
+    if cap is None:
+        try:
+            cap = int(env) if env else DEFAULT_MAX_WEIGHT_DIM
+        except ValueError as exc:
+            raise InvalidInputError(f"bad {MAX_DIM_ENV_VAR} value {env!r}") from exc
+    if cap < 1:
+        raise InvalidInputError(f"weight-space dimension cap must be at least 1, got {cap}")
+    return cap
 
 
 def classify(level, fmt, max_dim):
@@ -35,7 +53,7 @@ def classify(level, fmt, max_dim):
     # rendered before the O(N^2) dense samples, so a too-long number stops first
     if fmt == "json":
         out = report.to_dict()
-        out["families"] = weight_modules.classify_weight_modules(report, max_dim)
+        out["families"] = weight_modules.classify_weight_modules(report)
         print(json.dumps(out, indent=2))
         return
     lines = [
@@ -50,7 +68,7 @@ def classify(level, fmt, max_dim):
         f"   [proportional, constant {format_scalar(report.p2_route_constant)}]",
         "irreducible weight modules:",
     ]
-    for fam in weight_modules.classify_weight_modules(report, max_dim):
+    for fam in weight_modules.classify_weight_modules(report):
         rs = ", ".join(fam["r_values"]) or "(empty)"
         lines.append(f"  {fam['modules']}: {fam['condition']}; r in {{{rs}}}")
     print("\n".join(lines))  # built whole first, so a too-long number prints nothing
@@ -135,7 +153,6 @@ def verify(suite, max_n, levels, samples, max_dim):
     """Run an invariant suite; exit 0 iff all checks pass."""
     from .verify import suite_algebra, suite_classification, suite_lemmas
 
-    cap = affine.resolve_max_dim(max_dim)  # a bad cap is invalid input for every suite
     if suite == "algebra":
         results = suite_algebra(samples=samples)
     elif suite == "lemmas":
@@ -144,7 +161,7 @@ def verify(suite, max_n, levels, samples, max_dim):
         level_list = [s.strip() for s in levels.split(",") if s.strip()]
         if not level_list:
             raise InvalidInputError(f"--levels names no level: {levels!r}")
-        results = suite_classification(level_list, cap)
+        results = suite_classification(level_list, max_dim)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -168,19 +185,19 @@ _MAX_DIM = (
     {"type": int, "help": "Weight-space dimension cap; also bounds the mff route's epsilon."},
 )
 
-# (command, function, options); each function takes its options as keywords
+# (command, function, options); each function takes its options, and the
+# --max-dim that every command ends with, as keywords
 _COMMANDS = (
-    ("classify", classify, (_LEVEL, _FORMAT, _MAX_DIM)),
+    ("classify", classify, (_LEVEL, _FORMAT)),
     (
         "singular",
         singular,
         (
             _LEVEL,
             ("--method", {"choices": ["nullspace", "mff", "both"], "default": "both"}),
-            _MAX_DIM,
         ),
     ),
-    ("zhu-poly", zhu_poly, (_LEVEL, _FORMAT, _MAX_DIM)),
+    ("zhu-poly", zhu_poly, (_LEVEL, _FORMAT)),
     (
         "check-dense",
         check_dense,
@@ -188,7 +205,6 @@ _COMMANDS = (
             _LEVEL,
             ("--r", {"required": True, "help": "Exact rational r."}),
             ("--mu", {"required": True, "help": "Exact rational mu."}),
-            _MAX_DIM,
         ),
     ),
     (
@@ -199,13 +215,12 @@ _COMMANDS = (
             ("--max-n", {"type": _positive_int, "default": 5}),
             ("--levels", {"default": "1,-1/2", "help": "Comma-separated levels."}),
             ("--samples", {"type": _positive_int, "default": 120}),
-            _MAX_DIM,
         ),
     ),
 )
 
 # the options that take a value
-_VALUE_OPTIONS = frozenset(flag for _, _, options in _COMMANDS for flag, _ in options)
+_VALUE_OPTIONS = frozenset(flag for _, _, options in _COMMANDS for flag, _ in (*options, _MAX_DIM))
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -224,7 +239,7 @@ def _parser() -> argparse.ArgumentParser:
         doc = (run.__doc__ or "").partition("\n")[0]  # None under -OO
         sub = commands.add_parser(name, help=doc, description=doc, add_help=False, allow_abbrev=False)
         sub.set_defaults(run=run)
-        for flag, kwargs in options:
+        for flag, kwargs in (*options, _MAX_DIM):
             sub.add_argument(flag, **kwargs)
         parsers.append(sub)
     for parser in parsers:
@@ -256,6 +271,7 @@ def _parse(argv: list[str]) -> dict:
         joined.append(token)
     options = vars(parser.parse_args(joined))
     del options["command"]
+    options["max_dim"] = resolve_max_dim(options["max_dim"])  # every command, before its work
     return options
 
 
@@ -271,15 +287,9 @@ def main(argv=None):
     except BrokenPipeError:  # stdout to /dev/null, so the final flush stays silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(EXIT_PIPE)
-    except InvalidInputError as exc:
+    except AdmzError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_INVALID)
-    except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_RESOURCE)
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_VIOLATION)
+        sys.exit(exc.exit_code)
     sys.exit(0)
 
 

@@ -50,8 +50,9 @@ from .errors import InvalidInputError
 class IntMatrix(namedtuple("IntMatrix", "ncols rows")):
     """Sparse integer matrix as rows: rows[i] maps col to a nonzero int.
 
-    The rows are the one copy of the system: `vstack` shares them and
-    `kernel_basis` eliminates them as they are.
+    The rows are the one copy of the system: `vstack` shares them, and
+    `kernel_basis` reads them as they are and reduces a copy of each row
+    mod each prime.
     """
 
     __slots__ = ()

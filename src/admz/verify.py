@@ -173,7 +173,7 @@ def suite_lemmas(max_n: int = 5) -> list[CheckResult]:
     return results
 
 
-def suite_classification(levels, max_dim=None) -> list[CheckResult]:
+def suite_classification(levels, max_dim=affine.DEFAULT_MAX_WEIGHT_DIM) -> list[CheckResult]:
     """One row per level: every pipeline invariant, failures named in the detail."""
     results = []
     for text in levels:

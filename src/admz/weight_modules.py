@@ -29,6 +29,7 @@ vanishing everywhere.
 classify_weight_modules is the one builder of the families: highest weight
 V(r*omega) and lowest weight V(r*omega)* for r in S, and dense E(r,mu),
 whose r and mu it samples both ways, by T-membership and by Q-annihilation.
+It reads Q off the finished report, so it neither solves nor checks a cap.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
+from .affine import DEFAULT_MAX_WEIGHT_DIM
 from .errors import ConsistencyError, InvalidInputError
 from .exact_core import format_scalar, poly_eval
 from .usl2 import FinElement, pbw_groups
@@ -88,14 +90,17 @@ def _act_groups(groups: dict, r: Fraction, x: Fraction) -> Fraction:
     return total
 
 
-def q_annihilates_E(lv: AdmissibleLevel, params: DenseParams, max_dim=None) -> bool:
-    """Whether Q kills every E_i.
+def q_annihilates_E(
+    lv: AdmissibleLevel, params: DenseParams, max_dim=DEFAULT_MAX_WEIGHT_DIM
+) -> bool:
+    """Whether Q kills every E_i."""
+    return _annihilates(pbw_groups(compute_Q(lv, max_dim).terms), lv.N, params)
 
-    Checks i = 0..N (enough, by the degree bound) plus two out-of-range
-    spot checks at i = -1 and i = N+1, on Q grouped once.
-    """
-    groups = pbw_groups(compute_Q(lv, max_dim).terms)
-    indices = list(range(lv.N + 1)) + [-1, lv.N + 1]
+
+def _annihilates(groups: dict, N: int, params: DenseParams) -> bool:
+    """Whether Q, grouped once, kills every E_i: checks i = 0..N (enough, by
+    the degree bound) plus two out-of-range spot checks at i = -1 and i = N+1."""
+    indices = list(range(N + 1)) + [-1, N + 1]
     return all(_act_groups(groups, params.r, params.mu + i) == 0 for i in indices)
 
 
@@ -111,16 +116,18 @@ def is_T_member(lv: AdmissibleLevel, params: DenseParams, S=None) -> bool:
     )
 
 
-def classify_weight_modules(report: ClassificationReport, max_dim=None) -> list[dict]:
+def classify_weight_modules(report: ClassificationReport) -> list[dict]:
     """The three weight-module families of a report's level, with their
     parameter conditions: V(r*omega) and V(r*omega)* for r in S, and the
     dense E(r,mu), whose family carries verified samples.
 
     Each irreducible (r, mu) with r in report.S and mu in {1/3, 1/4} is
-    tested both ways, by T-membership and by Q-annihilation of E(r,mu); the
-    first sample where the two disagree raises ConsistencyError.
+    tested both ways, by T-membership and by Q-annihilation of E(r,mu), on
+    report.Q grouped once; the first sample where the two disagree raises
+    ConsistencyError.
     """
     lv = report.level
+    groups = pbw_groups(report.Q.terms)
     samples = []
     for r in report.S:
         for mu in (Fraction(1, 3), Fraction(1, 4)):
@@ -128,7 +135,7 @@ def classify_weight_modules(report: ClassificationReport, max_dim=None) -> list[
             if not params.is_irreducible:
                 continue
             member = is_T_member(lv, params, report.S)
-            annihilates = q_annihilates_E(lv, params, max_dim)
+            annihilates = _annihilates(groups, lv.N, params)
             if member != annihilates:
                 raise ConsistencyError(
                     f"dense sample r={format_scalar(r)}, mu={format_scalar(mu)}: "

@@ -40,24 +40,25 @@ weight vector.  Only epsilon is built, by U(sl2) products of its p-factors,
 so the routes meet only at the reading: Q comes from the nullspace vector,
 epsilon from S's parameters alone.
 
-The weight cap also bounds the mff route: the size of epsilon is known in
-closed form before any arithmetic (mff_terms), and a prediction over the
-cap is a ResourceCapError naming the level and the route.  S and P^k, each
-of (l+1)N elements, are built only after the solve has passed its caps.
-Only the cold solve recurses (the weight search and the vacuum module's
-straightening); a RecursionError there becomes a ResourceCapError naming
-the level.
+The weight cap is the int max_dim of each call, DEFAULT_MAX_WEIGHT_DIM
+unless the caller passes one; no function here reads the environment.  It
+also bounds the mff route: the size of epsilon is known in closed form
+before any arithmetic (mff_terms), and a prediction over the cap is a
+ResourceCapError naming the level and the route.  S and P^k, each of
+(l+1)N elements, are built only after the solve has passed its caps.  The
+cold solve recurses (the weight search and the vacuum module's
+straightening) to a depth that grows with the level; a RecursionError there
+becomes a ResourceCapError naming the level.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
 from . import affine
-from .affine import AffineWeight, VermaVector, mode, mode_degree, mode_gen
+from .affine import DEFAULT_MAX_WEIGHT_DIM, AffineWeight, VermaVector, mode, mode_degree, mode_gen
 from .errors import ConsistencyError, InvalidInputError, NotAdmissibleError, ResourceCapError
 from .exact_core import (
     HPoly,
@@ -165,7 +166,7 @@ class _Solved(namedtuple("_Solved", "v Q dim")):
 _SOLVED: dict[tuple[int, int], _Solved] = {}
 
 
-def _solve(lv: AdmissibleLevel, max_dim) -> _Solved:
+def _solve(lv: AdmissibleLevel, max_dim: int) -> _Solved:
     """Solve lv once per process; check the caller's cap on every call.
 
     A hit raises the ResourceCapError a cold solve under this cap would:
@@ -174,21 +175,20 @@ def _solve(lv: AdmissibleLevel, max_dim) -> _Solved:
     finite-dimensional sl2-module the zero modes make of degree qN, and
     e(-1) maps W(qN-1, N-1) injectively into W(qN, N).
     """
-    cap = affine.resolve_max_dim(max_dim)
     solved = _SOLVED.get((lv.p, lv.q))
     if solved is None:
         try:
-            solved = _SOLVED[lv.p, lv.q] = _solve_cold(lv, cap)
+            solved = _SOLVED[lv.p, lv.q] = _solve_cold(lv, max_dim)
         except RecursionError as exc:
             raise ResourceCapError(f"level {lv}: weight search exceeds recursion limit") from exc
-    if solved.dim > cap:
-        raise affine.cap_exceeded(*singular_position(lv), cap)
+    if solved.dim > max_dim:
+        raise affine.cap_exceeded(*singular_position(lv), max_dim)
     return solved
 
 
-def _solve_cold(lv: AdmissibleLevel, cap: int) -> _Solved:
+def _solve_cold(lv: AdmissibleLevel, max_dim: int) -> _Solved:
     d, w = singular_position(lv)
-    basis0 = affine.weight_space_basis(d, w, cap)
+    basis0 = affine.weight_space_basis(d, w, max_dim)
     m_e = affine.operator_matrix(mode("e", 0), basis0, lv.k)
     m_f = affine.operator_matrix(mode("f", 1), basis0, lv.k)
     kernel = kernel_basis(m_e.vstack(m_f))
@@ -208,7 +208,7 @@ def _solve_cold(lv: AdmissibleLevel, cap: int) -> _Solved:
     return _Solved(v=v, Q=zhu_image_F(v), dim=len(basis0))
 
 
-def singular_vector_nullspace(lv: AdmissibleLevel, max_dim=None) -> VermaVector:
+def singular_vector_nullspace(lv: AdmissibleLevel, max_dim=DEFAULT_MAX_WEIGHT_DIM) -> VermaVector:
     """The unique singular vector in W(qN, N), first support monomial scaled to 1."""
     return _solve(lv, max_dim).v
 
@@ -232,7 +232,7 @@ def zhu_image_F(v: VermaVector) -> FinElement:
     return from_integral(FinElement, out, den)
 
 
-def compute_Q(lv: AdmissibleLevel, max_dim=None) -> FinElement:
+def compute_Q(lv: AdmissibleLevel, max_dim=DEFAULT_MAX_WEIGHT_DIM) -> FinElement:
     """Q = F([v_sing]) in U(sl2), in the PBW basis e^a h^b f^c."""
     return _solve(lv, max_dim).Q
 
@@ -246,16 +246,15 @@ def mff_terms(lv: AdmissibleLevel) -> int:
     return (m + 1) * (m + 2) // 2
 
 
-def mff_epsilon(lv: AdmissibleLevel, max_dim=None) -> FinElement:
+def mff_epsilon(lv: AdmissibleLevel, max_dim=DEFAULT_MAX_WEIGHT_DIM) -> FinElement:
     """Closed form of the projected singular element:
     prod_{i=1..l, j=1..N} (ef + (it+j-1)h - (it+j)(it+j-1)) * e^N.
 
     Raises ResourceCapError, before any arithmetic, when epsilon has more
     PBW terms than the weight cap (mff_terms)."""
-    cap = affine.resolve_max_dim(max_dim)
     terms = mff_terms(lv)
-    if terms > cap:
-        raise ResourceCapError(f"level {lv}: mff route forms {terms} PBW terms, over cap {cap}")
+    if terms > max_dim:
+        raise ResourceCapError(f"level {lv}: mff route forms {terms} PBW terms, over cap {max_dim}")
     out = FinElement.monomial((lv.N, 0, 0))
     for i in range(1, lv.l + 1):
         for j in range(1, lv.N + 1):
@@ -280,7 +279,9 @@ def descend_to_weight_zero(x: FinElement) -> FinElement:
     return x
 
 
-def compute_p2(lv: AdmissibleLevel, route: str = NULLSPACE_ROUTE, max_dim=None) -> HPoly:
+def compute_p2(
+    lv: AdmissibleLevel, route: str = NULLSPACE_ROUTE, max_dim=DEFAULT_MAX_WEIGHT_DIM
+) -> HPoly:
     """Classifying polynomial p2 (defined up to a nonzero constant).
 
     nullspace route: (ad e)^N Q^T projected mod U(g)n_-, i.e. its scalar on
@@ -309,7 +310,7 @@ def compute_p2(lv: AdmissibleLevel, route: str = NULLSPACE_ROUTE, max_dim=None) 
     return poly
 
 
-def compute_p1(lv: AdmissibleLevel, max_dim=None) -> HPoly:
+def compute_p1(lv: AdmissibleLevel, max_dim=DEFAULT_MAX_WEIGHT_DIM) -> HPoly:
     """Classifying polynomial p1: (ad f)^N Q projected mod U(g)n_+, i.e. its
     scalar on a highest weight vector v, which is (-1)^N Q f^N v.  Q has
     ad-weight 2N, so a = c + N in every term and e^a h^b f^(c+N) v =
@@ -354,11 +355,11 @@ class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",)
 class ClassificationReport(
     namedtuple("ClassificationReport", "level S Pk p2 p1 p2_mff singular_vector Q")
 ):
-    """Everything the pipeline produces for one admissible level.
+    """Everything the pipeline produces for one admissible level."""
 
-    No __slots__, so that the cached_property below has a __dict__ to fill."""
+    __slots__ = ()
 
-    @functools.cached_property
+    @property
     def p2_route_constant(self):
         """c with p2 == c * p2_mff, or None when the two p2 routes disagree."""
         return poly_proportional(self.p2, self.p2_mff)
@@ -438,7 +439,7 @@ def check_report(report: ClassificationReport):
         yield CheckResult(name, ok, "" if ok else f"invariant {name}: {failure}")
 
 
-def build_report(lv: AdmissibleLevel, max_dim=None) -> ClassificationReport:
+def build_report(lv: AdmissibleLevel, max_dim=DEFAULT_MAX_WEIGHT_DIM) -> ClassificationReport:
     """Compute every pipeline value for one level, before the post-hoc invariants."""
     v = singular_vector_nullspace(lv, max_dim)
     # the mff route before the nullspace p2: its cap check fails fast; S and
@@ -456,7 +457,9 @@ def build_report(lv: AdmissibleLevel, max_dim=None) -> ClassificationReport:
     )
 
 
-def classify_category_O(lv: AdmissibleLevel, max_dim=None) -> ClassificationReport:
+def classify_category_O(
+    lv: AdmissibleLevel, max_dim=DEFAULT_MAX_WEIGHT_DIM
+) -> ClassificationReport:
     """Run the full pipeline; raise ConsistencyError on the first failed invariant."""
     report = build_report(lv, max_dim)
     for result in check_report(report):

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,14 @@ import admz
 import admz.zhu as zhu_mod
 from admz import weight_modules
 from admz.cli import main
-from admz.errors import AdmzError, ConsistencyError, ResourceCapError
+from admz.affine import weight_space_basis
+from admz.errors import (
+    AdmzError,
+    ConsistencyError,
+    InvalidInputError,
+    NotAdmissibleError,
+    ResourceCapError,
+)
 from admz.exact_core import HPoly
 from admz.zhu import build_report, level_from_string
 from oracles import divmod_linear
@@ -462,9 +470,13 @@ def test_verify_that_checks_nothing_is_invalid_input(capsys, argv):
     assert err
 
 
-# commands that take the weight-space cap, each suite of verify included
+# every command takes the weight-space cap, each suite of verify included
 CAP_COMMANDS = (
     ["classify", "--level", "1"],
+    ["singular", "--level", "1", "--method", "nullspace"],
+    ["singular", "--level", "1", "--method", "mff"],
+    ["zhu-poly", "--level", "1"],
+    ["check-dense", "--level", "1", "--r", "1/2", "--mu", "1/3"],
     ["verify", "--suite", "algebra", "--samples", "1"],
     ["verify", "--suite", "lemmas", "--max-n", "1"],
     ["verify", "--suite", "classification", "--levels", "1"],
@@ -491,11 +503,69 @@ def test_non_integer_cap_variable_is_invalid_input(capsys, monkeypatch):
         assert (code, out, err) == (2, "", "error: bad ADMZ_MAX_WEIGHT_DIM value 'abc'\n"), argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--level", "abc"],
+        ["check-dense", "--level", "-1/2", "--r", "1/0", "--mu", "1/3"],
+    ],
+)
+def test_bad_cap_is_named_before_any_other_bad_value(capsys, argv):
+    code, out, err = run_cli(capsys, [*argv, "--max-dim", "0"])
+    assert (code, out) == (2, "")
+    assert "at least 1" in err
+
+
+def test_the_library_does_not_read_the_cap_variable(capsys, monkeypatch):
+    monkeypatch.setenv("ADMZ_MAX_WEIGHT_DIM", "1")
+    assert zhu_mod.compute_Q(level_from_string("-1/2")).ad_weight() == 4  # 2N
+    assert len(weight_space_basis(4, 2)) > 1
+    code, out, err = run_cli(capsys, ["classify", "--level", "-1/2"])
+    assert (code, out) == (3, "")
+    assert "exceeds cap 1" in err
+    # the algebra suite takes no cap, under the variable as under --max-dim
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "algebra", "--samples", "1"])
+    assert code == 0 and "[FAIL]" not in out
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(ConsistencyError, 1), (InvalidInputError, 2), (NotAdmissibleError, 2), (ResourceCapError, 3)],
+)
+def test_each_error_type_exits_with_its_code(capsys, monkeypatch, error, code):
+    def raises(lv, max_dim):
+        raise error("stated")
+
+    monkeypatch.setattr(zhu_mod, "classify_category_O", raises)
+    assert run_cli(capsys, ["classify", "--level", "1"]) == (code, "", "error: stated\n")
+
+
+def test_package_exports_only_the_documented_api():
+    public = {
+        name
+        for name, value in vars(admz).items()
+        if not isinstance(value, types.ModuleType)
+        and (not name.startswith("_") or name == "__version__")
+    }
+    assert public == {
+        "level_from_string",
+        "classify_category_O",
+        "q_annihilates_E",
+        "DenseParams",
+        "classify_weight_modules",
+        "AdmzError",
+        "ConsistencyError",
+        "InvalidInputError",
+        "NotAdmissibleError",
+        "ResourceCapError",
+        "__version__",
+    }
+
+
 def test_classify_fails_on_dense_disagreement(capsys, monkeypatch):
-    real = weight_modules.q_annihilates_E
-    monkeypatch.setattr(
-        weight_modules, "q_annihilates_E", lambda *args: not real(*args)
-    )
+    # the families test Q-annihilation on report.Q, so flip the other side
+    real = weight_modules.is_T_member
+    monkeypatch.setattr(weight_modules, "is_T_member", lambda *args: not real(*args))
     code, out, err = run_cli(capsys, ["classify", "--level", "-1/2"])
     assert code == 1
     assert out == ""

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from admz import weight_modules
 from admz.errors import InvalidInputError
 from admz.usl2 import FinElement, fin_product
 from admz.weight_modules import (
@@ -215,3 +216,16 @@ def test_classify_weight_modules_families():
     assert "families" not in report._fields and "families" not in report.to_dict()
     fams1 = classify_weight_modules(classify_category_O(level_from_string("1")))
     assert fams1[2]["r_values"] == []
+
+
+def test_classify_weight_modules_reads_q_off_the_report(monkeypatch):
+    report = classify_category_O(level_from_string("-1/2"))
+    expected = classify_weight_modules(report)
+
+    def no_solve(*args):
+        raise AssertionError("the families solved the level again")
+
+    monkeypatch.setattr(weight_modules, "compute_Q", no_solve)
+    assert classify_weight_modules(report) == expected
+    assert [f["family"] for f in expected] == ["highest_weight", "lowest_weight", "dense"]
+    assert len(expected[2]["verified_samples"]) == 8  # 4 r in S, mu = 1/3, 1/4

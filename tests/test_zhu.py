@@ -500,6 +500,7 @@ def test_classification_report():
         "singular_vector",
         "Q",
     )
+    assert ClassificationReport.__slots__ == () and not hasattr(rep, "__dict__")
     assert list(data) == [
         "level",
         "S",
