@@ -131,16 +131,13 @@ def check_dense(level, r, mu, max_dim):
     """Membership in T versus annihilation of E(r,mu) by Q."""
     lv = zhu.level_from_string(level)
     params = weight_modules.DenseParams(r=parse_scalar(r), mu=parse_scalar(mu))
-    annihilates = weight_modules.q_annihilates_E(lv, params, max_dim)
-    member = weight_modules.is_T_member(lv, params)  # after the solve has passed its caps
     Q = zhu.compute_Q(lv, max_dim)
-    profile = []
-    for i in range(lv.N + 1):
-        res = weight_modules.act_element_on_E(Q, params, i)
-        profile.append(f"Q.E_{i} = {format_scalar(res.coefficient)} * E_{i + res.shift}")
+    member = weight_modules.is_T_member(lv, params)  # after the solve has passed its caps
+    profile, annihilates = weight_modules.q_action_profile(Q, lv.N, params)
+    lines = [f"Q.E_{i} = {format_scalar(c)} * E_{i - lv.N}" for i, c in enumerate(profile)]
     print(f"member of T:    {member}")
     print(f"Q annihilates:  {annihilates}")
-    for line in profile:
+    for line in lines:
         print(line)
     if not params.is_irreducible:
         print("note: (r,mu) not irreducible parameters; biconditional not applicable")

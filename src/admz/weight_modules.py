@@ -13,6 +13,17 @@ to prod_{j<a} (j-y) E_{i+c-a}, so
 
     e^a P(h) f^c . E_i = prod_{j<c} (x+j-r) * P(r-2y) * prod_{j<a} (j-y) E_{i+c-a}.
 
+The two products are computed as one integer.  With L the lcm of the
+denominators of r and mu, write r = R/L, mu = M/L, x = X/L with X = M + i*L
+and y = Y/L with Y = X + c*L; then
+
+    prod_{j<c} (x+j-r) * prod_{j<a} (j-y)
+        = prod_{j<c} (X + j*L - R) * prod_{j<a} (j*L - Y) / L^(a+c),
+
+and the point (R, M, L) is read once per (r, mu), so a walk over indices
+makes no Fraction per linear factor.  P(r-2y) = P((R-2Y)/L) goes through
+exact_core.poly_eval, the one polynomial evaluator.
+
 An element of U(sl2) of ad-weight 2w sends E_i to a multiple of E_{i-w}.
 The ad-weight 2N of Q does not bound the degree of its coefficient in mu+i:
 a group e^(N+c) h^b f^c alone has degree b+2c+N.  The shape of Q does.  It
@@ -36,6 +47,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 
 from .affine import DEFAULT_MAX_WEIGHT_DIM
 from .errors import ConsistencyError, InvalidInputError
@@ -72,21 +84,30 @@ def act_element_on_E(u: FinElement, params: DenseParams, i: int) -> EActionResul
     w = u.ad_weight()
     if w is None:
         raise InvalidInputError("act_element_on_E requires a weight-homogeneous element")
-    coefficient = _act_groups(pbw_groups(u.terms), params.r, params.mu + i)
+    coefficient = _act_groups(pbw_groups(u.terms), _point(params), i)
     return EActionResult(shift=-w // 2, coefficient=coefficient)
 
 
-def _act_groups(groups: dict, r: Fraction, x: Fraction) -> Fraction:
-    """The coefficient of sum e^a P(h) f^c . E_i in E(r, mu), x = mu+i."""
+def _point(params: DenseParams) -> tuple[int, int, int]:
+    """(R, M, L) with L the lcm of the denominators of r and mu, r = R/L and mu = M/L."""
+    r, mu = params
+    L = lcm(r.denominator, mu.denominator)
+    return r.numerator * (L // r.denominator), mu.numerator * (L // mu.denominator), L
+
+
+def _act_groups(groups: dict, point: tuple[int, int, int], i: int) -> Fraction:
+    """The coefficient of sum e^a P(h) f^c . E_i in E(R/L, M/L)."""
+    R, M, L = point
+    X = M + i * L
     total = Fraction(0)
     for (a, c), P in groups.items():
-        y = x + c
-        coeff = poly_eval(P, r - 2 * y)
+        Y = X + c * L
+        factors = 1
         for j in range(c):
-            coeff *= x + j - r
+            factors *= X + j * L - R
         for j in range(a):
-            coeff *= j - y
-        total += coeff
+            factors *= j * L - Y
+        total += poly_eval(P, Fraction(R - 2 * Y, L)) * Fraction(factors, L ** (a + c))
     return total
 
 
@@ -94,14 +115,23 @@ def q_annihilates_E(
     lv: AdmissibleLevel, params: DenseParams, max_dim=DEFAULT_MAX_WEIGHT_DIM
 ) -> bool:
     """Whether Q kills every E_i."""
-    return _annihilates(pbw_groups(compute_Q(lv, max_dim).terms), lv.N, params)
+    return _annihilates(pbw_groups(compute_Q(lv, max_dim).terms), lv.N, _point(params))
 
 
-def _annihilates(groups: dict, N: int, params: DenseParams) -> bool:
+def q_action_profile(
+    Q: FinElement, N: int, params: DenseParams
+) -> tuple[list[Fraction], bool]:
+    """The coefficients c_i of Q.E_i = c_i E_{i-N} for i = 0..N, and whether
+    Q kills E(r,mu), from one grouping of Q and one point (r, mu)."""
+    groups, point = pbw_groups(Q.terms), _point(params)
+    return [_act_groups(groups, point, i) for i in range(N + 1)], _annihilates(groups, N, point)
+
+
+def _annihilates(groups: dict, N: int, point: tuple[int, int, int]) -> bool:
     """Whether Q, grouped once, kills every E_i: checks i = 0..N (enough, by
     the degree bound) plus two out-of-range spot checks at i = -1 and i = N+1."""
     indices = list(range(N + 1)) + [-1, N + 1]
-    return all(_act_groups(groups, params.r, params.mu + i) == 0 for i in indices)
+    return all(_act_groups(groups, point, i) == 0 for i in indices)
 
 
 def is_T_member(lv: AdmissibleLevel, params: DenseParams, S=None) -> bool:
@@ -135,7 +165,7 @@ def classify_weight_modules(report: ClassificationReport) -> list[dict]:
             if not params.is_irreducible:
                 continue
             member = is_T_member(lv, params, report.S)
-            annihilates = _annihilates(groups, lv.N, params)
+            annihilates = _annihilates(groups, lv.N, _point(params))
             if member != annihilates:
                 raise ConsistencyError(
                     f"dense sample r={format_scalar(r)}, mu={format_scalar(mu)}: "

@@ -7,6 +7,9 @@ adjacent transpositions rather than the library's closed-form kernel, weight
 spaces are enumerated by a different algorithm, polynomials are recovered by
 Lagrange interpolation, the term count of a product is predicted from its
 operands' shapes, and Kostant's polynomials are built factor by factor.
+The dense action's closed form also has its former Fraction arithmetic here,
+one Fraction operation per linear factor, against which the library's
+integer products are checked.
 
 Exact linear algebra has a dense Fraction reference: `RationalMatrix` and its
 RREF, against which the modular integer kernel is checked.  The vacuum
@@ -34,7 +37,7 @@ from math import comb, factorial, lcm
 
 from admz.affine import VACUUM, VermaVector, mode, mode_charge, mode_degree, mode_gen
 from admz.errors import InvalidInputError
-from admz.exact_core import HPoly, poly_mul
+from admz.exact_core import HPoly, poly_eval, poly_mul
 from admz.nullspace import IntMatrix
 from admz.usl2 import FinElement, fin_ad, fin_product, project_cartan
 from admz.zhu import mff_epsilon
@@ -185,6 +188,22 @@ def act_element_dense(x: FinElement, r, mu, i) -> dict:
             coeff *= c
         out[idx] = out.get(idx, Fraction(0)) + coeff
     return {j: c for j, c in out.items() if c}
+
+
+def act_groups_by_fractions(groups: dict, r, x) -> Fraction:
+    """The coefficient of sum e^a P(h) f^c . E_i in E(r, mu), x = mu+i, by the
+    closed form with one Fraction operation per linear factor:
+    prod_{j<c} (x+j-r) * P(r-2y) * prod_{j<a} (j-y), y = x+c."""
+    total = Fraction(0)
+    for (a, c), P in groups.items():
+        y = x + c
+        coeff = poly_eval(P, r - 2 * y)
+        for j in range(c):
+            coeff *= x + j - r
+        for j in range(a):
+            coeff *= j - y
+        total += coeff
+    return total
 
 
 def _element_words(x: FinElement):

@@ -4,19 +4,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from admz import weight_modules
 from admz.errors import InvalidInputError
-from admz.usl2 import FinElement, fin_product
+from admz.usl2 import FinElement, fin_product, pbw_groups
 from admz.weight_modules import (
     DenseParams,
     act_element_on_E,
     classify_weight_modules,
     is_T_member,
+    q_action_profile,
     q_annihilates_E,
 )
 from admz.zhu import classify_category_O, compute_Q, level_from_string, set_S
-from oracles import act_element_dense, act_generator_dense, lagrange_fit
+from oracles import act_element_dense, act_generator_dense, act_groups_by_fractions, lagrange_fit
 
 F = Fraction
 
@@ -71,6 +74,16 @@ def test_act_element_examples():
         res = act_element_on_E(casimir(), p, i)
         assert res.shift == 0
         assert res.coefficient == p.r * p.r / 2 + p.r
+
+    # at the integer level 600, Q = c*e^601: 601 linear factors over L = 6
+    Q = compute_Q(level_from_string("600"))
+    [(mono, c)] = Q.terms.items()
+    assert mono == (601, 0, 0)
+    for i in (0, 5):
+        expected = c
+        for j in range(601):
+            expected *= j - F(1, 3) - i
+        assert act_element_on_E(Q, DenseParams(r=F(1, 2), mu=F(1, 3)), i) == (-601, expected)
 
 
 def test_casimir_constant_over_grid():
@@ -127,6 +140,43 @@ def test_act_element_matches_word_walk_on_random_elements():
                 assert_matches_word_walk(u, p, i)
 
 
+@st.composite
+def homogeneous_elements(draw):
+    """An element in the shape of random_homogeneous, of ad-weight 2w, -3 <= w <= 3."""
+    w = draw(st.integers(-3, 3))
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        c = draw(st.integers(max(0, -w), max(0, -w) + 3))
+        b = draw(st.integers(0, 3))
+        terms[c + w, b, c] = F(draw(st.integers(-9, 9)), draw(st.integers(1, 6)))
+    return FinElement(terms)
+
+
+@st.composite
+def dense_points(draw):
+    """(r, mu) with denominators 1..12: shared, independent (often coprime),
+    or one of them an integer; numerators of either sign."""
+    numerators, denominators = st.integers(-30, 30), st.integers(1, 12)
+    d_r = draw(denominators)
+    d_mu = draw(st.one_of(st.just(d_r), denominators, st.just(1)))
+    return DenseParams(r=F(draw(numerators), d_r), mu=F(draw(numerators), d_mu))
+
+
+@settings(deadline=None, max_examples=150)
+@given(homogeneous_elements(), dense_points(), st.integers(-6, 6))
+@example(
+    FinElement({(3, 1, 2): F(2, 3), (2, 0, 1): F(-1), (1, 2, 0): F(5, 4)}),
+    DenseParams(r=F(-5, 6), mu=F(3, 4)),
+    2,
+)
+def test_act_element_matches_fraction_oracle_and_word_walk(u, p, i):
+    """The integer products over L^(a+c) give the coefficient of the
+    closed form in Fractions and of the generator-by-generator walk."""
+    res = act_element_on_E(u, p, i)
+    assert res.coefficient == act_groups_by_fractions(pbw_groups(u.terms), p.r, p.mu + i)
+    assert_matches_word_walk(u, p, i)
+
+
 @pytest.mark.parametrize("text", ("1", "2", "3", "-1/2", "1/2", "-4/3", "-2/3"))
 def test_q_action_matches_word_walk(text):
     lv = level_from_string(text)
@@ -178,6 +228,19 @@ def test_q_annihilates_examples():
     assert not q_annihilates_E(lv, DenseParams(r=F(0), mu=F(1, 3)))
 
 
+def test_q_action_profile_matches_action_and_annihilation():
+    for text, p, kills in (
+        ("-1/2", DenseParams(r=F(-1, 2), mu=F(1, 3)), True),
+        ("-1/2", DenseParams(r=F(0), mu=F(1, 3)), False),
+        ("-1/3", DenseParams(r=F(1, 2), mu=F(1, 4)), False),
+    ):
+        lv = level_from_string(text)
+        Q = compute_Q(lv)
+        profile, annihilates = q_action_profile(Q, lv.N, p)
+        assert profile == [act_element_on_E(Q, p, i).coefficient for i in range(lv.N + 1)]
+        assert annihilates == q_annihilates_E(lv, p) == kills
+
+
 def test_is_T_member_examples():
     lv = level_from_string("-1/2")
     assert is_T_member(lv, DenseParams(r=F(-1, 2), mu=F(1, 3)))
@@ -186,16 +249,22 @@ def test_is_T_member_examples():
 
 
 def test_biconditional_on_grid():
+    cases = []
     for text in ("-1/2", "-4/3"):
+        rs = set_S(level_from_string(text)) + [F(17, 5), F(2)]
+        cases += [(text, r, mu) for r in rs for mu in (F(1, 3), F(1, 4), F(5, 7))]
+    # the dense-queries benchmark's levels and stream, and -1/3 (Q of 22
+    # terms): r in S, in -S or a random rational with denominator up to 9
+    rng = random.Random(28)
+    for text in ("-1/2", "1/2", "-4/3", "-2/3", "-5/4", "3/2", "-8/5", "-12/7", "-1/3"):
+        S = set_S(level_from_string(text))
+        rs = S + [-r for r in S] + [F(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(6)]
+        cases += [(text, r, F(rng.randint(-30, 30), rng.randint(2, 9))) for r in rs for _ in range(3)]
+    for text, r, mu in cases:
         lv = level_from_string(text)
-        rs = set_S(lv) + [F(17, 5), F(2)]
-        mus = [F(1, 3), F(1, 4), F(5, 7)]
-        for r in rs:
-            for mu in mus:
-                p = DenseParams(r=r, mu=mu)
-                if not p.is_irreducible:
-                    continue
-                assert q_annihilates_E(lv, p) == is_T_member(lv, p), (text, r, mu)
+        p = DenseParams(r=r, mu=mu)
+        if p.is_irreducible:
+            assert q_annihilates_E(lv, p) == is_T_member(lv, p), (text, r, mu)
 
 
 def test_classify_weight_modules_families():
