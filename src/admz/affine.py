@@ -13,13 +13,15 @@ A mode x(n) is the int 3n + rank, rank f = 0 < h = 1 < e = 2, so ints order
 as the pairs (n, rank) do, and a monomial is an ascending tuple of ints.
 Only this module knows the encoding; others use `mode` and its readers.
 
-The level enters only through the central term, so the one action table
-VACUUM serves every level: it holds each straightened coefficient as
+The level enters only through the central term, so a VacuumModule, the
+action table, is level-free: it holds each straightened coefficient as
 integers (a, b), meaning a + b*k, for a vector or matrix to evaluate.
 Both evaluate at k = p/q in integers: `operator_matrix` writes q*x(n) as
 sparse integer rows, entry q*a + p*b stored only where a + b*k is nonzero,
 and `VacuumModule.act` sums c*(q*a + p*b) over the vector's integral form
 (ExactSum.integral), and `from_integral` divides once, at the vector's level.
+No table is kept here: whoever straightens creates one and drops it, and a
+solve's table lives for that solve alone (zhu._solve_cold).
 """
 
 from __future__ import annotations
@@ -232,20 +234,7 @@ class VacuumModule:
         return out
 
 
-# The one action table, shared by every level.
-VACUUM = VacuumModule()
-
-
-def act_mode(md: int, v: VermaVector) -> VermaVector:
-    """Straightened action of a single mode on a Verma vector."""
-    return VACUUM.act(md, v)
-
-
-def weight_space_basis(delta_deg: int, alpha_wt: int, max_dim=DEFAULT_MAX_WEIGHT_DIM) -> list:
-    return VACUUM.weight_space_basis(delta_deg, alpha_wt, max_dim)
-
-
-def operator_matrix(md: int, from_basis, level) -> IntMatrix:
+def operator_matrix(table: VacuumModule, md: int, from_basis, level) -> IntMatrix:
     """Integer matrix of q*x(n) on an enumerated weight-space basis, at the
     given level k = p/q: one row per image monomial with a nonzero entry, in
     ascending monomial order (the order weight_space_basis enumerates), and
@@ -254,7 +243,7 @@ def operator_matrix(md: int, from_basis, level) -> IntMatrix:
     p, q = level.numerator, level.denominator
     rows: dict = defaultdict(dict)
     for j, monomial in enumerate(from_basis):
-        for m2, (a, b) in VACUUM.act_mono(md, monomial).items():
+        for m2, (a, b) in table.act_mono(md, monomial).items():
             if x := q * a + p * b:
                 rows[m2][j] = x
     return IntMatrix(len(from_basis), [rows[m2] for m2 in sorted(rows)])

@@ -132,7 +132,7 @@ def check_dense(level, r, mu, max_dim):
     lv = zhu.level_from_string(level)
     params = weight_modules.DenseParams(r=parse_scalar(r), mu=parse_scalar(mu))
     Q = zhu.compute_Q(lv, max_dim)
-    member = weight_modules.is_T_member(lv, params)  # after the solve has passed its caps
+    member = weight_modules.is_T_member(params, zhu.set_S(lv))  # after the solve's caps
     profile, annihilates = weight_modules.q_action_profile(Q, lv.N, params)
     lines = [f"Q.E_{i} = {format_scalar(c)} * E_{i - lv.N}" for i, c in enumerate(profile)]
     print(f"member of T:    {member}")

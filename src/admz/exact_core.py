@@ -203,8 +203,9 @@ class HPoly(ExactSum):
     {power: coefficient} map.
 
     ``coeffs`` is the dense tuple, leading coefficient nonzero; the zero
-    polynomial has degree -1.  ``*`` of two polynomials is their product; with
-    a scalar it scales.  Calling it evaluates it by ``poly_eval``, in Fractions.
+    polynomial has degree -1.  ``*`` scales by a scalar, as on every
+    ExactSum; ``poly_mul`` multiplies coefficient lists.  Calling it evaluates
+    it by ``poly_eval``, in Fractions.
     """
 
     __slots__ = ()
@@ -215,10 +216,10 @@ class HPoly(ExactSum):
     @classmethod
     def from_roots(cls, roots) -> "HPoly":
         """Monic product of (h - r) over the given roots."""
-        out = cls((1,))
+        coeffs = [1]
         for r in roots:
-            out = out * cls((-Fraction(r), 1))
-        return out
+            coeffs = poly_mul(coeffs, [-Fraction(r), 1])
+        return cls(coeffs)
 
     @property
     def degree(self) -> int:
@@ -232,11 +233,6 @@ class HPoly(ExactSum):
         if not self.terms:
             raise InvalidInputError("zero polynomial has no leading coefficient")
         return self.terms[self.degree]
-
-    def __mul__(self, other):
-        if isinstance(other, HPoly):
-            return HPoly(poly_mul(self.coeffs, other.coeffs))
-        return super().__mul__(other)
 
     def __call__(self, x) -> Fraction:
         return Fraction(poly_eval(self.coeffs, Fraction(x)))

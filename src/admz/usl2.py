@@ -121,14 +121,12 @@ def _int_product(x: dict, y: dict) -> dict:
     return _ungroup(_kernel(pbw_groups(x), pbw_groups(y)))
 
 
-def straighten(word, acc=None) -> dict:
-    """The product g_1 * ... * g_n * acc for word = (g_1, ..., g_n), in the
-    basis with integer coefficients.
-
-    acc maps basis monomials to integers and defaults to 1.  Each run of
-    equal generators multiplies in as one basis monomial.
+def straighten(word) -> dict:
+    """The product g_1 * ... * g_n for word = (g_1, ..., g_n), in the basis
+    with integer coefficients.  Each run of equal generators multiplies in
+    as one basis monomial.
     """
-    acc = {(0, 0, 0): 1} if acc is None else acc
+    acc = {(0, 0, 0): 1}
     for g, run in itertools.groupby(reversed(word)):
         power = [0, 0, 0]
         power[GENERATORS.index(g)] = len(list(run))
@@ -139,8 +137,8 @@ def straighten(word, acc=None) -> dict:
 class FinElement(ExactSum):
     """Element of U(sl2) in the PBW basis e^a h^b f^c.
 
-    terms maps exponent triples (a, b, c) to nonzero Fractions.  ``*`` of two
-    elements is their product; with a scalar it scales.
+    terms maps exponent triples (a, b, c) to nonzero Fractions.  ``*``
+    scales by a scalar, as on every ExactSum; ``fin_product`` multiplies.
     """
 
     __slots__ = ()
@@ -157,11 +155,6 @@ class FinElement(ExactSum):
         return cls({tuple(int(x == g) for x in GENERATORS): Fraction(1)})
 
     # -- basic structure ---------------------------------------------------
-    def __mul__(self, other):
-        if isinstance(other, FinElement):
-            return fin_product(self, other)
-        return super().__mul__(other)
-
     def ad_weight(self):
         """Common ad-h weight of all monomials, or None if inhomogeneous.
 

@@ -53,7 +53,7 @@ from .affine import DEFAULT_MAX_WEIGHT_DIM
 from .errors import ConsistencyError, InvalidInputError
 from .exact_core import format_scalar, poly_eval
 from .usl2 import FinElement, pbw_groups
-from .zhu import AdmissibleLevel, ClassificationReport, compute_Q, set_S
+from .zhu import AdmissibleLevel, ClassificationReport, compute_Q
 
 
 class DenseParams(namedtuple("DenseParams", "r mu")):
@@ -134,16 +134,9 @@ def _annihilates(groups: dict, N: int, point: tuple[int, int, int]) -> bool:
     return all(_act_groups(groups, point, i) == 0 for i in indices)
 
 
-def is_T_member(lv: AdmissibleLevel, params: DenseParams, S=None) -> bool:
-    """(r,mu) in T: E(r,mu) irreducible and r in S minus Z+.
-
-    S is set_S(lv), computed here when the caller does not already hold it.
-    """
-    return (
-        params.is_irreducible
-        and not is_nonneg_int(params.r)
-        and params.r in (set_S(lv) if S is None else S)
-    )
+def is_T_member(params: DenseParams, S) -> bool:
+    """(r,mu) in T: E(r,mu) irreducible and r in S minus Z+, S the level's zhu.set_S."""
+    return params.is_irreducible and not is_nonneg_int(params.r) and params.r in S
 
 
 def classify_weight_modules(report: ClassificationReport) -> list[dict]:
@@ -164,7 +157,7 @@ def classify_weight_modules(report: ClassificationReport) -> list[dict]:
             params = DenseParams(r=r, mu=mu)
             if not params.is_irreducible:
                 continue
-            member = is_T_member(lv, params, report.S)
+            member = is_T_member(params, report.S)
             annihilates = _annihilates(groups, lv.N, _point(params))
             if member != annihilates:
                 raise ConsistencyError(

@@ -19,7 +19,10 @@ The singular vector and Q live in one record per level, cached on the level
 alone: a level is solved once per process whatever the weight-space cap.  The
 solve enumerates one weight space, W(qN, N), and the cap is checked on every
 call against its recorded dimension, so no call's outcome depends on earlier
-ones.
+ones.  That record is the only state kept between calls: a cold solve builds
+one straightening table (affine.VacuumModule), uses it to enumerate
+W(qN, N), assemble e(0) and f(1) and re-verify the kernel vector by direct
+action, and drops it when it returns.
 
 p1 and p2 are read off coefficients by evaluation, group e^a P(h) f^c by
 group (usl2.pbw_groups, on the element cleared to integers), with no adjoint
@@ -188,9 +191,10 @@ def _solve(lv: AdmissibleLevel, max_dim: int) -> _Solved:
 
 def _solve_cold(lv: AdmissibleLevel, max_dim: int) -> _Solved:
     d, w = singular_position(lv)
-    basis0 = affine.weight_space_basis(d, w, max_dim)
-    m_e = affine.operator_matrix(mode("e", 0), basis0, lv.k)
-    m_f = affine.operator_matrix(mode("f", 1), basis0, lv.k)
+    table = affine.VacuumModule()
+    basis0 = table.weight_space_basis(d, w, max_dim)
+    m_e = affine.operator_matrix(table, mode("e", 0), basis0, lv.k)
+    m_f = affine.operator_matrix(table, mode("f", 1), basis0, lv.k)
     kernel = kernel_basis(m_e.vstack(m_f))
     if len(kernel) != 1:
         raise ConsistencyError(
@@ -201,7 +205,7 @@ def _solve_cold(lv: AdmissibleLevel, max_dim: int) -> _Solved:
     v = VermaVector(lv.k, {basis0[j]: c for j, c in enumerate(vec) if c})
     # re-verify by direct action, independent of the solver
     for md in (mode("e", 0), mode("f", 1)):
-        if not affine.act_mode(md, v).is_zero():
+        if not table.act(md, v).is_zero():
             raise ConsistencyError(
                 "invariant singular-annihilation: solver output not singular"
             )

@@ -15,7 +15,9 @@ Exact linear algebra has a dense Fraction reference: `RationalMatrix` and its
 RREF, against which the modular integer kernel is checked.  The vacuum
 module's integer evaluation of its action table (`VacuumModule.act`,
 `operator_matrix`) is checked against the same table evaluated in Fractions,
-coefficient by coefficient as a + b*k.
+coefficient by coefficient as a + b*k.  The library keeps no table between
+calls (a solve's table lives for that solve), so the tests straighten through
+one of their own, `TABLE`, which lives as long as the test process.
 
 The post-solve checks have their former, literal forms here: the
 adjoint-module predicate as the descent (ad f)^{2N+1} Q, which the library's
@@ -35,7 +37,7 @@ import re
 from fractions import Fraction
 from math import comb, factorial, lcm
 
-from admz.affine import VACUUM, VermaVector, mode, mode_charge, mode_degree, mode_gen
+from admz.affine import VacuumModule, VermaVector, mode, mode_charge, mode_degree, mode_gen
 from admz.errors import InvalidInputError
 from admz.exact_core import HPoly, poly_eval, poly_mul
 from admz.nullspace import IntMatrix
@@ -468,12 +470,14 @@ def integer_matrix(m: RationalMatrix) -> IntMatrix:
 
 # -- the vacuum module's action table, evaluated in Fractions -------------------
 
+TABLE = VacuumModule()  # the tests' table, shared by every level they straighten at
+
 
 def act_by_fractions(md, v: VermaVector) -> VermaVector:
     """x(n) v as sum coeff * (a + b*k) over the action table's pairs (a, b)."""
     out = {}
     for mono, coeff in v.terms.items():
-        for m2, (a, b) in VACUUM.act_mono(md, mono).items():
+        for m2, (a, b) in TABLE.act_mono(md, mono).items():
             out[m2] = out.get(m2, 0) + coeff * (a + b * v.level)
     return VermaVector(v.level, out)
 
@@ -484,7 +488,7 @@ def operator_matrix_by_fractions(md, from_basis, to_basis, level) -> RationalMat
     index = {mono: i for i, mono in enumerate(to_basis)}
     cells = {}
     for j, mono in enumerate(from_basis):
-        for m2, (a, b) in VACUUM.act_mono(md, mono).items():
+        for m2, (a, b) in TABLE.act_mono(md, mono).items():
             cells[(index[m2], j)] = a + b * level
     return RationalMatrix(len(to_basis), len(from_basis), cells)
 

@@ -17,7 +17,6 @@ import admz
 import admz.zhu as zhu_mod
 from admz import weight_modules
 from admz.cli import main
-from admz.affine import weight_space_basis
 from admz.errors import (
     AdmzError,
     ConsistencyError,
@@ -25,9 +24,9 @@ from admz.errors import (
     NotAdmissibleError,
     ResourceCapError,
 )
-from admz.exact_core import HPoly
+from admz.exact_core import HPoly, poly_mul
 from admz.zhu import build_report, level_from_string
-from oracles import divmod_linear
+from oracles import TABLE, divmod_linear
 
 
 def run_cli(capsys, argv):
@@ -519,7 +518,7 @@ def test_bad_cap_is_named_before_any_other_bad_value(capsys, argv):
 def test_the_library_does_not_read_the_cap_variable(capsys, monkeypatch):
     monkeypatch.setenv("ADMZ_MAX_WEIGHT_DIM", "1")
     assert zhu_mod.compute_Q(level_from_string("-1/2")).ad_weight() == 4  # 2N
-    assert len(weight_space_basis(4, 2)) > 1
+    assert len(TABLE.weight_space_basis(4, 2)) > 1
     code, out, err = run_cli(capsys, ["classify", "--level", "-1/2"])
     assert (code, out) == (3, "")
     assert "exceeds cap 1" in err
@@ -578,7 +577,7 @@ def test_zhu_poly_verdict_per_polynomial(capsys, monkeypatch):
     def p1_with_moved_root(lv, max_dim=None):
         quot, rem = divmod_linear(real(lv, max_dim), 1)
         assert rem == 0
-        return quot * HPoly([-7, 1])
+        return HPoly(poly_mul(quot.coeffs, [-7, 1]))
 
     monkeypatch.setattr(zhu_mod, "compute_p1", p1_with_moved_root)
     code, out, _ = run_cli(capsys, ["zhu-poly", "--level", "-1/2"])

@@ -13,6 +13,7 @@ from admz.exact_core import (
     format_scalar,
     from_integral,
     parse_scalar,
+    poly_mul,
     poly_proportional,
     poly_root_check,
 )
@@ -20,6 +21,11 @@ from admz.usl2 import FinElement
 from oracles import parse_hpoly, poly_root_check_by_fractions
 
 F = Fraction
+
+
+def mul(a: HPoly, b: HPoly) -> HPoly:
+    """The ring product of two polynomials, on their coefficient lists."""
+    return HPoly(poly_mul(a.coeffs, b.coeffs))
 
 
 def test_scalar_parse_format():
@@ -55,17 +61,17 @@ def test_number_too_long_to_print_is_a_resource_cap():
 
 def test_hpoly_product_examples():
     h = HPoly([0, 1])
-    assert h * (h + HPoly([1])) == HPoly([0, 1, 1])
-    assert (HPoly() * h).is_zero()
+    assert mul(h, h + HPoly([1])) == HPoly([0, 1, 1])
+    assert mul(HPoly(), h).is_zero()
     # degree additivity
     a = HPoly([1, 2, 3])
     b = HPoly([F(1, 2), 0, 0, 1])
-    assert (a * b).degree == a.degree + b.degree
+    assert mul(a, b).degree == a.degree + b.degree
 
 
 def test_hpoly_is_an_exact_sum_keyed_by_power():
     p, q = HPoly([1, 2]), HPoly([0, F(1, 2), 3])
-    for got in (-p, p - q, 2 * p, p * 2, p * q):
+    for got in (-p, p - q, 2 * p, p * 2):
         assert type(got) is HPoly
     assert 2 * p == p * 2 == p + p and p - q == HPoly([1, F(3, 2), -3])
     assert len({HPoly([1, 2]), HPoly([1, 2, 0]), HPoly({1: 2, 0: 1})}) == 1
@@ -172,10 +178,10 @@ small_poly = st.lists(small_fraction, min_size=0, max_size=5).map(HPoly)
 @settings(deadline=None, max_examples=80)
 @given(small_poly, small_poly, small_poly)
 def test_poly_ring_axioms(a, b, c):
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, b + c) == mul(a, b) + mul(a, c)
     assert a + b == b + a
-    assert a * b == b * a
+    assert mul(a, b) == mul(b, a)
 
 
 @settings(deadline=None, max_examples=80)
@@ -185,12 +191,12 @@ def test_poly_ring_axioms(a, b, c):
 )
 def test_root_check_reconstructs_input(roots, extra_coeffs):
     tail = HPoly(list(extra_coeffs) + [1])  # monic cofactor, may share roots
-    p = HPoly.from_roots(roots) * tail
+    p = mul(HPoly.from_roots(roots), tail)
     matched, cofactor = poly_root_check(p, set(roots))
     rebuilt = cofactor
     for r, mult in matched.items():
         for _ in range(mult):
-            rebuilt = rebuilt * HPoly([-r, 1])
+            rebuilt = mul(rebuilt, HPoly([-r, 1]))
     assert rebuilt == p
     # every candidate root was divided out completely
     for r in set(roots):
@@ -213,7 +219,7 @@ def test_root_check_matches_fraction_division(roots, lead, tail, others):
     roots, and non-root and repeated candidates."""
     p = HPoly(list(tail) + [lead])
     for r, mult in roots:
-        p = p * HPoly.from_roots([r] * mult)
+        p = mul(p, HPoly.from_roots([r] * mult))
     candidates = [r for r, _ in roots] * 2 + list(others)
     got = poly_root_check(p, candidates)
     expected = poly_root_check_by_fractions(p, candidates)

@@ -12,7 +12,7 @@ import admz.verify as verify_mod
 import admz.zhu as zhu_mod
 from admz.affine import AffineWeight
 from admz.errors import ConsistencyError
-from admz.exact_core import HPoly
+from admz.exact_core import HPoly, poly_mul
 from admz.usl2 import FinElement
 from admz.zhu import (
     INVARIANTS,
@@ -30,7 +30,11 @@ LEVEL = "-1/2"  # S = {1, 0, -1/2, -3/2}, N = 2
 def move_root(p: HPoly, old, new) -> HPoly:
     quot, rem = divmod_linear(p, old)
     assert rem == 0
-    return quot * HPoly([-Fraction(new), 1])
+    return HPoly(poly_mul(quot.coeffs, [-Fraction(new), 1]))
+
+
+def times_h(p: HPoly) -> HPoly:
+    return HPoly(poly_mul(p.coeffs, [0, 1]))
 
 
 def first_weight_off_level(Pk):
@@ -69,7 +73,7 @@ FORMER = {
         {"adjoint-module"},
     ),
     "p2-degree": (
-        lambda r: {"p2": r.p2 * HPoly([0, 1]), "p2_mff": r.p2_mff * HPoly([0, 1])},
+        lambda r: {"p2": times_h(r.p2), "p2_mff": times_h(r.p2_mff)},
         {"p2-roots"},
     ),
     "p1-p2-mirror": (lambda r: {"p1": move_root(r.p1, 0, 7)}, {"p1-roots"}),

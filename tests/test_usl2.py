@@ -59,14 +59,12 @@ def test_product_e_times_f_in_f_order():
     assert fin_product(gen("f"), gen("e")) == FinElement({(1, 0, 1): 1, (0, 1, 0): -1})
 
 
-def test_star_is_the_product_between_elements_and_scales_by_a_scalar():
+def test_star_scales_by_a_scalar():
     x, y = gen("e"), gen("f")
-    assert x * y == fin_product(x, y) == mono(1, 0, 1)
-    assert y * x == fin_product(y, x)
     assert 3 * x == x * 3 == x + x + x == mono(1, 0, 0, 3)
     assert F(-1, 2) * (x - y) == FinElement({(1, 0, 0): F(-1, 2), (0, 0, 1): F(1, 2)})
     assert (x - x).is_zero() and -(-x) == x
-    for z in (-x, x - y, 3 * x, x * y):
+    for z in (-x, x - y, 3 * x):
         assert type(z) is FinElement
 
 
@@ -78,7 +76,7 @@ def test_equal_elements_hash_equal():
         assert same == x and hash(same) == hash(x)
         assert hash(x + x - x) == hash(x)
         assert from_integral(FinElement, *x.integral()) == x
-    assert len({gen("e") * gen("f"), mono(1, 0, 1), mono(1, 0, 1, F(2, 2))}) == 1
+    assert len({fin_product(gen("e"), gen("f")), mono(1, 0, 1), mono(1, 0, 1, F(2, 2))}) == 1
 
 
 def test_product_h_times_f_in_f_order():
@@ -111,7 +109,9 @@ def test_straighten_matches_generator_products():
         }
         got = straighten(word)
         assert got == straighten_by_transpositions(word)
-        assert straighten(word, acc) == straighten_by_transpositions(word, acc)
+        assert fin_product(FinElement(got), FinElement(acc)) == FinElement(
+            straighten_by_transpositions(word, acc)
+        )
         mu = F(rng.randint(-9, 9), rng.randint(1, 4))
         got = FinElement(got)
         assert eval_mod_n_minus(got, mu) == act_word_lowest_weight(word, mu).get(0, 0)

@@ -242,10 +242,10 @@ def test_q_action_profile_matches_action_and_annihilation():
 
 
 def test_is_T_member_examples():
-    lv = level_from_string("-1/2")
-    assert is_T_member(lv, DenseParams(r=F(-1, 2), mu=F(1, 3)))
-    assert not is_T_member(lv, DenseParams(r=F(0), mu=F(1, 3)))
-    assert not is_T_member(lv, DenseParams(r=F(-3, 2), mu=F(1, 2)))  # r - mu = -2
+    S = set_S(level_from_string("-1/2"))
+    assert is_T_member(DenseParams(r=F(-1, 2), mu=F(1, 3)), S)
+    assert not is_T_member(DenseParams(r=F(0), mu=F(1, 3)), S)
+    assert not is_T_member(DenseParams(r=F(-3, 2), mu=F(1, 2)), S)  # r - mu = -2
 
 
 def test_biconditional_on_grid():
@@ -264,7 +264,7 @@ def test_biconditional_on_grid():
         lv = level_from_string(text)
         p = DenseParams(r=r, mu=mu)
         if p.is_irreducible:
-            assert q_annihilates_E(lv, p) == is_T_member(lv, p), (text, r, mu)
+            assert q_annihilates_E(lv, p) == is_T_member(p, set_S(lv)), (text, r, mu)
 
 
 def test_classify_weight_modules_families():

@@ -1,9 +1,11 @@
 """The classification pipeline: parameters, S, P^k, singular vectors, Q, p1/p2."""
 
+import gc
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from math import gcd
 
@@ -11,14 +13,7 @@ import pytest
 
 from admz import usl2
 from admz import zhu as zhu_mod
-from admz.affine import (
-    VermaVector,
-    act_mode,
-    mode,
-    mode_degree,
-    mode_gen,
-    weight_space_basis,
-)
+from admz.affine import VacuumModule, VermaVector, mode, mode_degree, mode_gen
 from admz.errors import InvalidInputError, NotAdmissibleError, ResourceCapError
 from admz.exact_core import HPoly, poly_eval, poly_proportional, poly_root_check
 from admz.nullspace import kernel_basis
@@ -47,6 +42,7 @@ from admz.zhu import (
     zhu_image_F,
 )
 from oracles import (
+    TABLE,
     brute_weight_space,
     eval_mod_n_minus,
     eval_mod_n_plus,
@@ -139,11 +135,11 @@ def test_singular_integer_levels():
 
 def test_singular_stacked_kernel_is_one_dimensional():
     lv = admissible_params(1, 1)
-    b0 = weight_space_basis(2, 2)
+    b0 = TABLE.weight_space_basis(2, 2)
     from admz.affine import operator_matrix
 
-    stacked = operator_matrix(mode("e", 0), b0, lv.k).vstack(
-        operator_matrix(mode("f", 1), b0, lv.k)
+    stacked = operator_matrix(TABLE, mode("e", 0), b0, lv.k).vstack(
+        operator_matrix(TABLE, mode("f", 1), b0, lv.k)
     )
     assert len(kernel_basis(stacked)) == 1
 
@@ -153,8 +149,8 @@ def test_singular_half_regression_and_certificate():
     v = singular_vector_nullspace(lv)
     assert v.to_text() == V_SING_HALF
     # certificate, independent of the linear solver
-    assert act_mode(mode("e", 0), v).is_zero()
-    assert act_mode(mode("f", 1), v).is_zero()
+    assert TABLE.act(mode("e", 0), v).is_zero()
+    assert TABLE.act(mode("f", 1), v).is_zero()
 
 
 def test_singular_resource_cap():
@@ -191,13 +187,35 @@ def test_cap_checked_after_the_level_is_solved(monkeypatch):
 def test_cold_solve_enumerates_only_the_singular_space(monkeypatch):
     calls = []
     monkeypatch.setattr(zhu_mod, "_SOLVED", {})
+    real = VacuumModule.weight_space_basis
     monkeypatch.setattr(
-        zhu_mod.affine,
+        VacuumModule,
         "weight_space_basis",
-        lambda *args: calls.append(args[:2]) or weight_space_basis(*args),
+        lambda self, *args: calls.append(args[:2]) or real(self, *args),
     )
     singular_vector_nullspace(level_from_string("-2/3"))
     assert calls == [(9, 3)]
+
+
+def test_cold_solve_owns_one_table_and_drops_it(monkeypatch):
+    # the solved record is the only state a solve leaves: each cold solve
+    # straightens through a table of its own, empty at the start, that no
+    # one holds once the solve returns
+    tables = []
+    real = VacuumModule.__init__
+
+    def init(self):
+        real(self)
+        tables.append((weakref.ref(self), len(self._memo)))
+
+    monkeypatch.setattr(VacuumModule, "__init__", init)
+    monkeypatch.setattr(zhu_mod, "_SOLVED", {})
+    for count, text in enumerate(("-1/3", "5/2"), 1):
+        singular_vector_nullspace(level_from_string(text))
+        assert len(tables) == count, text
+    gc.collect()
+    assert [size for _, size in tables] == [0, 0]
+    assert [ref() for ref, _ in tables] == [None, None]
 
 
 def test_target_spaces_are_no_larger_than_the_singular_space():
