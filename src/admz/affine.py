@@ -13,15 +13,15 @@ A mode x(n) is the int 3n + rank, rank f = 0 < h = 1 < e = 2, so ints order
 as the pairs (n, rank) do, and a monomial is an ascending tuple of ints.
 Only this module knows the encoding; others use `mode` and its readers.
 
-The level enters only through the central term, so a VacuumModule, the
-action table, is level-free: it holds each straightened coefficient as
-integers (a, b), meaning a + b*k, for a vector or matrix to evaluate.
-Both evaluate at k = p/q in integers: `operator_matrix` writes q*x(n) as
-sparse integer rows, entry q*a + p*b stored only where a + b*k is nonzero,
-and `VacuumModule.act` sums c*(q*a + p*b) over the vector's integral form
-(ExactSum.integral), and `from_integral` divides once, at the vector's level.
-No table is kept here: whoever straightens creates one and drops it, and a
-solve's table lives for that solve alone (zhu._solve_cold).
+A VacuumModule, the action table, is bound to one level k = p/q and holds
+q times each straightened coefficient.  The level enters only through the
+central term, and never squared, so a coefficient is a + b*k for integers
+a, b, and q times it is the int q*a + p*b.  `operator_matrix` copies those
+ints as the sparse rows of q*x(n), and `VacuumModule.act` sums c*x over the
+vector's integral form (ExactSum.integral), and `from_integral` divides
+once, by the form's denominator times q.  No table is kept here: whoever
+straightens creates one at its level and drops it, and a solve's table lives
+for that solve alone (zhu._solve_cold).
 """
 
 from __future__ import annotations
@@ -148,10 +148,12 @@ def monomial_to_text(mono) -> str:
 
 
 class VacuumModule:
-    """Straightening engine for M(k,0), level-free: its memo maps (mode,
-    monomial) to {monomial: (a, b)}, each pair meaning a + b*k."""
+    """Straightening engine for M(k,0) at one level k = p/q: its memo maps
+    (mode, monomial) to {monomial: x}, each int x being q times the
+    coefficient, and holds no zero x."""
 
-    def __init__(self):
+    def __init__(self, level):
+        self.level = Fraction(level)
         self._memo: dict = {}
 
     # -- single-mode action on a canonical monomial -------------------------
@@ -160,41 +162,37 @@ class VacuumModule:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if not mono:
-            out = {} if md >= 0 else {(md,): (1, 0)}
-        elif md < 0 and md <= mono[0]:
-            out = {(md,) + mono: (1, 0)}
+        q = self.level.denominator
+        if md < 0 and (not mono or md <= mono[0]):
+            out = {(md,) + mono: q}
+        elif not mono:
+            out = {}
         else:
             head, rest = mono[0], mono[1:]
             acc: dict = {}
-            # head has negative degree, so it meets no central term: its
-            # coefficients are (a3, 0) and every product stays linear in k.
-            # Nor does an md of degree <= 0 (central part 0*<x,y>, recursion at
-            # degree <= 0): only entries under a positive mode have b != 0
-            for m2, (a2, b2) in self.act_mono(md, rest).items():
-                for m3, (a3, _) in self.act_mono(head, m2).items():
-                    a, b = acc.get(m3, (0, 0))
-                    acc[m3] = (a + a2 * a3, b + b2 * a3)
+            # exact: head is a creation mode, meets no central term, so q divides x3
+            for m2, x2 in self.act_mono(md, rest).items():
+                for m3, x3 in self.act_mono(head, m2).items():
+                    acc[m3] = acc.get(m3, 0) + x2 * x3 // q
             bmodes, central = bracket_modes(md, head)
             for bm, bc in bmodes:
-                for m2, (a2, b2) in self.act_mono(bm, rest).items():
-                    a, b = acc.get(m2, (0, 0))
-                    acc[m2] = (a + bc * a2, b + bc * b2)
+                for m2, x2 in self.act_mono(bm, rest).items():
+                    acc[m2] = acc.get(m2, 0) + bc * x2
             if central:
-                a, b = acc.get(rest, (0, 0))
-                acc[rest] = (a, b + central)
-            out = {m: c for m, c in acc.items() if c != (0, 0)}
+                acc[rest] = acc.get(rest, 0) + central * self.level.numerator
+            out = {m: x for m, x in acc.items() if x}
         self._memo[key] = out
         return out
 
     def act(self, md: int, v: VermaVector) -> VermaVector:
-        p, q = v.level.numerator, v.level.denominator
+        if v.level != self.level:
+            raise InvalidInputError(f"a vector at level {v.level} on a table at {self.level}")
         ints, den = v.integral()
         out: dict = {}
         for mono, c in ints.items():
-            for m2, (a, b) in self.act_mono(md, mono).items():
-                out[m2] = out.get(m2, 0) + c * (q * a + p * b)
-        return from_integral(v._like, out, den * q)
+            for m2, x in self.act_mono(md, mono).items():
+                out[m2] = out.get(m2, 0) + c * x
+        return from_integral(v._like, out, den * self.level.denominator)
 
     # -- weight spaces -------------------------------------------------------
     def weight_space_basis(self, delta_deg: int, alpha_wt: int, max_dim=DEFAULT_MAX_WEIGHT_DIM):
@@ -234,16 +232,13 @@ class VacuumModule:
         return out
 
 
-def operator_matrix(table: VacuumModule, md: int, from_basis, level) -> IntMatrix:
+def operator_matrix(table: VacuumModule, md: int, from_basis) -> IntMatrix:
     """Integer matrix of q*x(n) on an enumerated weight-space basis, at the
-    given level k = p/q: one row per image monomial with a nonzero entry, in
-    ascending monomial order (the order weight_space_basis enumerates), and
-    row[j] is q*a + p*b for the table's a + b*k."""
-    level = Fraction(level)
-    p, q = level.numerator, level.denominator
+    table's level k = p/q: one row per image monomial, in ascending monomial
+    order (the order weight_space_basis enumerates), and row[j] is the
+    table's integer for basis monomial j."""
     rows: dict = defaultdict(dict)
     for j, monomial in enumerate(from_basis):
-        for m2, (a, b) in table.act_mono(md, monomial).items():
-            if x := q * a + p * b:
-                rows[m2][j] = x
+        for m2, x in table.act_mono(md, monomial).items():
+            rows[m2][j] = x
     return IntMatrix(len(from_basis), [rows[m2] for m2 in sorted(rows)])

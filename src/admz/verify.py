@@ -62,7 +62,8 @@ def jacobi_defect(x, y, z) -> bool:
 
 def suite_algebra(samples: int = 120) -> list[CheckResult]:
     rng = random.Random(DEFAULT_SEED)
-    table = VacuumModule()
+    level = Fraction(7, 3)  # arbitrary nonzero level; the axioms must hold at any
+    table = VacuumModule(level)
     results = []
 
     # Jacobi identity on all affine mode triples with |degree| <= 3
@@ -72,7 +73,6 @@ def suite_algebra(samples: int = 120) -> list[CheckResult]:
     results.append(CheckResult("affine-jacobi", failing is None, witness))
 
     # module axiom on small weight spaces: x(y v) - y(x v) = [x,y] v
-    level = Fraction(7, 3)  # arbitrary nonzero level; the axiom must hold at any
     vectors = []
     for d, w in ((1, 0), (2, 1), (2, 0), (3, -1), (3, 1)):
         for mono in table.weight_space_basis(d, w):

@@ -20,9 +20,9 @@ alone: a level is solved once per process whatever the weight-space cap.  The
 solve enumerates one weight space, W(qN, N), and the cap is checked on every
 call against its recorded dimension, so no call's outcome depends on earlier
 ones.  That record is the only state kept between calls: a cold solve builds
-one straightening table (affine.VacuumModule), uses it to enumerate
-W(qN, N), assemble e(0) and f(1) and re-verify the kernel vector by direct
-action, and drops it when it returns.
+one straightening table at its level (affine.VacuumModule), uses it to
+enumerate W(qN, N), assemble e(0) and f(1) and re-verify the kernel vector
+by direct action, and drops it when it returns.
 
 p1 and p2 are read off coefficients by evaluation, group e^a P(h) f^c by
 group (usl2.pbw_groups, on the element cleared to integers), with no adjoint
@@ -191,10 +191,10 @@ def _solve(lv: AdmissibleLevel, max_dim: int) -> _Solved:
 
 def _solve_cold(lv: AdmissibleLevel, max_dim: int) -> _Solved:
     d, w = singular_position(lv)
-    table = affine.VacuumModule()
+    table = affine.VacuumModule(lv.k)
     basis0 = table.weight_space_basis(d, w, max_dim)
-    m_e = affine.operator_matrix(table, mode("e", 0), basis0, lv.k)
-    m_f = affine.operator_matrix(table, mode("f", 1), basis0, lv.k)
+    m_e = affine.operator_matrix(table, mode("e", 0), basis0)
+    m_f = affine.operator_matrix(table, mode("f", 1), basis0)
     kernel = kernel_basis(m_e.vstack(m_f))
     if len(kernel) != 1:
         raise ConsistencyError(

@@ -13,11 +13,12 @@ integer products are checked.
 
 Exact linear algebra has a dense Fraction reference: `RationalMatrix` and its
 RREF, against which the modular integer kernel is checked.  The vacuum
-module's integer evaluation of its action table (`VacuumModule.act`,
-`operator_matrix`) is checked against the same table evaluated in Fractions,
-coefficient by coefficient as a + b*k.  The library keeps no table between
-calls (a solve's table lives for that solve), so the tests straighten through
-one of their own, `TABLE`, which lives as long as the test process.
+module's integer action table (`VacuumModule.act`, `operator_matrix`) is
+checked against a Fraction straightening of mode words by adjacent
+transpositions, which shares nothing with the table but the mode encoding.
+The library keeps no table between calls (a solve's table lives for that
+solve), so the tests straighten through tables of their own, one per level
+from `table(level)`, which live as long as the test process.
 
 The post-solve checks have their former, literal forms here: the
 adjoint-module predicate as the descent (ad f)^{2N+1} Q, which the library's
@@ -33,6 +34,7 @@ the three canonical text forms live here, so the tests can check that the
 text determines the element.
 """
 
+import functools
 import re
 from fractions import Fraction
 from math import comb, factorial, lcm
@@ -468,17 +470,50 @@ def integer_matrix(m: RationalMatrix) -> IntMatrix:
     return IntMatrix(m.ncols, scaled)
 
 
-# -- the vacuum module's action table, evaluated in Fractions -------------------
+# -- the vacuum module's action, straightened in Fractions ----------------------
 
-TABLE = VacuumModule()  # the tests' table, shared by every level they straighten at
+_PAIRING = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}
+
+
+@functools.cache
+def table(level) -> VacuumModule:
+    """The tests' action table at a level: one per level, kept for the process."""
+    return VacuumModule(level)
+
+
+@functools.cache
+def straighten_word(word: tuple, level: Fraction) -> dict:
+    """word|0>, for a word of modes in any order, as {canonical monomial: coeff}:
+    swap the first adjacent pair out of order by
+    x(m) y(n) = y(n) x(m) + [x,y](m+n) + m delta_{m+n,0} <x,y> k,
+    and drop a word that ends in a mode of degree >= 0."""
+    if word and mode_degree(word[-1]) >= 0:
+        return {}
+    i = next((i for i in range(len(word) - 1) if word[i] > word[i + 1]), None)
+    if i is None:
+        return {word: Fraction(1)}
+    x, y = word[i], word[i + 1]
+    gens, m, n = (mode_gen(x), mode_gen(y)), mode_degree(x), mode_degree(y)
+    left, right = word[:i], word[i + 2 :]
+    rewrites = [(left + (y, x) + right, 1)]
+    if gens in _BRACKET:
+        g, c = _BRACKET[gens]
+        rewrites.append((left + (mode(g, m + n),) + right, c))
+    if m + n == 0:
+        rewrites.append((left + right, m * _PAIRING.get(gens, 0) * level))
+    out: dict = {}
+    for w, c in rewrites:
+        for mono, coeff in straighten_word(w, level).items():
+            out[mono] = out.get(mono, 0) + c * coeff
+    return {mono: c for mono, c in out.items() if c}
 
 
 def act_by_fractions(md, v: VermaVector) -> VermaVector:
-    """x(n) v as sum coeff * (a + b*k) over the action table's pairs (a, b)."""
+    """x(n) v, each monomial's word straightened in Fractions at v's level."""
     out = {}
     for mono, coeff in v.terms.items():
-        for m2, (a, b) in TABLE.act_mono(md, mono).items():
-            out[m2] = out.get(m2, 0) + coeff * (a + b * v.level)
+        for m2, c in straighten_word((md,) + mono, v.level).items():
+            out[m2] = out.get(m2, 0) + coeff * c
     return VermaVector(v.level, out)
 
 
@@ -488,8 +523,8 @@ def operator_matrix_by_fractions(md, from_basis, to_basis, level) -> RationalMat
     index = {mono: i for i, mono in enumerate(to_basis)}
     cells = {}
     for j, mono in enumerate(from_basis):
-        for m2, (a, b) in TABLE.act_mono(md, mono).items():
-            cells[(index[m2], j)] = a + b * level
+        for m2, c in straighten_word((md,) + mono, level).items():
+            cells[(index[m2], j)] = c
     return RationalMatrix(len(to_basis), len(from_basis), cells)
 
 

@@ -32,7 +32,7 @@ from admz.zhu import (
     set_S,
     singular_vector_nullspace,
 )
-from oracles import TABLE
+from oracles import table
 
 F = Fraction
 
@@ -80,10 +80,9 @@ def test_A2_level_minus_half():
         _cold_caches()
         t0 = time.monotonic()
         lv = level_from_string("-1/2")
-        b0 = TABLE.weight_space_basis(4, 2)
-        stacked = operator_matrix(TABLE, mode("e", 0), b0, lv.k).vstack(
-            operator_matrix(TABLE, mode("f", 1), b0, lv.k)
-        )
+        t = table(lv.k)
+        b0 = t.weight_space_basis(4, 2)
+        stacked = operator_matrix(t, mode("e", 0), b0).vstack(operator_matrix(t, mode("f", 1), b0))
         assert len(kernel_basis(stacked)) == 1
         S = set_S(lv)
         assert S == [F(1), F(0), F(-1, 2), F(-3, 2)]
@@ -114,8 +113,8 @@ def test_A3_fractional_levels():
 
 def check_singular(lv):
     v = singular_vector_nullspace(lv)
-    assert TABLE.act(mode("e", 0), v).is_zero(), lv
-    assert TABLE.act(mode("f", 1), v).is_zero(), lv
+    assert table(lv.k).act(mode("e", 0), v).is_zero(), lv
+    assert table(lv.k).act(mode("f", 1), v).is_zero(), lv
 
 
 def check_route_agreement(lv):

@@ -23,11 +23,11 @@ from admz.exact_core import from_integral
 from admz.nullspace import IntMatrix
 from admz.zhu import level_from_string, singular_position, singular_vector_nullspace
 from oracles import (
-    TABLE,
     act_by_fractions,
     brute_weight_space,
     operator_matrix_by_fractions,
     parse_verma,
+    table,
 )
 
 F = Fraction
@@ -126,46 +126,49 @@ def test_bracket_antisymmetry_and_jacobi():
 
 
 def test_act_examples():
+    t = table(K)
     e_m1 = vec([(mode("e", -1),)])
-    assert TABLE.act(mode("e", 0), e_m1).is_zero()
+    assert t.act(mode("e", 0), e_m1).is_zero()
     # [f(1), e(-1)] = -h(0) + k
-    assert TABLE.act(mode("f", 1), e_m1) == VermaVector(K, {(): K})
-    assert TABLE.act(mode("e", 0), vec([()])).is_zero()
+    assert t.act(mode("f", 1), e_m1) == VermaVector(K, {(): K})
+    assert t.act(mode("e", 0), vec([()])).is_zero()
     # e(-1) f(-2) |0> = h(-3) |0> + f(-2) e(-1) |0>
     f_m2 = vec([(mode("f", -2),)])
     expected = vec([(mode("h", -3),), (mode("f", -2), mode("e", -1))])
-    assert TABLE.act(mode("e", -1), f_m2) == expected
+    assert t.act(mode("e", -1), f_m2) == expected
     # h(0) acts by twice the alpha-weight
     m = (mode("f", -2), mode("e", -1), mode("e", -1))
     v = vec([tuple(sorted(m))])
-    assert TABLE.act(mode("h", 0), v) == v * 2
+    assert t.act(mode("h", 0), v) == v * 2
 
 
 def test_act_module_axiom_sampled():
     level = F(3, 5)
+    t = table(level)
     rng = random.Random(5)
     basis_vectors = []
     for d, w in ((1, 1), (2, 0), (3, 1), (3, -1)):
-        for mono in TABLE.weight_space_basis(d, w):
+        for mono in t.weight_space_basis(d, w):
             basis_vectors.append(VermaVector(level, {mono: F(1)}))
     modes = [mode(g, d) for g in "ehf" for d in (-2, -1, 0, 1, 2)]
     for _ in range(150):
         x, y = rng.choice(modes), rng.choice(modes)
         v = rng.choice(basis_vectors)
-        lhs = TABLE.act(x, TABLE.act(y, v)) - TABLE.act(y, TABLE.act(x, v))
+        lhs = t.act(x, t.act(y, v)) - t.act(y, t.act(x, v))
         ms, central = bracket_modes(x, y)
         rhs = v * (central * level)
         for bm, bc in ms:
-            rhs = rhs + TABLE.act(bm, v) * bc
+            rhs = rhs + t.act(bm, v) * bc
         assert lhs == rhs
 
 
 def test_act_grading():
+    t = table(K)
     for d, w in ((2, 0), (3, 1), (4, 2)):
-        for mono in TABLE.weight_space_basis(d, w):
+        for mono in t.weight_space_basis(d, w):
             v = VermaVector(K, {mono: F(1)})
             for md in (mode("e", 0), mode("f", 1), mode("h", -1), mode("e", -2)):
-                img = TABLE.act(md, v)
+                img = t.act(md, v)
                 if not img.is_zero():
                     assert img.homogeneous_weight() == (
                         d - mode_degree(md),
@@ -173,33 +176,34 @@ def test_act_grading():
                     )
 
 
-def test_one_table_serves_every_level():
-    # interleaved levels share one table; each answer must match a rebuild
-    # from an empty table, so no level's values leak into another's
-    table = VacuumModule()
+def test_one_table_per_level():
+    # a table is bound to its level: each answer must match a rebuild from an
+    # empty table, the module axiom holds, and a vector at another level is
+    # refused
     e1, e1_sq = (mode("e", -1),), (mode("e", -1), mode("e", -1))
     rng = random.Random(13)
-    pool = [mono for d, w in ((2, 2), (3, 1), (3, -1)) for mono in table.weight_space_basis(d, w)]
+    pool = [mono for dw in ((2, 2), (3, 1), (3, -1)) for mono in table(K).weight_space_basis(*dw)]
     modes = [mode(g, d) for g in "ehf" for d in (-1, 0, 1, 2)]
     spaces = [(mode("f", 1), 2, 2)] + [(md, 3, 1) for md in modes if mode_degree(md) >= 0]
     for level in (F(1), F(-1, 2), F(2), F(3, 5), F(1)):
+        t, q = VacuumModule(level), level.denominator
         vs = [VermaVector(level, {mono: F(rng.randint(1, 5))}) for mono in rng.sample(pool, 6)]
 
         def answers():
-            images = [table.act(md, v) for md in modes for v in vs]
+            images = [t.act(md, v) for md in modes for v in vs]
             matrices = [
-                operator_matrix(table, md, table.weight_space_basis(d, w), level)
-                for md, d, w in spaces
+                operator_matrix(t, md, t.weight_space_basis(d, w)) for md, d, w in spaces
             ]
             return images, matrices
 
         warm = answers()
-        table._memo.clear()
+        t._memo.clear()
         assert answers() == warm, level
-        # f(1) e(-1)^2|0> = (2k-2) e(-1)|0>: the table keeps (-2, 2) although
-        # it vanishes at k = 1, where e(-1)^2|0> is the singular vector
-        img = table.act(mode("f", 1), VermaVector(level, {e1_sq: F(1)}))
-        assert table._memo[mode("f", 1), e1_sq] == {e1: (-2, 2)}
+        # f(1) e(-1)^2|0> = (2k-2) e(-1)|0>: the table stores q*(2k-2), and
+        # nothing at k = 1, where e(-1)^2|0> is the singular vector
+        img = t.act(mode("f", 1), VermaVector(level, {e1_sq: F(1)}))
+        stored = int(q * (2 * level - 2))
+        assert t._memo[mode("f", 1), e1_sq] == ({e1: stored} if stored else {})
         assert img == VermaVector(level, {e1: 2 * level - 2})
         assert img.is_zero() == (level == 1)
         for _ in range(40):
@@ -207,76 +211,65 @@ def test_one_table_serves_every_level():
             ms, central = bracket_modes(x, y)
             rhs = v * (central * level)
             for bm, bc in ms:
-                rhs = rhs + table.act(bm, v) * bc
-            assert table.act(x, table.act(y, v)) - table.act(y, table.act(x, v)) == rhs
-
-
-def test_only_positive_modes_meet_the_central_term():
-    # [x(0), y(n)] has central part 0*<x, y>, and the straightening of a
-    # mode of degree <= 0 recurses only into modes of degree <= 0, so every
-    # table entry under such a mode is (a, 0).  The table is filled as a
-    # solve at -1/3 fills its own: enumerate, assemble e(0) and f(1), re-verify
-    lv = level_from_string("-1/3")
-    table = VacuumModule()
-    basis = table.weight_space_basis(*singular_position(lv))
-    v = singular_vector_nullspace(lv)
-    for md in (mode("e", 0), mode("f", 1)):
-        operator_matrix(table, md, basis, lv.k)
-        assert table.act(md, v).is_zero()
-    needs_k = set()
-    for (md, _), images in table._memo.items():
-        if any(b for _, b in images.values()):
-            needs_k.add(mode_degree(md))
-    assert needs_k and min(needs_k) > 0, sorted(needs_k)
-    assert {mode_degree(md) for md, _ in table._memo} >= {-1, 0, 1}
+                rhs = rhs + t.act(bm, v) * bc
+            assert t.act(x, t.act(y, v)) - t.act(y, t.act(x, v)) == rhs
+        # every value is an int; under a mode of degree <= 0, which meets no
+        # central term, a multiple of q (the exact division in act_mono)
+        for (md, _), images in t._memo.items():
+            assert all(type(x) is int for x in images.values())
+            if mode_degree(md) <= 0:
+                assert all(x % q == 0 for x in images.values()), (level, md)
+        with pytest.raises(InvalidInputError):
+            t.act(mode("e", 0), VermaVector(level + 1, vs[0].terms))
 
 
 # -- weight spaces ------------------------------------------------------------
 
 
 def test_weight_space_examples():
-    assert TABLE.weight_space_basis(2, 2) == [(mode("e", -1), mode("e", -1))]
-    assert TABLE.weight_space_basis(1, 0) == [(mode("h", -1),)]
-    assert TABLE.weight_space_basis(0, 1) == []
-    assert TABLE.weight_space_basis(0, 0) == [()]
+    t = table(K)
+    assert t.weight_space_basis(2, 2) == [(mode("e", -1), mode("e", -1))]
+    assert t.weight_space_basis(1, 0) == [(mode("h", -1),)]
+    assert t.weight_space_basis(0, 1) == []
+    assert t.weight_space_basis(0, 0) == [()]
 
 
 def test_weight_space_against_brute_force():
     for d in range(0, 6):
         for w in range(-d, d + 1):
-            assert TABLE.weight_space_basis(d, w) == brute_weight_space(d, w)
+            assert table(K).weight_space_basis(d, w) == brute_weight_space(d, w)
 
 
 def test_weight_space_cap():
     with pytest.raises(ResourceCapError):
-        TABLE.weight_space_basis(9, 1, max_dim=3)
+        table(K).weight_space_basis(9, 1, max_dim=3)
 
 
 # -- operator matrices ----------------------------------------------------------
 
 
 def test_operator_matrix_examples():
-    b22 = TABLE.weight_space_basis(2, 2)
-    assert operator_matrix(TABLE, mode("e", 0), b22, K) == IntMatrix(1, [])
+    b22 = table(K).weight_space_basis(2, 2)
+    assert operator_matrix(table(K), mode("e", 0), b22) == IntMatrix(1, [])
 
     # f(1) e(-1)^2 |0> = (2k-2) e(-1)|0>, scaled by q = 2 at k = -1/2
-    assert operator_matrix(TABLE, mode("f", 1), b22, K) == IntMatrix(1, [{0: -6}])
+    assert operator_matrix(table(K), mode("f", 1), b22) == IntMatrix(1, [{0: -6}])
     # at k = 1 the entry vanishes, and with it the image's row
-    assert operator_matrix(TABLE, mode("f", 1), b22, 1) == IntMatrix(1, [])
+    assert operator_matrix(table(1), mode("f", 1), b22) == IntMatrix(1, [])
 
-    empty = operator_matrix(TABLE, mode("e", 0), [], K)
+    empty = operator_matrix(table(K), mode("e", 0), [])
     assert (empty.nrows, empty.ncols) == (0, 0)
 
 
-# levels with |p| > 1 and q > 1, negative p, and the integer levels
-DIFF_LEVELS = ("-8/5", "-12/7", "7/3", "-3/4", "5/2", "1", "-1/2")
+# levels with |p| > 1 and q > 1, negative p, and the integer levels: q = 1..7
+DIFF_LEVELS = ("-8/5", "-12/7", "7/3", "-3/4", "5/2", "1", "-1/2", "-5/6")
 DIFF_MODES = [mode(g, d) for g in "efh" for d in (-2, -1, 0, 1, 2, 3)]
 
 
 def test_integer_action_matches_fraction_reference():
     rng = random.Random(811)
     spaces = [(d, w) for d in (2, 3, 4) for w in range(-2, 3)]
-    pool = [mono for d, w in spaces for mono in TABLE.weight_space_basis(d, w)]
+    pool = [mono for d, w in spaces for mono in table(K).weight_space_basis(d, w)]
     for text in DIFF_LEVELS:
         level = level_from_string(text).k
         for _ in range(25):
@@ -286,7 +279,7 @@ def test_integer_action_matches_fraction_reference():
             }
             v = VermaVector(level, terms)
             md = rng.choice(DIFF_MODES)
-            assert TABLE.act(md, v) == act_by_fractions(md, v), (text, md)
+            assert table(level).act(md, v) == act_by_fractions(md, v), (text, md)
 
 
 def test_integer_action_cancels_to_zero():
@@ -295,13 +288,13 @@ def test_integer_action_cancels_to_zero():
         v = singular_vector_nullspace(level_from_string(text))
         assert len({c.denominator for c in v.terms.values()}) > 1
         for md in (mode("e", 0), mode("f", 1)):
-            assert TABLE.act(md, v).is_zero() and act_by_fractions(md, v).is_zero()
+            assert table(v.level).act(md, v).is_zero() and act_by_fractions(md, v).is_zero()
         # a singular vector is killed by every positive mode, not by h(0)
-        image = TABLE.act(mode("h", 0), v)
+        image = table(v.level).act(mode("h", 0), v)
         assert image == act_by_fractions(mode("h", 0), v) and not image.is_zero()
     # a single term whose coefficient a + b*k vanishes: f(1) e(-1)^2|0> at k = 1
     v = VermaVector(1, {(mode("e", -1), mode("e", -1)): F(3, 7)})
-    assert TABLE.act(mode("f", 1), v).is_zero()
+    assert table(1).act(mode("f", 1), v).is_zero()
 
 
 def test_operator_matrix_is_q_times_fraction_reference():
@@ -313,9 +306,9 @@ def test_operator_matrix_is_q_times_fraction_reference():
         for (d, w), md in itertools.product(spaces, DIFF_MODES):
             if not 0 <= mode_degree(md) <= d:
                 continue
-            source = TABLE.weight_space_basis(d, w)
-            target = TABLE.weight_space_basis(d - mode_degree(md), w + mode_charge(md))
-            m = operator_matrix(TABLE, md, source, lv.k)
+            source = table(lv.k).weight_space_basis(d, w)
+            target = table(lv.k).weight_space_basis(d - mode_degree(md), w + mode_charge(md))
+            m = operator_matrix(table(lv.k), md, source)
             # the oracle fails on an image outside its declared target; the
             # library's rows are the oracle's nonempty rows, in target order
             ref = operator_matrix_by_fractions(md, source, target, lv.k)
@@ -378,7 +371,7 @@ def test_verma_arithmetic_keeps_the_level():
 
 def test_verma_text_round_trip():
     rng = random.Random(37)
-    pool = TABLE.weight_space_basis(4, 0) + TABLE.weight_space_basis(3, 1)
+    pool = table(K).weight_space_basis(4, 0) + table(K).weight_space_basis(3, 1)
     for _ in range(40):
         terms = {}
         for mono in rng.sample(pool, k=min(3, len(pool))):

@@ -26,7 +26,7 @@ from admz.errors import (
 )
 from admz.exact_core import HPoly, poly_mul
 from admz.zhu import build_report, level_from_string
-from oracles import TABLE, divmod_linear
+from oracles import divmod_linear, table
 
 
 def run_cli(capsys, argv):
@@ -518,7 +518,7 @@ def test_bad_cap_is_named_before_any_other_bad_value(capsys, argv):
 def test_the_library_does_not_read_the_cap_variable(capsys, monkeypatch):
     monkeypatch.setenv("ADMZ_MAX_WEIGHT_DIM", "1")
     assert zhu_mod.compute_Q(level_from_string("-1/2")).ad_weight() == 4  # 2N
-    assert len(TABLE.weight_space_basis(4, 2)) > 1
+    assert len(table(1).weight_space_basis(4, 2)) > 1
     code, out, err = run_cli(capsys, ["classify", "--level", "-1/2"])
     assert (code, out) == (3, "")
     assert "exceeds cap 1" in err

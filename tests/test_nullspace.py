@@ -19,7 +19,7 @@ from admz.errors import InvalidInputError
 from admz.affine import mode, operator_matrix
 from admz.nullspace import IntMatrix, kernel_basis, primes
 from admz.zhu import level_from_string, singular_position
-from oracles import TABLE, RationalMatrix, integer_matrix, rref
+from oracles import RationalMatrix, integer_matrix, rref, table
 
 F = Fraction
 
@@ -113,9 +113,9 @@ def singular_system(lv) -> IntMatrix:
     """The stacked e(0)/f(1) integer system whose kernel is the vacuum
     singular vector."""
     d, w = singular_position(lv)
-    b0 = TABLE.weight_space_basis(d, w)
-    m_e = operator_matrix(TABLE, mode("e", 0), b0, lv.k)
-    return m_e.vstack(operator_matrix(TABLE, mode("f", 1), b0, lv.k))
+    t = table(lv.k)
+    b0 = t.weight_space_basis(d, w)
+    return operator_matrix(t, mode("e", 0), b0).vstack(operator_matrix(t, mode("f", 1), b0))
 
 
 def first_entry_one(vec):

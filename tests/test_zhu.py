@@ -13,7 +13,7 @@ import pytest
 
 from admz import usl2
 from admz import zhu as zhu_mod
-from admz.affine import VacuumModule, VermaVector, mode, mode_degree, mode_gen
+from admz.affine import VacuumModule, VermaVector, mode, mode_degree, mode_gen, operator_matrix
 from admz.errors import InvalidInputError, NotAdmissibleError, ResourceCapError
 from admz.exact_core import HPoly, poly_eval, poly_proportional, poly_root_check
 from admz.nullspace import kernel_basis
@@ -42,13 +42,13 @@ from admz.zhu import (
     zhu_image_F,
 )
 from oracles import (
-    TABLE,
     brute_weight_space,
     eval_mod_n_minus,
     eval_mod_n_plus,
     p2_by_product_and_projection,
     poly_root_check_by_fractions,
     project_mod_n_plus,
+    table,
 )
 
 F = Fraction
@@ -135,12 +135,9 @@ def test_singular_integer_levels():
 
 def test_singular_stacked_kernel_is_one_dimensional():
     lv = admissible_params(1, 1)
-    b0 = TABLE.weight_space_basis(2, 2)
-    from admz.affine import operator_matrix
-
-    stacked = operator_matrix(TABLE, mode("e", 0), b0, lv.k).vstack(
-        operator_matrix(TABLE, mode("f", 1), b0, lv.k)
-    )
+    t = table(lv.k)
+    b0 = t.weight_space_basis(2, 2)
+    stacked = operator_matrix(t, mode("e", 0), b0).vstack(operator_matrix(t, mode("f", 1), b0))
     assert len(kernel_basis(stacked)) == 1
 
 
@@ -149,8 +146,8 @@ def test_singular_half_regression_and_certificate():
     v = singular_vector_nullspace(lv)
     assert v.to_text() == V_SING_HALF
     # certificate, independent of the linear solver
-    assert TABLE.act(mode("e", 0), v).is_zero()
-    assert TABLE.act(mode("f", 1), v).is_zero()
+    assert table(lv.k).act(mode("e", 0), v).is_zero()
+    assert table(lv.k).act(mode("f", 1), v).is_zero()
 
 
 def test_singular_resource_cap():
@@ -204,8 +201,8 @@ def test_cold_solve_owns_one_table_and_drops_it(monkeypatch):
     tables = []
     real = VacuumModule.__init__
 
-    def init(self):
-        real(self)
+    def init(self, level):
+        real(self, level)
         tables.append((weakref.ref(self), len(self._memo)))
 
     monkeypatch.setattr(VacuumModule, "__init__", init)
@@ -237,27 +234,43 @@ def test_target_spaces_are_no_larger_than_the_singular_space():
 
 
 # the peak resident set of a fresh process classifying k = 2/3 (a 13612x8464
-# system with 177k nonzeros): about 123 MiB with modes as ints, 134 MiB with
-# modes as (degree, rank) pairs, 174 MiB with the system held three times
-CLASSIFY_2_3_PEAK_MIB = 130
+# system with 177k nonzeros): about 93 MiB with one int per table value,
+# 120 MiB with level-free (a, b) pairs, 134 MiB with modes as (degree, rank)
+# pairs, 174 MiB with the system held three times
+CLASSIFY_2_3_PEAK_MIB = 105
+# and of k = -1/4 under a cap of 60000 (48788 columns, 1.61M nonzeros): about
+# 550 MiB with one int per table value, 780 MiB with (a, b) pairs
+CLASSIFY_1_4_PEAK_MIB = 600
 
 
-@pytest.mark.slow
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
-def test_classify_peak_memory_at_2_3():
-    # a child process, so that pytest's own memory does not count
+def classify_peak_mib(text: str, max_dim: int) -> float:
+    """The peak resident set (VmHWM) of a child process classifying a level,
+    so that pytest's own memory does not count."""
     code = (
         "from admz.zhu import classify_category_O, level_from_string; "
-        "classify_category_O(level_from_string('2/3')); "
+        f"classify_category_O(level_from_string({text!r}), {max_dim}); "
         "print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')))"
     )
     src = os.path.dirname(os.path.dirname(usl2.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=600, env=env, check=True
     )
-    peak_mib = int(proc.stdout) / 1024  # VmHWM is in kB
+    return int(proc.stdout) / 1024  # VmHWM is in kB
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_classify_peak_memory_at_2_3():
+    peak_mib = classify_peak_mib("2/3", 20000)
     assert peak_mib <= CLASSIFY_2_3_PEAK_MIB, f"peak RSS {peak_mib:.1f} MiB"
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_classify_peak_memory_at_minus_1_4():
+    peak_mib = classify_peak_mib("-1/4", 60000)
+    assert peak_mib <= CLASSIFY_1_4_PEAK_MIB, f"peak RSS {peak_mib:.1f} MiB"
 
 
 # -- Zhu image ---------------------------------------------------------------------
