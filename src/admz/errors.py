@@ -28,7 +28,8 @@ class ConsistencyError(AdmzError, RuntimeError):
 class ResourceCapError(AdmzError, RuntimeError):
     """A weight-space dimension or the size of the mff route's epsilon
     exceeded the configured cap, a level's cold solve exceeded the
-    interpreter's recursion limit, or a result number is over the
-    interpreter's digit limit for printing (CLI exit code 3)."""
+    interpreter's recursion limit, a kernel outgrew the solver's list of
+    primes, or a result number is over the interpreter's digit limit for
+    printing (CLI exit code 3)."""
 
     exit_code = 3

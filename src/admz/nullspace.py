@@ -6,18 +6,17 @@ its right kernel over Q.  It is a sparse modular solver whose answer is
 certified exactly:
 
 1. the system is the matrix's nonempty rows, in row order, read in place;
-2. for each prime of a fixed descending sequence of 62-bit primes, the sparse
-   rows are reduced mod p to row echelon form: rows whose lowest column is
-   highest go first, each row is reduced by every pivot it meets, and its
-   lowest remaining column becomes a new pivot.  The pivot columns are then
-   those of the RREF;
+2. for each prime p of `PRIMES` in turn, the sparse rows are reduced mod p
+   to row echelon form: rows whose lowest column is highest go first, each
+   row is reduced by every pivot it meets, and its lowest remaining column
+   becomes a new pivot.  The pivot columns are then those of the RREF;
 3. back-substitution from the highest pivot down gives, for each free column
    f, the kernel vector with 1 at f, 0 at every other free column and 0 at
    every pivot column right of f;
 4. a prime is kept only while its (nullity, pivot columns) is the smallest
-   seen, and a smaller pair restarts the accumulation.  The pair over Q is
-   the smallest any prime can give: mod p the rank only drops, and a lost
-   pivot moves right;
+   seen, and a smaller pair restarts the accumulation from that prime.  The
+   pair over Q is the smallest any prime can give: mod p the rank only
+   drops, and a lost pivot moves right;
 5. the kept residues are combined by CRT and lifted by Wang rational
    reconstruction in its maximal-quotient form;
 6. each lifted vector, scaled to integers by the lcm of its denominators,
@@ -25,26 +24,34 @@ certified exactly:
    prime is added.  Only then is each vector scaled so that its first
    nonzero coordinate is 1.
 
+`PRIMES` is a fixed list of proven primes, ascending, each about twice the
+bits of the one before.  The first certifies every vacuum singular system
+measured, up to k=-1/4, and a failed lift about doubles the modulus for one
+more elimination.  The list is also the cost cap: a kernel that its
+8759-bit product cannot lift raises `ResourceCapError` (exit code 3).
+
 The certificate is complete.  A certified vector of that shape puts column f
 in the span of the columns left of f, so f is free over Q; there are as many
 vectors as the smallest nullity mod p, which is at least the nullity over Q.
 So the vectors are exactly the canonical kernel basis over Q, and no answer
 depends on a prime being lucky.  The row order was chosen by measurement: on
 the vacuum singular systems it eliminates 3-8x faster than shortest rows
-first (0.01 s against 0.04 s per prime at k=-1/3, 0.04 s against 0.3 s at
-k=7/2).  A dense Fraction RREF, the reference the tests check this solver
-against, lives with the other test oracles.
+first (0.01 s against 0.04 s per 62-bit prime at k=-1/3, 0.04 s against
+0.3 s at k=7/2).  A dense Fraction RREF, the reference the tests check this
+solver against, lives with the other test oracles.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import namedtuple
-from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceCapError
+
+# RFC 7748's field prime and four Mersenne primes, proven by Lucas-Lehmer.
+PRIMES = (2**255 - 19, 2**521 - 1, 2**1279 - 1, 2**2281 - 1, 2**4423 - 1)
 
 
 class IntMatrix(namedtuple("IntMatrix", "ncols rows")):
@@ -76,13 +83,14 @@ def kernel_basis(m: IntMatrix) -> list[tuple[Fraction, ...]]:
     """Deterministic exact basis of the right kernel.
 
     One vector per free column of the RREF, ascending; each vector scaled so
-    its first nonzero coordinate is 1.  Computed mod a sequence of primes,
+    its first nonzero coordinate is 1.  Computed mod the primes of `PRIMES`,
     lifted by CRT and Wang rational reconstruction, and returned only once
-    every vector satisfies m v = 0 exactly (see the module docstring).
+    every vector satisfies m v = 0 exactly (see the module docstring);
+    ResourceCapError if the list runs out first.
     """
     rows = [row for row in m.rows if row]
     best = None
-    for p in primes():
+    for p in PRIMES:
         pivots, kernel = _kernel_mod(rows, m.ncols, p)
         key = (len(kernel), pivots)
         if best is None or key < best:
@@ -95,38 +103,7 @@ def kernel_basis(m: IntMatrix) -> list[tuple[Fraction, ...]]:
         basis = [_reconstruct(acc, modulus) for acc in residues]
         if all(v is not None and _annihilates(rows, v) for v in basis):
             return [_first_entry_one(v) for v in basis]
-
-
-def primes() -> Iterator[int]:
-    """The deterministic sequence of primes below 2**62, descending."""
-    n = (1 << 62) - 1
-    while True:
-        if _is_prime(n):
-            yield n
-        n -= 2
-
-
-# Miller-Rabin with these bases is exact below 3.3e24 > 2**62.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    if any(n % b == 0 for b in _MR_BASES):
-        return n in _MR_BASES
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    raise ResourceCapError(f"kernel basis not certified by a {modulus.bit_length()}-bit modulus")
 
 
 def _kernel_mod(

@@ -4,7 +4,8 @@ The modular integer kernel runs on `integer_matrix(m)`, the row-scaled
 integer form of a Fraction matrix m, and is checked against a basis read off
 the Fraction RREF reference of `oracles`, including systems that need several
 primes, an unlucky prime and a failed certificate.  The reference RREF is
-itself checked against sympy.
+itself checked against sympy.  The solver's fixed list of primes is checked to
+be prime, and its end to raise the cost cap.
 """
 
 import random
@@ -15,9 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admz import nullspace
-from admz.errors import InvalidInputError
+from admz.errors import InvalidInputError, ResourceCapError
 from admz.affine import mode, operator_matrix
-from admz.nullspace import IntMatrix, kernel_basis, primes
+from admz.nullspace import PRIMES, IntMatrix, kernel_basis
 from admz.zhu import level_from_string, singular_position
 from oracles import RationalMatrix, integer_matrix, rref, table
 
@@ -250,7 +251,7 @@ def test_big_entries_need_several_primes(monkeypatch):
 
 
 def test_unlucky_prime_is_discarded(monkeypatch):
-    p0 = next(primes())
+    p0 = PRIMES[0]
     # mod p0 the rank drops: [[p0]] has nullity 1 there and 0 over Q
     assert len(nullspace._kernel_mod([{0: p0}], 1, p0)[1]) == 1
     used = count_primes(monkeypatch)
@@ -263,7 +264,7 @@ def test_unlucky_prime_is_discarded(monkeypatch):
 
 
 def test_failed_certificate_adds_a_prime(monkeypatch):
-    p0 = next(primes())
+    p0 = PRIMES[0]
     x = p0 + 5
     m = RationalMatrix.from_rows([[1, -x]])
     # one prime lifts the kernel vector (x, 1) to (5, 1), which m rejects
@@ -274,3 +275,44 @@ def test_failed_certificate_adds_a_prime(monkeypatch):
     used = count_primes(monkeypatch)
     assert kernel_basis(integer_matrix(m)) == [(F(1), F(1, x))]
     assert len(used) == 2
+
+
+@pytest.mark.parametrize("level", ["-1/3", "7/2"])
+def test_one_prime_certifies_singular_systems(monkeypatch, level):
+    m = singular_system(level_from_string(level))
+    used = count_primes(monkeypatch)
+    assert len(kernel_basis(m)) == 1
+    assert used == [PRIMES[0]]
+
+
+def lucas_lehmer(e: int) -> bool:
+    """Whether the Mersenne number 2**e - 1 is prime, for an odd prime e."""
+    n, s = (1 << e) - 1, 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % n
+    return s == 0
+
+
+def test_primes_are_ascending_and_proven():
+    assert list(PRIMES) == sorted(set(PRIMES))
+    # 2**255 - 19 is the field prime of RFC 7748 (Curve25519); here it is
+    # checked only as a strong probable prime to the first twelve prime bases.
+    p = PRIMES[0]
+    assert p == 2**255 - 19
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(b, d, p)
+        assert x in (1, p - 1) or any(pow(x, 2**i, p) == p - 1 for i in range(1, s))
+    for p in PRIMES[1:]:
+        e = p.bit_length()
+        assert p == 2**e - 1 and lucas_lehmer(e)
+
+
+def test_list_end_is_the_cost_cap():
+    # the kernel vector (2**9000, 1) needs a modulus over 9000 bits, more
+    # than the 8759-bit product of the list
+    assert sum(p.bit_length() for p in PRIMES) == 8759
+    with pytest.raises(ResourceCapError, match="8759-bit"):
+        kernel_basis(IntMatrix(2, [{0: 1, 1: -(1 << 9000)}]))
