@@ -85,8 +85,8 @@ def bracket_modes(x: int, y: int) -> tuple[list[tuple[int, int]], int]:
     return [(3 * (m + n) + r, c)] if c else [], m * pairing if m + n == 0 else 0
 
 
-class AffineWeight(namedtuple("AffineWeight", "lambda0 lambda1 delta", defaults=(Fraction(0),))):
-    """Weight in the span of Lambda_0, Lambda_1, delta."""
+class AffineWeight(namedtuple("AffineWeight", "lambda0 lambda1")):
+    """Weight in the span of Lambda_0, Lambda_1, delta; its delta coefficient is 0."""
 
     __slots__ = ()
 
@@ -104,7 +104,7 @@ class AffineWeight(namedtuple("AffineWeight", "lambda0 lambda1 delta", defaults=
         return {
             "lambda0": format_scalar(self.lambda0),
             "lambda1": format_scalar(self.lambda1),
-            "delta": format_scalar(self.delta),
+            "delta": "0",
             "h": format_scalar(self.h_value),
         }
 
@@ -201,8 +201,6 @@ class VacuumModule:
         ResourceCapError."""
         if delta_deg < 0:
             raise InvalidInputError("delta-degree must be nonnegative")
-        if delta_deg == 0:
-            return [()] if alpha_wt == 0 else []
         out: list = []
 
         def search(d0: int, r0: int, remaining: int, charge: int, stack: list):

@@ -131,7 +131,7 @@ def straighten(word) -> dict:
         power = [0, 0, 0]
         power[GENERATORS.index(g)] = len(list(run))
         acc = _int_product({tuple(power): 1}, acc)
-    return {m: v for m, v in acc.items() if v}
+    return acc
 
 
 class FinElement(ExactSum):

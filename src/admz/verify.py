@@ -146,9 +146,9 @@ def suite_algebra(samples: int = 120) -> list[CheckResult]:
 
 
 def suite_lemmas(max_n: int = 5) -> list[CheckResult]:
-    """The f^N transport identity f^N p_s = p_(s-N) f^N for N = 1..max_n and
+    """For N = 1..max_n: the f^N transport identity f^N p_s = p_(s-N) f^N for
     every s in POMOC_S_VALUES, and the shape of f^N e^N projected mod U(g)n_-,
-    (-1)^N N! h(h+1)...(h+N-1), for N = 1..min(max_n, 5) only."""
+    (-1)^N N! h(h+1)...(h+N-1)."""
     results = []
     ok = True
     witness = ""
@@ -162,7 +162,7 @@ def suite_lemmas(max_n: int = 5) -> list[CheckResult]:
 
     ok = True
     witness = ""
-    for N in range(1, min(max_n, 5) + 1):
+    for N in range(1, max_n + 1):
         expected = HPoly.from_roots([-j for j in range(N)]) * Fraction(
             (-1) ** N * factorial(N)
         )

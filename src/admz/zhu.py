@@ -74,7 +74,7 @@ from .exact_core import (
     poly_root_check,
     poly_shift,
 )
-from .nullspace import kernel_basis
+from .nullspace import IntMatrix, kernel_basis
 from .usl2 import (
     FinElement,
     fin_ad,
@@ -140,7 +140,7 @@ def enumerate_Pk(lv: AdmissibleLevel) -> list[AffineWeight]:
     """The admissible-weight box: (k-n+mt) Lambda0 + (n-mt) Lambda1."""
     out = []
     for m in range(lv.l + 1):
-        for n in range(2 * lv.q + lv.p - 1):  # n <= 2q+p-2
+        for n in range(lv.N):
             out.append(
                 AffineWeight(
                     lambda0=lv.k - n + m * lv.t,
@@ -195,7 +195,7 @@ def _solve_cold(lv: AdmissibleLevel, max_dim: int) -> _Solved:
     basis0 = table.weight_space_basis(d, w, max_dim)
     m_e = affine.operator_matrix(table, mode("e", 0), basis0)
     m_f = affine.operator_matrix(table, mode("f", 1), basis0)
-    kernel = kernel_basis(m_e.vstack(m_f))
+    kernel = kernel_basis(IntMatrix(len(basis0), m_e.rows + m_f.rows))
     if len(kernel) != 1:
         raise ConsistencyError(
             f"invariant kernel-dimension: expected 1-dimensional singular space, "

@@ -243,6 +243,10 @@ def test_weight_space_against_brute_force():
 def test_weight_space_cap():
     with pytest.raises(ResourceCapError):
         table(K).weight_space_basis(9, 1, max_dim=3)
+    # W(0,0) is one monomial, so it obeys the cap like every other space
+    assert table(K).weight_space_basis(0, 0, max_dim=1) == [()]
+    with pytest.raises(ResourceCapError, match=r"^weight space W\(0,0\) exceeds cap 0$"):
+        table(K).weight_space_basis(0, 0, max_dim=0)
 
 
 # -- operator matrices ----------------------------------------------------------

@@ -139,6 +139,22 @@ def test_verify_reads_route_constant_from_report(valid_report, monkeypatch):
     assert row.detail == f"routes agree up to {valid_report.p2_route_constant / 3}"
 
 
+def test_lemma_suite_checks_the_fN_eN_shape_up_to_max_n(monkeypatch):
+    """A projection wrong only in degree 6 fails the shape row at max_n = 6
+    and leaves the transport row passing."""
+    project = verify_mod.project_cartan
+
+    def wrong_at_six(x):
+        out = project(x)
+        return out * 2 if out.degree == 6 else out
+
+    monkeypatch.setattr(verify_mod, "project_cartan", wrong_at_six)
+    rows = {r.name: r for r in verify_mod.suite_lemmas(max_n=6)}
+    assert rows["pomoc-transport-identity"].passed
+    shape = rows["fNeN-projection-shape"]
+    assert (shape.passed, shape.detail) == (False, "N=6")
+
+
 # the levels whose singular vectors the acceptance criteria certify, and 7
 ADJOINT_LEVELS = ("1", "2", "3", "-1/2", "1/2", "-4/3", "-2/3", "-1/3", "5/2", "7")
 
