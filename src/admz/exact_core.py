@@ -229,11 +229,6 @@ class HPoly(ExactSum):
     def coeffs(self) -> tuple:
         return tuple(self.terms.get(power, Fraction(0)) for power in range(self.degree + 1))
 
-    def leading(self) -> Fraction:
-        if not self.terms:
-            raise InvalidInputError("zero polynomial has no leading coefficient")
-        return self.terms[self.degree]
-
     def __call__(self, x) -> Fraction:
         return Fraction(poly_eval(self.coeffs, Fraction(x)))
 
@@ -298,9 +293,7 @@ def poly_proportional(a: HPoly, b: HPoly):
     polynomial is proportional to nothing."""
     if a.is_zero() or b.is_zero():
         return None
-    if a.degree != b.degree:
-        return None
-    c = a.leading() / b.leading()
+    c = a.terms[a.degree] / b.terms[b.degree]
     if a == c * b:
         return c
     return None

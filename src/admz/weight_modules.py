@@ -50,7 +50,7 @@ from fractions import Fraction
 from math import lcm
 
 from .affine import DEFAULT_MAX_WEIGHT_DIM
-from .errors import ConsistencyError, InvalidInputError
+from .errors import ConsistencyError
 from .exact_core import format_scalar, poly_eval
 from .usl2 import FinElement, pbw_groups
 from .zhu import AdmissibleLevel, ClassificationReport, compute_Q
@@ -70,22 +70,6 @@ class DenseParams(namedtuple("DenseParams", "r mu")):
 def is_nonneg_int(r: Fraction) -> bool:
     """Whether r is in Z+, which the dense family's r must avoid."""
     return r.denominator == 1 and r.numerator >= 0
-
-
-class EActionResult(namedtuple("EActionResult", "shift coefficient")):
-    """Image of a weight-homogeneous element on E_i: coefficient * E_{i+shift}."""
-
-    __slots__ = ()
-
-
-def act_element_on_E(u: FinElement, params: DenseParams, i: int) -> EActionResult:
-    """Apply a weight-homogeneous element, one group e^a P(h) f^c at a time,
-    by the closed form of the module docstring."""
-    w = u.ad_weight()
-    if w is None:
-        raise InvalidInputError("act_element_on_E requires a weight-homogeneous element")
-    coefficient = _act_groups(pbw_groups(u.terms), _point(params), i)
-    return EActionResult(shift=-w // 2, coefficient=coefficient)
 
 
 def _point(params: DenseParams) -> tuple[int, int, int]:

@@ -125,6 +125,9 @@ def test_poly_proportional_examples():
     b = HPoly([0, 1, 1])  # h(h+1)
     assert poly_proportional(a, b) == F(2)
     assert poly_proportional(HPoly([0, 1]), HPoly([1, 1])) is None
+    # unequal degrees: 2h^2 against h (leading ratio 2), and h + 1 against 2
+    assert poly_proportional(HPoly([0, 0, 2]), HPoly([0, 1])) is None
+    assert poly_proportional(HPoly([1, 1]), HPoly([2])) is None
     # a zero polynomial is proportional to nothing, itself included
     assert poly_proportional(HPoly(), HPoly()) is None
     assert poly_proportional(HPoly(), HPoly([1])) is None

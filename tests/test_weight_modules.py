@@ -8,11 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admz import weight_modules
-from admz.errors import InvalidInputError
 from admz.usl2 import FinElement, fin_product, pbw_groups
 from admz.weight_modules import (
     DenseParams,
-    act_element_on_E,
     classify_weight_modules,
     is_T_member,
     q_action_profile,
@@ -22,6 +20,12 @@ from admz.zhu import classify_category_O, compute_Q, level_from_string, set_S
 from oracles import act_element_dense, act_generator_dense, act_groups_by_fractions, lagrange_fit
 
 F = Fraction
+
+
+def act(u, p, i):
+    """The coefficient c of u.E_i = c E_{i+shift} in E(r,mu), shift = -u.ad_weight() // 2,
+    by the grouped closed form."""
+    return weight_modules._act_groups(pbw_groups(u.terms), weight_modules._point(p), i)
 
 
 def casimir():
@@ -62,28 +66,27 @@ def test_sl2_relations_on_E():
 def test_act_element_examples():
     p = DenseParams(r=F(2, 5), mu=F(1, 3))
     e2 = FinElement.monomial((2, 0, 0))
+    assert -e2.ad_weight() // 2 == -2
     for i in (-2, 0, 3):
-        res = act_element_on_E(e2, p, i)
         x = p.mu + i
-        assert res.shift == -2 and res.coefficient == x * (x - 1)
+        assert act(e2, p, i) == x * (x - 1)
 
-    res = act_element_on_E(FinElement.monomial((0, 0, 0)), p, 5)
-    assert res.shift == 0 and res.coefficient == 1
+    one = FinElement.monomial((0, 0, 0))
+    assert -one.ad_weight() // 2 == 0 and act(one, p, 5) == 1
 
+    assert -casimir().ad_weight() // 2 == 0
     for i in (-3, 0, 7):
-        res = act_element_on_E(casimir(), p, i)
-        assert res.shift == 0
-        assert res.coefficient == p.r * p.r / 2 + p.r
+        assert act(casimir(), p, i) == p.r * p.r / 2 + p.r
 
     # at the integer level 600, Q = c*e^601: 601 linear factors over L = 6
     Q = compute_Q(level_from_string("600"))
     [(mono, c)] = Q.terms.items()
-    assert mono == (601, 0, 0)
+    assert mono == (601, 0, 0) and -Q.ad_weight() // 2 == -601
     for i in (0, 5):
         expected = c
         for j in range(601):
             expected *= j - F(1, 3) - i
-        assert act_element_on_E(Q, DenseParams(r=F(1, 2), mu=F(1, 3)), i) == (-601, expected)
+        assert act(Q, DenseParams(r=F(1, 2), mu=F(1, 3)), i) == expected
 
 
 def test_casimir_constant_over_grid():
@@ -96,7 +99,7 @@ def test_casimir_constant_over_grid():
         )
         expected = p.r * p.r / 2 + p.r
         for i in range(-5, 6):
-            assert act_element_on_E(cas, p, i).coefficient == expected
+            assert act(cas, p, i) == expected
 
 
 # irreducible (r, mu) and reducible ones: mu in Z, r - mu in Z, or both
@@ -111,9 +114,9 @@ DIFF_PARAMS = (
 
 
 def assert_matches_word_walk(u, p, i):
-    res = act_element_on_E(u, p, i)
+    coefficient = act(u, p, i)
     expected = act_element_dense(u, p.r, p.mu, i)
-    assert expected == ({i + res.shift: res.coefficient} if res.coefficient else {})
+    assert expected == ({i - u.ad_weight() // 2: coefficient} if coefficient else {})
 
 
 def random_homogeneous(rng, w):
@@ -172,8 +175,7 @@ def dense_points(draw):
 def test_act_element_matches_fraction_oracle_and_word_walk(u, p, i):
     """The integer products over L^(a+c) give the coefficient of the
     closed form in Fractions and of the generator-by-generator walk."""
-    res = act_element_on_E(u, p, i)
-    assert res.coefficient == act_groups_by_fractions(pbw_groups(u.terms), p.r, p.mu + i)
+    assert act(u, p, i) == act_groups_by_fractions(pbw_groups(u.terms), p.r, p.mu + i)
     assert_matches_word_walk(u, p, i)
 
 
@@ -186,12 +188,6 @@ def test_q_action_matches_word_walk(text):
             assert_matches_word_walk(Q, p, i)
 
 
-def test_act_element_requires_homogeneous():
-    mixed = FinElement({(1, 0, 0): F(1), (0, 0, 0): F(1)})
-    with pytest.raises(InvalidInputError):
-        act_element_on_E(mixed, DenseParams(r=F(0), mu=F(1, 2)), 0)
-
-
 def test_q_action_polynomial_shape():
     # Q.E_i is a single polynomial of degree <= N in (mu+i): fit on N+1
     # points, then verify on three extra indices
@@ -199,14 +195,10 @@ def test_q_action_polynomial_shape():
         lv = level_from_string(text)
         Q = compute_Q(lv)
         p = DenseParams(r=F(17, 5), mu=F(1, 3))
-        pts = []
-        for i in range(lv.N + 1):
-            res = act_element_on_E(Q, p, i)
-            assert res.shift == -lv.N
-            pts.append((p.mu + i, res.coefficient))
-        fit = lagrange_fit(pts)
+        assert -Q.ad_weight() // 2 == -lv.N
+        fit = lagrange_fit([(p.mu + i, act(Q, p, i)) for i in range(lv.N + 1)])
         for i in (lv.N + 1, lv.N + 3, -4):
-            assert fit(p.mu + i) == act_element_on_E(Q, p, i).coefficient
+            assert fit(p.mu + i) == act(Q, p, i)
 
 
 def test_q_action_index_shift_covariance():
@@ -214,9 +206,7 @@ def test_q_action_index_shift_covariance():
     Q = compute_Q(lv)
     r = F(-1, 2)
     for mu, i in ((F(1, 3), 2), (F(2, 7), -1)):
-        a = act_element_on_E(Q, DenseParams(r=r, mu=mu), i).coefficient
-        b = act_element_on_E(Q, DenseParams(r=r, mu=mu + 1), i - 1).coefficient
-        assert a == b
+        assert act(Q, DenseParams(r=r, mu=mu), i) == act(Q, DenseParams(r=r, mu=mu + 1), i - 1)
 
 
 def test_q_annihilates_examples():
@@ -237,7 +227,9 @@ def test_q_action_profile_matches_action_and_annihilation():
         lv = level_from_string(text)
         Q = compute_Q(lv)
         profile, annihilates = q_action_profile(Q, lv.N, p)
-        assert profile == [act_element_on_E(Q, p, i).coefficient for i in range(lv.N + 1)]
+        assert len(profile) == lv.N + 1
+        for i, c in enumerate(profile):
+            assert act_element_dense(Q, p.r, p.mu, i) == ({i - lv.N: c} if c else {})
         assert annihilates == q_annihilates_E(lv, p) == kills
 
 
