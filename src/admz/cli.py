@@ -83,8 +83,8 @@ def singular(level, method, max_dim):
     if method in ("mff", "both"):
         lines.append(f"projected closed form = {zhu.mff_epsilon(lv, max_dim).to_text()}")
     if method == "both":
-        p2a = zhu.compute_p2(lv, zhu.NULLSPACE_ROUTE, max_dim)
-        p2b = zhu.compute_p2(lv, zhu.MFF_ROUTE, max_dim)
+        p2a = zhu.compute_p2(zhu.compute_Q(lv, max_dim), lv.N)
+        p2b = zhu.mff_p2(lv, max_dim)
         const = poly_proportional(p2a, p2b)
         lines += [f"p2 via nullspace = {p2a.to_text()}", f"p2 via mff       = {p2b.to_text()}"]
         if const is None:
@@ -97,8 +97,8 @@ def singular(level, method, max_dim):
 def zhu_poly(level, fmt, max_dim):
     """Classifying polynomials p1/p2 with root analysis against S."""
     lv = zhu.level_from_string(level)
-    p1 = zhu.compute_p1(lv, max_dim)
-    p2 = zhu.compute_p2(lv, zhu.NULLSPACE_ROUTE, max_dim)
+    Q = zhu.compute_Q(lv, max_dim)
+    p1, p2 = zhu.compute_p1(Q, lv.N), zhu.compute_p2(Q, lv.N)
     S = zhu.set_S(lv)  # after the solve has passed its caps
     roots1, ok1 = zhu.simple_roots(p1, S)
     roots2, ok2 = zhu.simple_roots(p2, [-r for r in S])

@@ -31,27 +31,25 @@ element mod U(g)n_+ (mod U(g)n_-) is the scalar by which it acts on a
 highest (lowest) weight vector of weight h.  On a highest weight vector v
 every term of (ad f)^N Q = sum_j binom(N,j) f^(N-j) Q (-f)^j with j < N
 vanishes, since Q f^j v would have weight above v's; likewise on a lowest
-weight vector for (ad e)^N Q^T.  What is left gives (Humphreys,
-Introduction to Lie Algebras and Representation Theory, sections 21 and 26.2)
+weight vector for (ad e)^N Q^T.  What is left is a sum over Q's terms
+(Humphreys, Introduction to Lie Algebras and Representation Theory, sections
+21 and 26.2), which compute_p1 and compute_p2 state.  The mff route
+(mff_p2) reads its p2 the same way, off the e^N P(h) group of the
+closed-form product epsilon.  Only epsilon is built, by U(sl2) products of
+its p-factors, so the routes meet only at the reading: Q comes from the
+nullspace vector, epsilon from S's parameters alone.
 
-    p1(h) = (-1)^N sum q_abc (h-2a)^b prod_{i=1..a} i(h-i+1)
-    p2(h) = prod_{m=1..N} m(h+m-1) * sum_b q_{N,b,0} h^b
-
-The mff route reads its p2 the same way, off the e^N P(h) group of the
-closed-form product epsilon, with the sign (-1)^N of f^N e^N on a lowest
-weight vector.  Only epsilon is built, by U(sl2) products of its p-factors,
-so the routes meet only at the reading: Q comes from the nullspace vector,
-epsilon from S's parameters alone.
-
-The weight cap is the int max_dim of each call, DEFAULT_MAX_WEIGHT_DIM
-unless the caller passes one; no function here reads the environment.  It
-also bounds the mff route: the size of epsilon is known in closed form
-before any arithmetic (mff_terms), and a prediction over the cap is a
-ResourceCapError naming the level and the route.  S and P^k, each of
-(l+1)N elements, are built only after the solve has passed its caps.  The
-cold solve recurses (the weight search and the vacuum module's
-straightening) to a depth that grows with the level; a RecursionError there
-becomes a ResourceCapError naming the level.
+A function here either takes a level and solves or builds under the weight
+cap, or takes a value and only reads it.  The level functions take the cap
+as the int max_dim, DEFAULT_MAX_WEIGHT_DIM unless the caller passes one; no
+function here reads the environment.  The cap also bounds the mff route:
+the size of epsilon is known in closed form before any arithmetic
+(mff_terms), and a prediction over the cap is a ResourceCapError naming the
+level and the route.  S and P^k, each of (l+1)N elements, are built only
+after the solve has passed its caps.  The cold solve recurses (the weight
+search and the vacuum module's straightening) to a depth that grows with
+the level; a RecursionError there becomes a ResourceCapError naming the
+level.
 """
 
 from __future__ import annotations
@@ -84,10 +82,6 @@ from .usl2 import (
     project_cartan,  # unused here; a call-site name that perfbench/tracer.py resolves
     straighten,
 )
-
-NULLSPACE_ROUTE = "nullspace"
-MFF_ROUTE = "mff"
-
 
 class AdmissibleLevel(namedtuple("AdmissibleLevel", "p q k t N l")):
     """Validated parameter pack for an admissible level k = p/q."""
@@ -283,38 +277,38 @@ def descend_to_weight_zero(x: FinElement) -> FinElement:
     return x
 
 
-def compute_p2(
-    lv: AdmissibleLevel, route: str = NULLSPACE_ROUTE, max_dim=DEFAULT_MAX_WEIGHT_DIM
-) -> HPoly:
-    """Classifying polynomial p2 (defined up to a nonzero constant).
-
-    nullspace route: (ad e)^N Q^T projected mod U(g)n_-, i.e. its scalar on
-    a lowest weight vector w, which is (-1)^N Q^T e^N w.  Only the e^N h^b
-    terms of Q reach w, and f^N e^N w = prod_{m=1..N} (-m(h+m-1)) w, so
-    p2(h) = prod_{m=1..N} m(h+m-1) * sum_b q_{N,b,0} h^b.
-    mff route: f^N * epsilon projected mod U(g)n_-, its scalar on w.  Only
-    the e^N P(h) group of epsilon reaches w, so the same reading of
-    epsilon (mff_epsilon, which checks its size against the cap), times
-    (-1)^N, gives it.
-    """
-    if route == NULLSPACE_ROUTE:
-        element, sign = _solve(lv, max_dim).Q, 1
-    elif route == MFF_ROUTE:
-        element, sign = mff_epsilon(lv, max_dim), (-1) ** lv.N
-    else:
-        raise InvalidInputError(f"unknown p2 route {route!r}")
-    ints, den = element.integral()
-    acc = pbw_groups(ints).get((lv.N, 0), [])
-    for m in range(1, lv.N + 1):
-        acc = poly_mul(acc, [m * (m - 1), m])
-    den *= sign  # the sign rides on the denominator
+def _reading(name: str, acc: list, den: int) -> HPoly:
+    """The readers' one closing: acc / den as an HPoly, refused when zero."""
     poly = from_integral(HPoly, dict(enumerate(acc)), den)
     if poly.is_zero():
-        raise ConsistencyError(f"p2 via {route} projected to the zero polynomial")
+        raise ConsistencyError(f"{name} projected to the zero polynomial")
     return poly
 
 
-def compute_p1(lv: AdmissibleLevel, max_dim=DEFAULT_MAX_WEIGHT_DIM) -> HPoly:
+def compute_p2(x: FinElement, N: int) -> HPoly:
+    """Classifying polynomial p2 of x = Q (defined up to a nonzero constant):
+    (ad e)^N x^T projected mod U(g)n_-, i.e. its scalar on a lowest weight
+    vector w, which is (-1)^N x^T e^N w.  Only the e^N h^b terms of x reach w,
+    and f^N e^N w = prod_{m=1..N} (-m(h+m-1)) w, so
+    p2(h) = prod_{m=1..N} m(h+m-1) * sum_b x_{N,b,0} h^b.
+    """
+    ints, den = x.integral()
+    acc = pbw_groups(ints).get((N, 0), [])
+    for m in range(1, N + 1):
+        acc = poly_mul(acc, [m * (m - 1), m])
+    return _reading("p2", acc, den)
+
+
+def mff_p2(lv: AdmissibleLevel, max_dim=DEFAULT_MAX_WEIGHT_DIM) -> HPoly:
+    """p2 by the mff route: f^N * epsilon projected mod U(g)n_-, its scalar on
+    a lowest weight vector w.  Only the e^N P(h) group of epsilon reaches w,
+    so compute_p2's reading of epsilon (mff_epsilon, which checks its size
+    against the cap), times the sign (-1)^N of f^N e^N on w, gives it."""
+    p2 = compute_p2(mff_epsilon(lv, max_dim), lv.N)
+    return -p2 if lv.N % 2 else p2
+
+
+def compute_p1(Q: FinElement, N: int) -> HPoly:
     """Classifying polynomial p1: (ad f)^N Q projected mod U(g)n_+, i.e. its
     scalar on a highest weight vector v, which is (-1)^N Q f^N v.  Q has
     ad-weight 2N, so a = c + N in every term and e^a h^b f^(c+N) v =
@@ -322,19 +316,15 @@ def compute_p1(lv: AdmissibleLevel, max_dim=DEFAULT_MAX_WEIGHT_DIM) -> HPoly:
     p1(h) = (-1)^N sum q_abc (h-2a)^b prod_{i=1..a} i(h-i+1),
     one group e^a P(h) f^(a-N) of Q at a time, with P(h-2a) its shift.
     """
-    ints, den = _solve(lv, max_dim).Q.integral()
+    ints, den = Q.integral()
     groups = pbw_groups(ints)
     acc, ea_fa = [], [1]  # e^a f^a v = ea_fa(h) v
     for a in range(max((a for a, _ in groups), default=-1) + 1):
         if a:
             ea_fa = poly_mul(ea_fa, [a * (1 - a), a])
-        if (a, a - lv.N) in groups:
-            acc = poly_add(acc, poly_mul(poly_shift(groups[a, a - lv.N], -2 * a), ea_fa))
-    den *= (-1) ** lv.N  # the sign of p1 rides on the denominator
-    poly = from_integral(HPoly, dict(enumerate(acc)), den)
-    if poly.is_zero():
-        raise ConsistencyError("p1 projected to the zero polynomial")
-    return poly
+        if (a, a - N) in groups:
+            acc = poly_add(acc, poly_mul(poly_shift(groups[a, a - N], -2 * a), ea_fa))
+    return _reading("p1", acc, den * (-1) ** N)  # the sign of p1 rides on the denominator
 
 
 def simple_roots(poly: HPoly, expected) -> tuple[dict, bool]:
@@ -445,19 +435,19 @@ def check_report(report: ClassificationReport):
 
 def build_report(lv: AdmissibleLevel, max_dim=DEFAULT_MAX_WEIGHT_DIM) -> ClassificationReport:
     """Compute every pipeline value for one level, before the post-hoc invariants."""
-    v = singular_vector_nullspace(lv, max_dim)
-    # the mff route before the nullspace p2: its cap check fails fast; S and
-    # P^k, which grow with the level, wait until both caps have passed
-    p2_mff = compute_p2(lv, MFF_ROUTE, max_dim)
+    v, Q = singular_vector_nullspace(lv, max_dim), compute_Q(lv, max_dim)
+    # the mff route before S and P^k, which grow with the level: they wait
+    # until both caps have passed
+    p2_mff = mff_p2(lv, max_dim)
     return ClassificationReport(
         level=lv,
         S=set_S(lv),
         Pk=enumerate_Pk(lv),
         singular_vector=v,
-        Q=compute_Q(lv, max_dim),
+        Q=Q,
         p2_mff=p2_mff,
-        p2=compute_p2(lv, NULLSPACE_ROUTE, max_dim),
-        p1=compute_p1(lv, max_dim),
+        p2=compute_p2(Q, lv.N),
+        p1=compute_p1(Q, lv.N),
     )
 
 

@@ -23,12 +23,11 @@ from admz.usl2 import FinElement, fin_ad, fin_product, pbw_groups
 from admz.verify import suite_algebra, suite_lemmas
 from admz.weight_modules import DenseParams, is_T_member, q_annihilates_E
 from admz.zhu import (
-    MFF_ROUTE,
-    NULLSPACE_ROUTE,
     admissible_params,
     compute_p2,
     compute_Q,
     level_from_string,
+    mff_p2,
     set_S,
     singular_vector_nullspace,
 )
@@ -87,7 +86,7 @@ def test_A2_level_minus_half():
         assert len(kernel_basis(stacked)) == 1
         S = set_S(lv)
         assert S == [F(1), F(0), F(-1, 2), F(-3, 2)]
-        p2 = compute_p2(lv, NULLSPACE_ROUTE)
+        p2 = compute_p2(compute_Q(lv), lv.N)
         roots, cofactor = poly_root_check(p2, [-r for r in S])
         assert roots == {F(-1): 1, F(0): 1, F(1, 2): 1, F(3, 2): 1}
         assert cofactor.degree == 0
@@ -104,7 +103,7 @@ def test_A3_fractional_levels():
             assert len(S) == (lv.l + 1) * lv.N
             assert len(set(S)) == len(S)
             assert {w.h_value for w in zhu.enumerate_Pk(lv)} == set(S)
-            p2 = compute_p2(lv, NULLSPACE_ROUTE)
+            p2 = compute_p2(compute_Q(lv), lv.N)
             roots, cofactor = poly_root_check(p2, [-r for r in S])
             assert cofactor.degree == 0
             assert all(mult == 1 for mult in roots.values())
@@ -119,7 +118,7 @@ def check_singular(lv):
 
 
 def check_route_agreement(lv):
-    c = poly_proportional(compute_p2(lv, NULLSPACE_ROUTE), compute_p2(lv, MFF_ROUTE))
+    c = poly_proportional(compute_p2(compute_Q(lv), lv.N), mff_p2(lv))
     assert c is not None and c != 0, lv
 
 

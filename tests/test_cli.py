@@ -574,8 +574,8 @@ def test_classify_fails_on_dense_disagreement(capsys, monkeypatch):
 def test_zhu_poly_verdict_per_polynomial(capsys, monkeypatch):
     real = zhu_mod.compute_p1
 
-    def p1_with_moved_root(lv, max_dim=None):
-        quot, rem = divmod_linear(real(lv, max_dim), 1)
+    def p1_with_moved_root(Q, N):
+        quot, rem = divmod_linear(real(Q, N), 1)
         assert rem == 0
         return HPoly(poly_mul(quot.coeffs, [-7, 1]))
 

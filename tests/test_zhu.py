@@ -7,14 +7,14 @@ import subprocess
 import sys
 import weakref
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 
 from admz import usl2
 from admz import zhu as zhu_mod
 from admz.affine import VacuumModule, VermaVector, mode, mode_degree, mode_gen, operator_matrix
-from admz.errors import InvalidInputError, NotAdmissibleError, ResourceCapError
+from admz.errors import ConsistencyError, InvalidInputError, NotAdmissibleError, ResourceCapError
 from admz.exact_core import HPoly, poly_eval, poly_proportional, poly_root_check
 from admz.nullspace import IntMatrix, kernel_basis
 from admz.usl2 import (
@@ -25,8 +25,6 @@ from admz.usl2 import (
 )
 from admz.weight_modules import classify_weight_modules
 from admz.zhu import (
-    MFF_ROUTE,
-    NULLSPACE_ROUTE,
     ClassificationReport,
     admissible_params,
     classify_category_O,
@@ -36,6 +34,7 @@ from admz.zhu import (
     enumerate_Pk,
     level_from_string,
     mff_epsilon,
+    mff_p2,
     set_S,
     singular_position,
     singular_vector_nullspace,
@@ -391,18 +390,43 @@ def test_mff_factors_commute():
 
 def test_p2_k1_both_routes():
     lv = admissible_params(1, 1)
-    assert compute_p2(lv, NULLSPACE_ROUTE) == HPoly([0, 2, 2])
-    assert compute_p2(lv, MFF_ROUTE) == HPoly([0, 2, 2])
-    roots, cof = poly_root_check(compute_p2(lv, NULLSPACE_ROUTE), [F(0), F(-1)])
+    assert compute_p2(compute_Q(lv), lv.N) == HPoly([0, 2, 2])
+    assert mff_p2(lv) == HPoly([0, 2, 2])
+    roots, cof = poly_root_check(compute_p2(compute_Q(lv), lv.N), [F(0), F(-1)])
     assert roots == {F(0): 1, F(-1): 1} and cof.degree == 0
 
 
 def test_p1_k1():
     lv = admissible_params(1, 1)
-    p1 = compute_p1(lv)
+    p1 = compute_p1(compute_Q(lv), lv.N)
     assert p1 == HPoly([0, -2, 2])  # 2h(h-1), roots = S = {0, 1}
     roots, cof = poly_root_check(p1, set_S(lv))
     assert roots == {F(0): 1, F(1): 1} and cof.degree == 0
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_readers_of_e_power_without_a_solve(N):
+    # e^N alone: p2 = prod_{m=1..N} m(h+m-1), p1 = (-1)^N prod_{i=1..N} i(h-i+1)
+    x = FinElement.monomial((N, 0, 0))
+    assert compute_p2(x, N) == HPoly.from_roots([1 - m for m in range(1, N + 1)]) * factorial(N)
+    p1 = HPoly.from_roots([i - 1 for i in range(1, N + 1)]) * ((-1) ** N * factorial(N))
+    assert compute_p1(x, N) == p1
+    if N == 2:  # level 1's Q is e^2
+        assert (compute_p2(x, N), compute_p1(x, N)) == (HPoly([0, 2, 2]), HPoly([0, -2, 2]))
+
+
+def test_readers_refuse_a_zero_projection():
+    with pytest.raises(ConsistencyError, match="p1 projected to the zero polynomial"):
+        compute_p1(FinElement(), 2)
+    with pytest.raises(ConsistencyError, match="p2 projected to the zero polynomial"):
+        compute_p2(FinElement(), 2)
+
+
+@pytest.mark.parametrize("text", ["-4/3", "-2/3"])
+def test_mff_p2_carries_the_sign_at_odd_N(text):
+    lv = level_from_string(text)
+    assert lv.N % 2 == 1
+    assert mff_p2(lv) == -compute_p2(mff_epsilon(lv), lv.N)
 
 
 @pytest.mark.parametrize(
@@ -413,13 +437,13 @@ def test_p1_k1():
 def test_mff_p2_is_the_product_projected(text):
     # reference: straighten f^N * epsilon, then keep its pure-h part
     lv = level_from_string(text)
-    assert compute_p2(lv, MFF_ROUTE) == p2_by_product_and_projection(lv)
+    assert mff_p2(lv) == p2_by_product_and_projection(lv)
 
 
 def test_routes_proportional_all_levels():
     for text in ("1", "2", "3", "-1/2", "1/2", "-4/3", "-2/3"):
         lv = level_from_string(text)
-        c = poly_proportional(compute_p2(lv, NULLSPACE_ROUTE), compute_p2(lv, MFF_ROUTE))
+        c = poly_proportional(compute_p2(compute_Q(lv), lv.N), mff_p2(lv))
         assert c is not None and c != 0
 
 
@@ -432,7 +456,7 @@ def test_nullspace_p2_is_the_descent_of_Q_transpose(text):
     x = compute_Q(lv).transpose()
     for _ in range(lv.N):
         x = fin_ad("e", x)
-    assert compute_p2(lv, NULLSPACE_ROUTE) == project_cartan(x)
+    assert compute_p2(compute_Q(lv), lv.N) == project_cartan(x)
 
 
 @pytest.mark.parametrize(
@@ -447,7 +471,7 @@ def test_p1_is_the_descent_of_Q_projected_mod_n_plus(text):
     for _ in range(lv.N):
         x = fin_ad("f", x)
     assert zhu_mod.descend_to_weight_zero(compute_Q(lv)) == x
-    assert compute_p1(lv) == project_mod_n_plus(x)
+    assert compute_p1(compute_Q(lv), lv.N) == project_mod_n_plus(x)
 
 
 @pytest.mark.parametrize(
@@ -459,7 +483,7 @@ def test_p1_p2_match_the_module_oracles(text):
     # generator on a highest and a lowest weight module
     lv = level_from_string(text)
     Q = compute_Q(lv)
-    p1, p2 = compute_p1(lv), compute_p2(lv, NULLSPACE_ROUTE)
+    p1, p2 = compute_p1(Q, lv.N), compute_p2(Q, lv.N)
     for mu in (F(0), F(1, 3), F(-7, 2), F(5), F(-11, 4)):
         assert p1(mu) == eval_mod_n_plus(Q, mu, ad_f=lv.N)
         assert p2(mu) == eval_mod_n_minus(Q.transpose(), mu, ad_e=lv.N)
@@ -472,10 +496,10 @@ def test_pipeline_makes_no_adjoint_descent(monkeypatch):
     monkeypatch.setattr(zhu_mod, "descend_to_weight_zero", lambda x: calls.append(x) or descend(x))
     for text in ("-1/2", "2"):
         lv = level_from_string(text)
-        classify_category_O(lv)
-        compute_p1(lv)
-        compute_p2(lv, NULLSPACE_ROUTE)
-        compute_p2(lv, MFF_ROUTE)
+        Q = classify_category_O(lv).Q
+        compute_p1(Q, lv.N)
+        compute_p2(Q, lv.N)
+        mff_p2(lv)
     assert calls == []
 
 
@@ -494,7 +518,8 @@ def test_p1_p2_degree_and_mirror():
     for text in ("1", "-1/2", "-4/3", "1/2"):
         lv = level_from_string(text)
         S = set_S(lv)
-        p1, p2 = compute_p1(lv), compute_p2(lv)
+        Q = compute_Q(lv)
+        p1, p2 = compute_p1(Q, lv.N), compute_p2(Q, lv.N)
         assert p1.degree == (lv.l + 1) * lv.N == p2.degree
         for r in S:
             assert p1(r) == 0 and p2(-r) == 0
@@ -506,7 +531,8 @@ def test_root_checks_and_evaluations_match_fractions(text):
     lv = level_from_string(text)
     S = set_S(lv)
     candidates = S + [-r for r in S]
-    for p in (compute_p1(lv), compute_p2(lv), compute_p2(lv, MFF_ROUTE)):
+    Q = compute_Q(lv)
+    for p in (compute_p1(Q, lv.N), compute_p2(Q, lv.N), mff_p2(lv)):
         matched, cofactor = poly_root_check(p, candidates)
         expected, expected_cofactor = poly_root_check_by_fractions(p, candidates)
         assert list(matched.items()) == list(expected.items())
