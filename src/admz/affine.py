@@ -129,11 +129,6 @@ class VermaVector(ExactSum):
     def _like(self, terms) -> "VermaVector":
         return VermaVector(self.level, terms)
 
-    def homogeneous_weight(self):
-        """(delta-degree, alpha-weight) if homogeneous, else None."""
-        grades = {(-sum(map(mode_degree, m)), sum(map(mode_charge, m))) for m in self.terms}
-        return grades.pop() if len(grades) == 1 else None
-
     def to_text(self) -> str:
         terms = ((self.terms[mono], monomial_to_text(mono)) for mono in sorted(self.terms))
         return format_terms(terms, joiner=" ", lead_minus="- ")

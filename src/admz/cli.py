@@ -146,13 +146,11 @@ def check_dense(level, r, mu, max_dim):
         raise ConsistencyError("T-membership and Q-annihilation disagree")
 
 
-def verify(suite, max_n, levels, samples, max_dim):
+def verify(suite, max_n, levels, max_dim):
     """Run an invariant suite; exit 0 iff all checks pass."""
-    from .verify import suite_algebra, suite_classification, suite_lemmas
+    from .verify import suite_classification, suite_lemmas
 
-    if suite == "algebra":
-        results = suite_algebra(samples=samples)
-    elif suite == "lemmas":
+    if suite == "lemmas":
         results = suite_lemmas(max_n=max_n)
     else:
         level_list = [s.strip() for s in levels.split(",") if s.strip()]
@@ -208,10 +206,9 @@ _COMMANDS = (
         "verify",
         verify,
         (
-            ("--suite", {"choices": ["algebra", "lemmas", "classification"], "required": True}),
+            ("--suite", {"choices": ["lemmas", "classification"], "required": True}),
             ("--max-n", {"type": _positive_int, "default": 5}),
             ("--levels", {"default": "1,-1/2", "help": "Comma-separated levels."}),
-            ("--samples", {"type": _positive_int, "default": 120}),
         ),
     ),
 )

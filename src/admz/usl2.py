@@ -167,15 +167,6 @@ class FinElement(ExactSum):
             return None
         return weights.pop()
 
-    # -- structural maps -----------------------------------------------------
-    def transpose(self) -> "FinElement":
-        """Antiautomorphism e <-> f, h -> h, products reversed.
-
-        The straightened image of a basis monomial e^a h^b f^c is again a
-        basis monomial, e^c h^b f^a.
-        """
-        return FinElement({(c, b, a): v for (a, b, c), v in self.terms.items()})
-
     def to_text(self) -> str:
         return format_terms(
             (

@@ -29,6 +29,9 @@ involution, and the mff p2 as the product f^N * epsilon projected mod U(g)n_-.
 The latter is the old route itself, so it uses the library's product and
 projection.
 
+The transpose of U(sl2) and the grading of a vacuum-module vector are read
+here; the library needs neither.
+
 The library renders elements as text and reads none back.  Strict readers of
 the three canonical text forms live here, so the tests can check that the
 text determines the element.
@@ -116,6 +119,14 @@ def product_by_transpositions(x: FinElement, y: FinElement) -> FinElement:
         for m, v in straighten_by_transpositions(word, y.terms).items():
             out[m] = out.get(m, Fraction(0)) + coeff * v
     return FinElement(out)
+
+
+def transpose(x: FinElement) -> FinElement:
+    """The antiautomorphism e <-> f, h -> h, products reversed.
+
+    The straightened image of a basis monomial e^a h^b f^c is again a basis
+    monomial, e^c h^b f^a."""
+    return FinElement({(c, b, a): v for (a, b, c), v in x.terms.items()})
 
 
 def act_word_lowest_weight(word, mu, start=0):
@@ -506,6 +517,12 @@ def straighten_word(word: tuple, level: Fraction) -> dict:
         for mono, coeff in straighten_word(w, level).items():
             out[mono] = out.get(mono, 0) + c * coeff
     return {mono: c for mono, c in out.items() if c}
+
+
+def homogeneous_weight(v: VermaVector):
+    """(delta-degree, alpha-weight) of v if it is homogeneous, else None."""
+    grades = {(-sum(map(mode_degree, m)), sum(map(mode_charge, m))) for m in v.terms}
+    return grades.pop() if len(grades) == 1 else None
 
 
 def act_by_fractions(md, v: VermaVector) -> VermaVector:

@@ -20,7 +20,7 @@ from admz.cli import main
 from admz.exact_core import poly_proportional, poly_root_check
 from admz.nullspace import IntMatrix, kernel_basis
 from admz.usl2 import FinElement, fin_ad, fin_product, pbw_groups
-from admz.verify import suite_algebra, suite_lemmas
+from admz.verify import suite_lemmas
 from admz.weight_modules import DenseParams, is_T_member, q_annihilates_E
 from admz.zhu import (
     admissible_params,
@@ -190,12 +190,14 @@ def test_heavy_level_classify(capsys, text):
 
 
 def test_A8_axiom_suites():
+    # the algebra half of A8 is the unit tests of the affine bracket, the
+    # vacuum action and U(sl2): test_affine's
+    # test_bracket_antisymmetry_and_jacobi, test_act_module_axiom_sampled and
+    # test_act_grading, and test_usl2's test_associativity_random,
+    # test_transpose_antiautomorphism_random, test_ad_derivation_random and
+    # test_weight_additivity_random
     with criterion("A8 algebraic axiom suites"):
         t0 = time.monotonic()
-        algebra = suite_algebra(samples=120)
-        assert len(algebra) >= 6
-        for res in algebra:
-            assert res.passed, res
         lemmas = suite_lemmas(max_n=6)
         for res in lemmas:
             assert res.passed, res

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -25,6 +24,7 @@ from admz.zhu import level_from_string, singular_position, singular_vector_nulls
 from oracles import (
     act_by_fractions,
     brute_weight_space,
+    homogeneous_weight,
     operator_matrix_by_fractions,
     parse_verma,
     table,
@@ -53,32 +53,6 @@ def test_mode_order_is_degree_then_rank_and_helpers_round_trip():
             md = mode(g, n)
             assert (mode_gen(md), mode_degree(md), mode_charge(md)) == (g, n, charge[g])
             assert mode(mode_gen(md), mode_degree(md)) == md
-
-
-def test_algebra_suite_witnesses_print_modes_as_text(monkeypatch):
-    # a central term off by one breaks the Jacobi identity and the module
-    # axiom, an action by the identity breaks the grading: each witness names
-    # its modes as x(n), not as their integer codes
-    import admz.verify as verify_mod
-
-    def bracket_off_by_one(x, y):
-        modes, central = real(x, y)
-        return modes, central + 1
-
-    real = verify_mod.bracket_modes
-    monkeypatch.setattr(verify_mod, "bracket_modes", bracket_off_by_one)
-    monkeypatch.setattr(VacuumModule, "act", lambda self, md, v: v)
-    results = {r.name: r for r in verify_mod.suite_algebra(samples=20)}
-    text_mode = r"[efh]\(-?\d+\)"
-    vector = r".*\|0>"
-    patterns = {
-        "affine-jacobi": rf"{text_mode},{text_mode},{text_mode}",
-        "affine-module-axiom": rf"x={text_mode}, y={text_mode}, v={vector}",
-        "affine-grading": rf"{text_mode} on {vector}",
-    }
-    for name, pattern in patterns.items():
-        assert not results[name].passed, name
-        assert re.fullmatch(pattern, results[name].detail), results[name]
 
 
 # -- bracket -----------------------------------------------------------------
@@ -147,7 +121,7 @@ def test_act_module_axiom_sampled():
     t = table(level)
     rng = random.Random(5)
     basis_vectors = []
-    for d, w in ((1, 1), (2, 0), (3, 1), (3, -1)):
+    for d, w in ((1, 0), (1, 1), (2, 0), (2, 1), (3, 1), (3, -1)):
         for mono in t.weight_space_basis(d, w):
             basis_vectors.append(VermaVector(level, {mono: F(1)}))
     modes = [mode(g, d) for g in "ehf" for d in (-2, -1, 0, 1, 2)]
@@ -163,17 +137,20 @@ def test_act_module_axiom_sampled():
 
 
 def test_act_grading():
+    # x(n) maps W(d,w) into W(d-n, w+charge(x)), and h(0) acts by 2w
     t = table(K)
+    modes = [mode(g, n) for g in "ehf" for n in range(-2, 3)]
     for d, w in ((2, 0), (3, 1), (4, 2)):
         for mono in t.weight_space_basis(d, w):
             v = VermaVector(K, {mono: F(1)})
-            for md in (mode("e", 0), mode("f", 1), mode("h", -1), mode("e", -2)):
+            for md in modes:
                 img = t.act(md, v)
                 if not img.is_zero():
-                    assert img.homogeneous_weight() == (
+                    assert homogeneous_weight(img) == (
                         d - mode_degree(md),
                         w + mode_charge(md),
-                    )
+                    ), (md, mono)
+            assert t.act(mode("h", 0), v) == v * (2 * w), mono
 
 
 def test_one_table_per_level():

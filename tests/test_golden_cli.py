@@ -40,7 +40,6 @@ COMMANDS = (
         ["zhu-poly", "--level", "30", "--format", "json"],
         ["singular", "--level", "-8/5", "--method", "both"],
         ["singular", "--level", "-12/7", "--method", "both"],
-        ["verify", "--suite", "algebra", "--samples", "30"],
         ["verify", "--suite", "lemmas"],
     ]
 )

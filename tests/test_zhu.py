@@ -48,6 +48,7 @@ from oracles import (
     poly_root_check_by_fractions,
     project_mod_n_plus,
     table,
+    transpose,
 )
 
 F = Fraction
@@ -453,7 +454,7 @@ def test_routes_proportional_all_levels():
 def test_nullspace_p2_is_the_descent_of_Q_transpose(text):
     # reference: descend Q^T by ad e on its own, then project mod U(g)n_-
     lv = level_from_string(text)
-    x = compute_Q(lv).transpose()
+    x = transpose(compute_Q(lv))
     for _ in range(lv.N):
         x = fin_ad("e", x)
     assert compute_p2(compute_Q(lv), lv.N) == project_cartan(x)
@@ -486,7 +487,7 @@ def test_p1_p2_match_the_module_oracles(text):
     p1, p2 = compute_p1(Q, lv.N), compute_p2(Q, lv.N)
     for mu in (F(0), F(1, 3), F(-7, 2), F(5), F(-11, 4)):
         assert p1(mu) == eval_mod_n_plus(Q, mu, ad_f=lv.N)
-        assert p2(mu) == eval_mod_n_minus(Q.transpose(), mu, ad_e=lv.N)
+        assert p2(mu) == eval_mod_n_minus(transpose(Q), mu, ad_e=lv.N)
 
 
 def test_pipeline_makes_no_adjoint_descent(monkeypatch):
