@@ -450,6 +450,8 @@ def test_over_long_literal_is_invalid_input(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["--suite", "classification", "--levels", ""],
+        ["--suite", "classification", "--levels", " , "],
         ["--suite", "lemmas", "--max-n", "-1"],
         ["--suite", "lemmas", "--max-n", "0"],
         ["--suite", "classification", "--levels", ",,,"],
