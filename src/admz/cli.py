@@ -1,13 +1,12 @@
 """Command-line surface: classify, singular, zhu-poly, check-dense, verify.
 
-This is the one module that reads argv or the environment, and the one that
-turns errors into exit codes.  Exit codes are a stable contract: 0 success,
-1 property violation, 2 invalid input, 3 resource cap exceeded (each error
-type carries its code, see errors.py), 141 (the shell's SIGPIPE status) a
-closed output pipe.  Levels are exact "p/q" strings (never decimals).  The
-weight-space dimension cap is resolved once, before any command runs: from
---max-dim, falling back to the ADMZ_MAX_WEIGHT_DIM environment variable,
-then to 20000; the library takes it as an int argument.
+This is the one module that reads argv, and the one that turns errors into
+exit codes; no part of admz reads the environment.  Exit codes are a stable
+contract: 0 success, 1 property violation, 2 invalid input, 3 resource cap
+exceeded (each error type carries its code, see errors.py), 141 (the shell's
+SIGPIPE status) a closed output pipe.  Levels are exact "p/q" strings (never
+decimals).  The weight-space dimension cap --max-dim (default 20000) is
+checked as argv is parsed; the library takes it as an int argument.
 
 Every call is its own process, so start-up is part of each command's cost:
 the parser is stdlib argparse, and what only one command needs (verify's
@@ -28,22 +27,6 @@ from .exact_core import format_scalar, parse_scalar, poly_proportional
 
 EXIT_INVALID = 2
 EXIT_PIPE = 141
-MAX_DIM_ENV_VAR = "ADMZ_MAX_WEIGHT_DIM"
-
-
-def resolve_max_dim(explicit: int | None) -> int:
-    """Weight-space dimension cap: --max-dim, else the environment variable,
-    else the default.  A cap below 1 is invalid input, not a cap that every
-    weight space exceeds."""
-    cap, env = explicit, os.environ.get(MAX_DIM_ENV_VAR)
-    if cap is None:
-        try:
-            cap = int(env) if env else DEFAULT_MAX_WEIGHT_DIM
-        except ValueError as exc:
-            raise InvalidInputError(f"bad {MAX_DIM_ENV_VAR} value {env!r}") from exc
-    if cap < 1:
-        raise InvalidInputError(f"weight-space dimension cap must be at least 1, got {cap}")
-    return cap
 
 
 def classify(level, fmt, max_dim):
@@ -167,9 +150,12 @@ def verify(suite, max_n, levels, max_dim):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=1")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
@@ -177,7 +163,11 @@ _LEVEL = ("--level", {"required": True, "help": 'Exact level "p/q".'})
 _FORMAT = ("--format", {"dest": "fmt", "choices": ["text", "json"], "default": "text"})
 _MAX_DIM = (
     "--max-dim",
-    {"type": int, "help": "Weight-space dimension cap; also bounds the mff route's epsilon."},
+    {
+        "type": _positive_int,
+        "default": DEFAULT_MAX_WEIGHT_DIM,
+        "help": "Weight-space dimension cap; also bounds the mff route's epsilon.",
+    },
 )
 
 # (command, function, options); each function takes its options, and the
@@ -247,15 +237,12 @@ def _parse(argv: list[str]) -> dict:
     argparse reads a value such as -1/2 as an option, so each "--opt value" of
     a value option is joined into "--opt=value" first: the token after the
     option is its value, whatever it starts with.  A value "--" is refused
-    here, because argparse would drop it and pass an empty list on."""
+    here, because argparse would drop it and pass an empty list on.  No
+    command takes a positional argument, so any other "--" is a usage error."""
     parser = _parser()
     joined = []
-    tokens = iter(argv[1:] if argv[:1] == ["--"] else argv)  # no-op before the command
+    tokens = iter(argv)
     for token in tokens:
-        if token == "--":  # the rest is positional; a no-op at the end
-            rest = list(tokens)
-            joined += [token, *rest] if rest else []
-            break
         flag, eq, value = token.partition("=")
         if flag in _VALUE_OPTIONS:
             value = value if eq else next(tokens, "--")
@@ -265,7 +252,6 @@ def _parse(argv: list[str]) -> dict:
         joined.append(token)
     options = vars(parser.parse_args(joined))
     del options["command"]
-    options["max_dim"] = resolve_max_dim(options["max_dim"])  # every command, before its work
     return options
 
 

@@ -108,11 +108,11 @@ def admissible_params(p: int, q: int) -> AdmissibleLevel:
         raise InvalidInputError(f"q must be a positive integer, got {q}")
     if gcd(p, q) != 1:
         raise InvalidInputError(f"p and q must be coprime, got p={p}, q={q}")
+    k = Fraction(p, q)
     if 2 * q + p - 2 < 0:
         raise NotAdmissibleError(
-            f"level {p}/{q} is not admissible: 2q+p-2 = {2 * q + p - 2} < 0"
+            f"level {format_scalar(k)} is not admissible: 2q+p-2 = {2 * q + p - 2} < 0"
         )
-    k = Fraction(p, q)
     return AdmissibleLevel(p=p, q=q, k=k, t=k + 2, N=2 * q + p - 1, l=q - 1)
 
 

@@ -67,6 +67,10 @@ def test_classify_not_admissible(capsys):
     code, _, err = run_cli(capsys, ["classify", "--level", "-3/2"])
     assert code == 2
     assert "not admissible" in err
+    # an integer level is named as an integer, as format_scalar renders it
+    code, out, err = run_cli(capsys, ["classify", "--level", "-3"])
+    assert (code, out) == (2, "")
+    assert err == "error: level -3 is not admissible: 2q+p-2 = -3 < 0\n"
 
 
 def test_classify_bad_level_string(capsys):
@@ -180,6 +184,10 @@ def test_negative_values_of_every_value_option(capsys):
         ["verify", "--suite", "lemmas", "--samples", "30"],  # no such option
         ["classify", "--level"],
         ["classify", "-h"],  # help is --help alone
+        ["classify", "--level", "1", "--max-dim", "abc"],
+        ["verify", "--suite", "lemmas", "--max-n", "abc"],
+        ["--", "classify", "--level", "1"],  # no command takes a positional argument
+        ["classify", "--level", "1", "--"],
     ],
 )
 def test_usage_errors_exit_two_with_empty_stdout(capsys, argv):
@@ -238,18 +246,6 @@ def test_import_loads_only_what_commands_share():
     loaded = set(proc.stdout.split())
     assert "admz.cli" in loaded
     assert loaded.isdisjoint({"click", "dataclasses", "inspect", "admz.verify"})
-
-
-def test_env_var_cap(capsys, monkeypatch):
-    monkeypatch.setenv("ADMZ_MAX_WEIGHT_DIM", "4")
-    code, _, err = run_cli(capsys, ["classify", "--level", "-2/3"])
-    assert code == 3
-    # flag takes precedence over the environment
-    monkeypatch.setenv("ADMZ_MAX_WEIGHT_DIM", "4")
-    code, out, _ = run_cli(
-        capsys, ["classify", "--level", "-2/3", "--max-dim", "20000"]
-    )
-    assert code == 0
 
 
 @pytest.mark.parametrize(
@@ -477,23 +473,26 @@ CAP_COMMANDS = (
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])
-def test_non_positive_cap_is_invalid_input(capsys, monkeypatch, cap):
+def test_non_positive_cap_is_invalid_input(capsys, cap):
     for argv in CAP_COMMANDS:
         code, out, err = run_cli(capsys, [*argv, "--max-dim", cap])
         assert (code, out) == (2, ""), argv
         assert "at least 1" in err
-    monkeypatch.setenv("ADMZ_MAX_WEIGHT_DIM", cap)
-    for argv in CAP_COMMANDS:
+
+
+@pytest.mark.parametrize(
+    "value, words",
+    [("abc", "invalid int value: 'abc'"), ("0", "must be at least 1, got 0")],
+    ids=["abc", "0"],
+)
+def test_bad_int_option_messages_name_the_option(capsys, value, words):
+    # the message names the option, never the validator behind it
+    cases = [("--max-dim", [*argv, "--max-dim", value]) for argv in CAP_COMMANDS]
+    cases.append(("--max-n", ["verify", "--suite", "lemmas", "--max-n", value]))
+    for flag, argv in cases:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, ""), argv
-        assert "at least 1" in err
-
-
-def test_non_integer_cap_variable_is_invalid_input(capsys, monkeypatch):
-    monkeypatch.setenv("ADMZ_MAX_WEIGHT_DIM", "abc")
-    for argv in CAP_COMMANDS:
-        code, out, err = run_cli(capsys, argv)
-        assert (code, out, err) == (2, "", "error: bad ADMZ_MAX_WEIGHT_DIM value 'abc'\n"), argv
+        assert f"argument {flag}: {words}\n" in err and "_positive_int" not in err, err
 
 
 @pytest.mark.parametrize(
@@ -510,12 +509,13 @@ def test_bad_cap_is_named_before_any_other_bad_value(capsys, argv):
 
 
 def test_the_library_does_not_read_the_cap_variable(capsys, monkeypatch):
+    unset = run_cli(capsys, ["classify", "--level", "-1/2"])
     monkeypatch.setenv("ADMZ_MAX_WEIGHT_DIM", "1")
     assert zhu_mod.compute_Q(level_from_string("-1/2")).ad_weight() == 4  # 2N
     assert len(table(1).weight_space_basis(4, 2)) > 1
-    code, out, err = run_cli(capsys, ["classify", "--level", "-1/2"])
-    assert (code, out) == (3, "")
-    assert "exceeds cap 1" in err
+    # nor does the CLI: setting the variable changes nothing
+    assert run_cli(capsys, ["classify", "--level", "-1/2"]) == unset
+    assert unset[0] == 0
 
 
 @pytest.mark.parametrize(
